@@ -16,25 +16,15 @@ from .errors import ValidationError
 def game_of_cpnet(net):
     """Variables become players, CPT rows become parametrized preferences;
     the neighbour function is the parent relation."""
-    prefs = tuple(dict(t.rows) for t in net.tables)
-    neigh = tuple(t.parents for t in net.tables)
-    return pgame.PPGame(net.variables, net.domains, neigh, prefs)
+    return pgame.PPGame(net.variables, net.domains, net.parents,
+                        tuple(map(dict, net.rows)))
 
 
 def cpnet_of_game(game):
     """Players become variables with full parent sets; graphical preferences
     are expanded by ignoring the non-neighbour coordinates."""
-    n = len(game.players)
-    tables = []
-    for i in range(n):
-        parents = tuple(j for j in range(n) if j != i)
-        rows = {}
-        for opp in itertools.product(*(game.strategies[j] for j in parents)):
-            full = list(opp)
-            full.insert(i, None)
-            rows[opp] = game.prefs[i][tuple(full[j] for j in game.neigh[i])]
-        tables.append(cpnet.CPTable(i, parents, rows))
-    return cpnet.CPNet(game.players, game.strategies, tuple(tables))
+    parents, rows = cpnet.full_tables(game.strategies, game.neigh, game.prefs)
+    return cpnet.from_tables(game.players, game.strategies, parents, rows)
 
 
 def _shared_constraint_neighbourhoods(problem):
@@ -77,7 +67,7 @@ def global_map(problem):
     neigh = pgame.full_neighbourhoods(n)
     shared = {
         s: softcsp.solution_preference(problem, s)
-        for s in itertools.product(*problem.domains)
+        for s in problem.assignments()
     }
     payoffs = tuple(dict(shared) for _ in range(n))
     return pgame.PayoffGame(

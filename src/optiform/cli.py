@@ -31,14 +31,6 @@ def _load(path, *kinds):
     return kind, obj
 
 
-def _pref_json(v):
-    return serialize._value_to_json(v)
-
-
-def _payoff_json(game, v):
-    return serialize._payoff_to_json(game, v)
-
-
 # ------------------------------------------------------------------ handlers
 
 def cmd_scsp_solve(args):
@@ -46,7 +38,7 @@ def cmd_scsp_solve(args):
     _emit({
         "command": "scsp-solve",
         "optimal": [
-            {"assignment": list(s), "preference": _pref_json(p)}
+            {"assignment": list(s), "preference": serialize.value_to_json(p)}
             for s, p in softcsp.optimal_solutions(problem)
         ],
     })
@@ -62,10 +54,11 @@ def cmd_scsp_join(args):
 
 def cmd_cpnet_optimal(args):
     _, net = _load(args.file, "cpnet")
+    optimal = cpnet.optimal_outcomes(net)
     _emit({
         "command": "cpnet-optimal",
-        "eligible": bool(cpnet.optimal_outcomes(net)),
-        "optimal": [list(o) for o in cpnet.optimal_outcomes(net)],
+        "eligible": bool(optimal),
+        "optimal": [list(o) for o in optimal],
     })
     return EXIT_OK
 
@@ -146,7 +139,7 @@ def _nash_report_payoff(game):
         out.append({
             "joint_strategy": list(s),
             "payoffs": {
-                game.players[i]: _payoff_json(game, game.payoff(i, s))
+                game.players[i]: serialize.payoff_to_json(game, game.payoff(i, s))
                 for i in range(len(game.players))
             },
         })
@@ -171,7 +164,7 @@ def cmd_game_pareto(args):
             {
                 "joint_strategy": list(s),
                 "payoffs": {
-                    game.players[i]: _payoff_json(game, game.payoff(i, s))
+                    game.players[i]: serialize.payoff_to_json(game, game.payoff(i, s))
                     for i in range(len(game.players))
                 },
             }
@@ -251,7 +244,7 @@ def cmd_pareto_nash(args):
     _emit({
         "command": "pareto-nash",
         "equilibria": [
-            {"joint_strategy": list(s), "preference": _pref_json(p)}
+            {"joint_strategy": list(s), "preference": serialize.value_to_json(p)}
             for s, p in bridge.pareto_nash(game, args.offset)
         ],
     })
@@ -276,10 +269,13 @@ def cmd_well_structured(args):
 
 
 def _parse_seed_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        return [int(text)]
+    except ValueError:
+        raise ValidationError("--seeds takes a seed or a range A..B, got %r" % text)
 
 
 def cmd_check(args):
@@ -372,7 +368,7 @@ def main(argv=None):
     except OptiformError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
 

@@ -1,11 +1,17 @@
 """CP-nets: flips, optimality, optimality constraints, eligibility, sweep,
 redundancy reduction, elimination of never-best-response / dominated values,
 and bounded dominance search.
+
+The preference-table core below works on raw per-index domains, parents and
+rows.  A PPGame holds the same tables as a CPNet under other names, so the
+game algorithms of `pgame` call the same core.
 """
 
 import itertools
+import math
+import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import semiring, softcsp
 from .errors import ValidationError, check_space
@@ -16,12 +22,150 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 DEFAULT_DOMINANCE_BUDGET = 10 ** 5
 
 
-def check_strict_order(order, domain):
-    if tuple(sorted(order)) != tuple(sorted(domain)) or len(set(order)) != len(order):
-        raise ValidationError(
-            "%r is not a strict total order of domain %r" % (order, domain)
-        )
+# ------------------------------------------------------ preference-table core
 
+def check_strict_orders(orders, domain):
+    """Each order lists every value of the domain exactly once."""
+    ref = sorted(domain)
+    repeats = any(map(operator.eq, ref, ref[1:]))
+    for order in orders:
+        if repeats or sorted(order) != ref:
+            raise ValidationError(
+                "%r is not a strict total order of domain %r" % (order, domain)
+            )
+
+
+def check_tables(names, domains, parents, rows):
+    """Each domain is nonempty, no index is its own parent, and each table has
+    exactly one strict total order per parent assignment."""
+    for i, (name, dom, ps, r) in enumerate(zip(names, domains, parents, rows)):
+        if not dom:
+            raise ValidationError("empty domain for %s" % name)
+        if i in ps:
+            raise ValidationError("%s is its own parent" % name)
+        expected = set(itertools.product(*map(domains.__getitem__, ps)))
+        if r.keys() != expected:
+            missing = expected - r.keys()
+            if missing:
+                raise ValidationError(
+                    "table of %s misses the row for parent assignment %r"
+                    % (name, sorted(missing)[0])
+                )
+            raise ValidationError("table of %s has spurious rows" % name)
+        check_strict_orders(r.values(), dom)
+
+
+def stable_outcomes(domains, parents, rows):
+    """Outcomes, in enumeration order, in which every value tops the row its
+    parents select: the optimal outcomes of a CP-net, and the Nash equilibria
+    of a game with parametrized preferences."""
+    check_space(math.prod(map(len, domains)), "outcome space")
+    tops = [
+        (i, ps, {pa: order[0] for pa, order in r.items()})
+        for i, (ps, r) in enumerate(zip(parents, rows))
+    ]
+    for o in itertools.product(*domains):
+        if all(o[i] == top[tuple(map(o.__getitem__, ps))] for i, ps, top in tops):
+            yield o
+
+
+def never_best(domain, rows):
+    """The values that top no row."""
+    tops = {order[0] for order in rows.values()}
+    return {v for v in domain if v not in tops}
+
+
+def dominated(domain, rows):
+    """The values below one fixed other value in every row."""
+    out = set()
+    for worse in domain:
+        for better in domain:
+            if better != worse and all(
+                order.index(better) < order.index(worse) for order in rows.values()
+            ):
+                out.add(worse)
+                break
+    return out
+
+
+def removable_values(domains, rows, mode):
+    """Per-index sets of never-best-response (mode 'nbr') or dominated
+    (mode 's') values."""
+    if mode not in ("nbr", "s"):
+        raise ValidationError("mode must be 'nbr' or 's'")
+    return list(map(never_best if mode == "nbr" else dominated, domains, rows))
+
+
+def restrict(names, parents, rows, keep):
+    """The tables cut down to the per-index values in `keep`: rows whose
+    parent assignment mentions a dropped value go, and the surviving orders
+    lose the dropped values.  Returns the kept domains and the new rows."""
+    kept = tuple(map(tuple, keep))
+    for name, k in zip(names, kept):
+        if not k:
+            raise ValidationError("removal empties the domain of %s" % name)
+    new_rows = []
+    for i, ps in enumerate(parents):
+        table = {}
+        for pa in itertools.product(*map(kept.__getitem__, ps)):
+            table[pa] = tuple(v for v in rows[i][pa] if v in kept[i])
+        new_rows.append(table)
+    return kept, tuple(new_rows)
+
+
+def elimination_round(x, mode, removable, shrink):
+    """One round removing every value `removable(x, mode)` finds.  Returns the
+    per-index removals and `shrink(x, removals)`, or x itself when there are
+    none."""
+    removals = removable(x, mode)
+    return removals, shrink(x, removals) if any(removals) else x
+
+
+def elimination_fixpoint(x, mode, removable, shrink, trace=None):
+    """Elimination rounds until nothing is removable.  `trace`, if a list,
+    collects the per-round removals."""
+    while True:
+        removals, x = elimination_round(x, mode, removable, shrink)
+        if not any(removals):
+            return x
+        if trace is not None:
+            trace.append([sorted(r) for r in removals])
+
+
+def unused_parents(domains, parents, rows):
+    """The parents of one table whose value never changes the selected order."""
+    out = set()
+    for k, y in enumerate(parents):
+        rest = parents[:k] + parents[k + 1:]
+        for a in itertools.product(*map(domains.__getitem__, rest)):
+            if len({rows[a[:k] + (v,) + a[k:]] for v in domains[y]}) > 1:
+                break
+        else:
+            out.add(y)
+    return out
+
+
+def full_parents(n):
+    """Every other index as a parent, for each of n indices."""
+    return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
+
+
+def full_tables(domains, parents, rows):
+    """The same tables with every other index made a parent; the added
+    parents are ignored.  Returns the new parents and rows."""
+    wide = full_parents(len(domains))
+    new_rows = []
+    for i, ps in enumerate(parents):
+        table = {}
+        for opp in itertools.product(*map(domains.__getitem__, wide[i])):
+            full = list(opp)
+            full.insert(i, None)
+            table[opp] = rows[i][tuple(map(full.__getitem__, ps))]
+        new_rows.append(table)
+    return wide, tuple(new_rows)
+
+
+# -------------------------------------------------------------------- CP-nets
 
 @dataclass(frozen=True)
 class CPTable:
@@ -35,34 +179,22 @@ class CPNet:
     variables: tuple
     domains: tuple
     tables: tuple  # one CPTable per variable, positionally aligned
+    # the tables' per-index parents and rows, as the table core takes them
+    parents: tuple = field(init=False, repr=False, compare=False)
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.variables) == len(self.domains) == len(self.tables)):
             raise ValidationError("variables, domains and tables differ in length")
-        for i, (dom, t) in enumerate(zip(self.domains, self.tables)):
-            if not dom:
-                raise ValidationError("empty domain for %s" % self.variables[i])
+        for i, t in enumerate(self.tables):
             if t.owner != i:
                 raise ValidationError("table %d owned by variable %d" % (i, t.owner))
-            if i in t.parents:
-                raise ValidationError("%s is its own parent" % self.variables[i])
-            expected = set(itertools.product(*(self.domains[p] for p in t.parents)))
-            if set(t.rows) != expected:
-                missing = expected - set(t.rows)
-                if missing:
-                    raise ValidationError(
-                        "table of %s misses the row for parent assignment %r"
-                        % (self.variables[i], sorted(missing)[0])
-                    )
-                raise ValidationError("table of %s has spurious rows" % self.variables[i])
-            for order in t.rows.values():
-                check_strict_order(order, dom)
+        object.__setattr__(self, "parents", tuple([t.parents for t in self.tables]))
+        object.__setattr__(self, "rows", tuple([t.rows for t in self.tables]))
+        check_tables(self.variables, self.domains, self.parents, self.rows)
 
     def space_size(self):
-        n = 1
-        for dom in self.domains:
-            n *= len(dom)
-        return n
+        return math.prod(map(len, self.domains))
 
     def outcomes(self):
         check_space(self.space_size(), "outcome space")
@@ -79,6 +211,12 @@ class CPNet:
         """The unique order for variable i selected by the outcome's parents."""
         t = self.tables[i]
         return t.rows[tuple(outcome[p] for p in t.parents)]
+
+
+def from_tables(variables, domains, parents, rows):
+    """The CP-net with one table per (parents, rows) pair."""
+    tables = [CPTable(i, ps, r) for i, (ps, r) in enumerate(zip(parents, rows))]
+    return CPNet(variables, domains, tuple(tables))
 
 
 def dependency_graph(net):
@@ -147,7 +285,7 @@ def is_optimal(net, outcome):
 
 
 def optimal_outcomes(net):
-    return [o for o in net.outcomes() if is_optimal(net, o)]
+    return list(stable_outcomes(net.domains, net.parents, net.rows))
 
 
 def optimality_constraints(net):
@@ -176,7 +314,8 @@ def optimality_constraints(net):
 
 
 def is_eligible(net):
-    return softcsp.is_consistent(optimality_constraints(net))
+    """Whether the net has an optimal outcome."""
+    return next(stable_outcomes(net.domains, net.parents, net.rows), None) is not None
 
 
 def sweep_optimal(net):
@@ -222,22 +361,7 @@ def dominates(net, alpha, beta, budget=DEFAULT_DOMINANCE_BUDGET):
 
 def redundant_parents(net, i):
     """Parents of variable i whose value never changes the selected order."""
-    t = net.tables[i]
-    out = set()
-    for k, y in enumerate(t.parents):
-        rest = t.parents[:k] + t.parents[k + 1:]
-        redundant = True
-        for a in itertools.product(*(net.domains[p] for p in rest)):
-            orders = set()
-            for yv in net.domains[y]:
-                key = a[:k] + (yv,) + a[k:]
-                orders.add(t.rows[key])
-            if len(orders) > 1:
-                redundant = False
-                break
-        if redundant:
-            out.add(y)
-    return out
+    return unused_parents(net.domains, net.parents[i], net.rows[i])
 
 
 def _drop_parent(net, i, y):
@@ -271,33 +395,18 @@ def is_reduced(net):
     return all(not redundant_parents(net, i) for i in range(len(net.variables)))
 
 
+def _removable(net, mode):
+    return removable_values(net.domains, net.rows, mode)
+
+
 def nbr_elements(net):
     """Per-variable sets of values that top no row (never best responses)."""
-    out = []
-    for i, t in enumerate(net.tables):
-        tops = {order[0] for order in t.rows.values()}
-        out.append({v for v in net.domains[i] if v not in tops})
-    return out
+    return removable_values(net.domains, net.rows, "nbr")
 
 
 def dominated_elements(net):
     """Per-variable sets of values strictly below some fixed value in every row."""
-    out = []
-    for i, t in enumerate(net.tables):
-        dom = net.domains[i]
-        dominated = set()
-        for worse in dom:
-            for better in dom:
-                if better == worse:
-                    continue
-                if all(
-                    order.index(better) < order.index(worse)
-                    for order in t.rows.values()
-                ):
-                    dominated.add(worse)
-                    break
-        out.append(dominated)
-    return out
+    return removable_values(net.domains, net.rows, "s")
 
 
 def eliminate(net, removals):
@@ -306,35 +415,13 @@ def eliminate(net, removals):
     Rows whose parent assignment mentions a removed value are dropped;
     surviving orders are restricted to surviving values.
     """
-    new_domains = []
-    for i, dom in enumerate(net.domains):
-        kept = tuple(v for v in dom if v not in removals[i])
-        if not kept:
-            raise ValidationError(
-                "removal empties the domain of %s" % net.variables[i]
-            )
-        new_domains.append(kept)
-    tables = []
-    for i, t in enumerate(net.tables):
-        rows = {}
-        for pa in itertools.product(*(new_domains[p] for p in t.parents)):
-            order = t.rows[pa]
-            rows[pa] = tuple(v for v in order if v in new_domains[i])
-        tables.append(CPTable(i, t.parents, rows))
-    return CPNet(net.variables, tuple(new_domains), tuple(tables))
+    keep = [[v for v in dom if v not in r] for dom, r in zip(net.domains, removals)]
+    domains, rows = restrict(net.variables, net.parents, net.rows, keep)
+    return from_tables(net.variables, domains, net.parents, rows)
 
 
 def reduce_to_fixpoint(net, mode, trace=None):
     """Iteratively remove all NBR (mode='nbr') or dominated (mode='s')
     elements each round until none remain.  `trace`, if a list, collects the
     per-round removals."""
-    if mode not in ("nbr", "s"):
-        raise ValidationError("mode must be 'nbr' or 's'")
-    picker = nbr_elements if mode == "nbr" else dominated_elements
-    while True:
-        removals = picker(net)
-        if not any(removals):
-            return net
-        if trace is not None:
-            trace.append([sorted(r) for r in removals])
-        net = eliminate(net, removals)
+    return elimination_fixpoint(net, mode, _removable, eliminate, trace)

@@ -27,7 +27,10 @@ def max_space():
     raw = os.environ.get("OPTIFORM_MAX_SPACE")
     if raw is None:
         return DEFAULT_MAX_SPACE
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise OptiformError("OPTIFORM_MAX_SPACE must be an integer, got %r" % raw)
 
 
 def check_space(size, what="joint assignment space"):

@@ -2,17 +2,20 @@
 
 A PPGame stores, per player, one strict order over the player's strategies
 for every joint strategy of the player's neighbours (a non-graphical game is
-the special case where every other player is a neighbour).  A PayoffGame
+the special case where every other player is a neighbour).  These are the
+tables of a CP-net under other names, so the PPGame algorithms are the ones
+of `cpnet` applied to (strategies, neigh, prefs).  A PayoffGame
 stores payoff tables over neigh(i) + {i}; payoffs are either plain rationals
 (carrier None) or elements of a linearly ordered semiring carrier, compared
 by the carrier's preference order.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import semiring
+from . import cpnet, semiring
 from .errors import ValidationError, check_space
 
 
@@ -27,29 +30,10 @@ class PPGame:
         n = len(self.players)
         if not (n == len(self.strategies) == len(self.neigh) == len(self.prefs)):
             raise ValidationError("player-indexed fields differ in length")
-        for i in range(n):
-            if not self.strategies[i]:
-                raise ValidationError("player %s has no strategies" % self.players[i])
-            if i in self.neigh[i]:
-                raise ValidationError("player %s is its own neighbour" % self.players[i])
-            expected = set(itertools.product(*(self.strategies[j] for j in self.neigh[i])))
-            if set(self.prefs[i]) != expected:
-                raise ValidationError(
-                    "preference rows of player %s do not cover the neighbour "
-                    "joint strategies" % self.players[i]
-                )
-            for order in self.prefs[i].values():
-                if tuple(sorted(order)) != tuple(sorted(self.strategies[i])):
-                    raise ValidationError(
-                        "%r is not a strict total order over the strategies of %s"
-                        % (order, self.players[i])
-                    )
+        cpnet.check_tables(self.players, self.strategies, self.neigh, self.prefs)
 
     def space_size(self):
-        n = 1
-        for s in self.strategies:
-            n *= len(s)
-        return n
+        return math.prod(map(len, self.strategies))
 
     def joint_strategies(self):
         check_space(self.space_size(), "joint strategy space")
@@ -112,8 +96,7 @@ class PayoffGame:
         return semiring.strictly_less(self.carrier, a, b)
 
 
-def full_neighbourhoods(n):
-    return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
+full_neighbourhoods = cpnet.full_parents
 
 
 def classical_ppgame(players, strategies, orders):
@@ -124,17 +107,8 @@ def classical_ppgame(players, strategies, orders):
 
 def expand_full(game):
     """The same PPGame with every other player made an explicit neighbour."""
-    n = len(game.players)
-    neigh = full_neighbourhoods(n)
-    prefs = []
-    for i in range(n):
-        rows = {}
-        for opp in itertools.product(*(game.strategies[j] for j in neigh[i])):
-            full = list(opp)
-            full.insert(i, None)
-            rows[opp] = game.prefs[i][tuple(full[j] for j in game.neigh[i])]
-        prefs.append(rows)
-    return PPGame(game.players, game.strategies, neigh, tuple(prefs))
+    neigh, prefs = cpnet.full_tables(game.strategies, game.neigh, game.prefs)
+    return PPGame(game.players, game.strategies, neigh, prefs)
 
 
 def best_response(game, i, s_neigh):
@@ -142,104 +116,49 @@ def best_response(game, i, s_neigh):
 
 
 def is_never_best_response(game, i, s_i):
-    return all(order[0] != s_i for order in game.prefs[i].values())
+    return s_i in cpnet.never_best(game.strategies[i], game.prefs[i])
 
 
 def is_strictly_dominated(game, i, s_i):
-    for other in game.strategies[i]:
-        if other == s_i:
-            continue
-        if all(
-            order.index(other) < order.index(s_i)
-            for order in game.prefs[i].values()
-        ):
-            return True
-    return False
+    return s_i in cpnet.dominated(game.strategies[i], game.prefs[i])
 
 
 def nash_equilibria_pp(game):
     """Joint strategies where each player's strategy tops the selected order."""
-    out = []
-    for s in game.joint_strategies():
-        if all(
-            s[i] == best_response(game, i, game.project(i, s))
-            for i in range(len(game.players))
-        ):
-            out.append(s)
-    return out
+    return list(cpnet.stable_outcomes(game.strategies, game.neigh, game.prefs))
 
 
 def subgame(game, keep):
     """Restrict each player's strategy set to `keep[i]` (declaration order),
     dropping preference rows that mention a removed neighbour strategy."""
-    strategies = []
-    for i, kept in enumerate(keep):
-        kept = tuple(kept)
-        if not kept:
-            raise ValidationError(
-                "elimination empties the strategy set of %s" % game.players[i]
-            )
-        strategies.append(kept)
-    prefs = []
-    for i in range(len(game.players)):
-        rows = {}
-        for opp in itertools.product(*(strategies[j] for j in game.neigh[i])):
-            rows[opp] = tuple(v for v in game.prefs[i][opp] if v in strategies[i])
-        prefs.append(rows)
-    return PPGame(game.players, tuple(strategies), game.neigh, tuple(prefs))
+    strategies, prefs = cpnet.restrict(game.players, game.neigh, game.prefs, keep)
+    return PPGame(game.players, strategies, game.neigh, prefs)
 
 
 def removable_strategies(game, mode):
-    if mode not in ("nbr", "s"):
-        raise ValidationError("mode must be 'nbr' or 's'")
-    test = is_never_best_response if mode == "nbr" else is_strictly_dominated
-    return [
-        {v for v in game.strategies[i] if test(game, i, v)}
-        for i in range(len(game.players))
-    ]
+    return cpnet.removable_values(game.strategies, game.prefs, mode)
+
+
+def _drop(game, removals):
+    return subgame(game, [
+        [v for v in s if v not in r] for s, r in zip(game.strategies, removals)
+    ])
 
 
 def reduce_pp(game, mode):
     """One maximal elimination round; returns the game unchanged at a fixpoint."""
-    removals = removable_strategies(game, mode)
-    if not any(removals):
-        return game
-    keep = [
-        tuple(v for v in game.strategies[i] if v not in removals[i])
-        for i in range(len(game.players))
-    ]
-    return subgame(game, keep)
+    return cpnet.elimination_round(game, mode, removable_strategies, _drop)[1]
 
 
 def reduce_pp_fixpoint(game, mode, trace=None):
-    while True:
-        removals = removable_strategies(game, mode)
-        if not any(removals):
-            return game
-        if trace is not None:
-            trace.append([sorted(r) for r in removals])
-        keep = [
-            tuple(v for v in game.strategies[i] if v not in removals[i])
-            for i in range(len(game.players))
-        ]
-        game = subgame(game, keep)
+    return cpnet.elimination_fixpoint(game, mode, removable_strategies, _drop, trace)
 
 
 def essential_neighbours(game, i):
     """Neighbours whose strategy actually changes some order of player i,
     the game analogue of non-redundant CP-net parents."""
-    out = []
-    for k, j in enumerate(game.neigh[i]):
-        rest = game.neigh[i][:k] + game.neigh[i][k + 1:]
-        for a in itertools.product(*(game.strategies[r] for r in rest)):
-            orders = {
-                game.prefs[i][a[:k] + (v,) + a[k:]]
-                for v in game.strategies[j]
-            }
-            if len(orders) > 1:
-                out.append(j)
-                break
-    return tuple(out)
+    unused = cpnet.unused_parents(game.strategies, game.neigh[i], game.prefs[i])
+    return tuple(j for j in game.neigh[i] if j not in unused)
 
 
 def is_hierarchical(game):
@@ -309,6 +228,8 @@ class DirectedGraph:
 
     def __post_init__(self):
         known = set(self.nodes)
+        if len(known) != len(self.nodes):
+            raise ValidationError("duplicate node names")
         for u, v in self.edges:
             if u not in known or v not in known:
                 raise ValidationError("edge (%s, %s) mentions unknown node" % (u, v))

@@ -20,11 +20,7 @@ KINDS = ("cpnet", "scsp", "ppgame", "payoffgame", "graph")
 
 
 def _fmt_fraction(q):
-    if q is semiring.INF:
-        return "inf"
-    q = Fraction(q)
-    return "%d/%d" % (q.numerator, q.denominator) if q.denominator != 1 \
-        else str(q.numerator)
+    return semiring.format_payload(q if q is semiring.INF else Fraction(q))
 
 
 def _parse_fraction(text, where):
@@ -54,7 +50,7 @@ def spec_from_json(data):
     raise ValidationError("bad semiring spec %r" % (data,))
 
 
-def _value_to_json(v):
+def value_to_json(v):
     def walk(spec, payload):
         if spec.kind == "boolean":
             return 1 if payload else 0
@@ -119,10 +115,7 @@ def _cpnet_from_json(data):
         rows = {}
         for row in entry["rows"]:
             order = tuple(row["order"])
-            if len(set(order)) != len(order) or set(order) != set(domains[i]):
-                raise ValidationError(
-                    "table of %s: %r is not a strict total order" % (v, row["order"])
-                )
+            cpnet.check_strict_orders([order], domains[i])
             for when in row["when"]:
                 key = tuple(when)
                 if key in rows:
@@ -149,7 +142,7 @@ def _scsp_to_json(problem):
             {
                 "scope": [problem.variables[i] for i in c.scope],
                 "table": [
-                    {"tuple": list(t), "value": _value_to_json(v)}
+                    {"tuple": list(t), "value": value_to_json(v)}
                     for t, v in sorted(c.table.items())
                 ],
             }
@@ -214,10 +207,10 @@ def _ppgame_from_json(data):
 
 # ---------------------------------------------------------------- payoffgame
 
-def _payoff_to_json(game, v):
+def payoff_to_json(game, v):
     if game.carrier is None:
         return _fmt_fraction(v)
-    return _value_to_json(v)
+    return value_to_json(v)
 
 
 def _payoffgame_to_json(game):
@@ -232,7 +225,7 @@ def _payoffgame_to_json(game):
         "carrier": None if game.carrier is None else spec_to_json(game.carrier),
         "payoffs": {
             game.players[i]: [
-                {"when": list(k), "value": _payoff_to_json(game, v)}
+                {"when": list(k), "value": payoff_to_json(game, v)}
                 for k, v in sorted(game.payoffs[i].items())
             ]
             for i in range(len(game.players))
@@ -301,18 +294,18 @@ def document_of(obj, levels=None):
 
 def parse_document(data):
     """Returns (kind, object); graphs come back as (graph, levels)."""
+    if not isinstance(data, dict):
+        raise ValidationError("a document must be a JSON object")
     kind = data.get("kind")
     if kind not in KINDS:
         raise ValidationError("unknown or missing document kind %r" % (kind,))
-    if kind == "cpnet":
-        return kind, _cpnet_from_json(data)
-    if kind == "scsp":
-        return kind, _scsp_from_json(data)
-    if kind == "ppgame":
-        return kind, _ppgame_from_json(data)
-    if kind == "payoffgame":
-        return kind, _payoffgame_from_json(data)
-    return kind, _graph_from_json(data)
+    parse = {"cpnet": _cpnet_from_json, "scsp": _scsp_from_json,
+             "ppgame": _ppgame_from_json, "payoffgame": _payoffgame_from_json,
+             "graph": _graph_from_json}[kind]
+    try:
+        return kind, parse(data)
+    except KeyError as exc:
+        raise ValidationError("%s document: missing key or unknown name %s" % (kind, exc))
 
 
 def dumps(obj, levels=None):

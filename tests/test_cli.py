@@ -1,9 +1,14 @@
 import json
+import pathlib
 
 import pytest
 
-from optiform import cli, serialize
+from optiform import bridge, cli, serialize
 from tests.conftest import FIXTURES
+
+#: The stdout and exit code of every case in `golden_cases`, as
+#: `record_golden` wrote them; rewrite it only for an intended output change.
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
 
 
 def run(capsys, *argv):
@@ -194,12 +199,84 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "scsp-solve", fx("acyclic4.cpnet.json"))
     assert code == 2 and "expected scsp" in err
 
-    monkeypatch.setenv("OPTIFORM_MAX_SPACE", "2")
+    # malformed input ends in one line on stderr, never a traceback
+    for command, doc, says in (
+        ("to-game", '{"kind": "cpnet"}', "variables"),
+        ("to-game", "[]", "JSON object"),
+        ("well-structured", '{"kind": "graph", "nodes": ["a", "a"], "edges": []}',
+         "duplicate"),
+    ):
+        bad.write_text(doc)
+        code, _, err = run(capsys, command, str(bad))
+        assert code == 2 and says in err and err.count("\n") == 1
+    for argv in (["to-game", str(tmp_path)],
+                 ["check", "--theorem", "regrets", "--seeds", "x"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.count("\n") == 1
+    monkeypatch.setenv("OPTIFORM_MAX_SPACE", "abc")
     code, _, err = run(capsys, "scsp-solve", fx("fuzzy_chain.scsp.json"))
-    assert code == 3 and "exhaust" in err
+    assert code == 2 and "OPTIFORM_MAX_SPACE" in err
+
+    monkeypatch.setenv("OPTIFORM_MAX_SPACE", "2")
+    for command in ("scsp-solve", "map-global"):
+        code, _, err = run(capsys, command, fx("fuzzy_chain.scsp.json"))
+        assert code == 3 and "exhaust" in err
 
 
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "scsp-solve", fx("weighted_mixed.scsp.json"))
     _, second, _ = run(capsys, "scsp-solve", fx("weighted_mixed.scsp.json"))
     assert first == second
+
+
+def golden_cases(tmp_path):
+    """Every cpnet-*, game-*, to-game and to-cpnet run on each fixture of a
+    kind it accepts, and on the to-game output of each CP-net fixture, so the
+    game commands also meet cyclic and graphical games.  Returns a list of
+    (key, argv) pairs; keys name documents by fixture, not by path."""
+    docs = {p.name: str(p) for p in sorted(FIXTURES.glob("*.json"))}
+    for name in [n for n in docs if n.endswith(".cpnet.json")]:
+        _, net = serialize.load_path(docs[name])
+        derived = tmp_path / name.replace(".cpnet.", ".ppgame.")
+        derived.write_text(serialize.dumps(bridge.game_of_cpnet(net)))
+        docs["to-game:" + name] = str(derived)
+    cases = []
+    for name, path in docs.items():
+        doc = json.loads(pathlib.Path(path).read_text())
+        kind = doc["kind"]
+        runs = []
+        if kind == "cpnet":
+            runs += [[c] for c in ("cpnet-optimal", "cpnet-sweep", "cpnet-eligible",
+                                   "cpnet-opt-constraints", "cpnet-reduce", "to-game")]
+            runs += [["cpnet-eliminate", "--mode", m] for m in ("nbr", "s")]
+            first = ",".join(doc["domains"][v][0] for v in doc["variables"])
+            last = ",".join(doc["domains"][v][-1] for v in doc["variables"])
+            runs += [["cpnet-dominates", "--better", first, "--worse", last],
+                     ["cpnet-dominates", "--better", last, "--worse", first],
+                     ["cpnet-dominates", "--better", first, "--worse", last,
+                      "--budget", "1"]]
+        if kind == "ppgame":
+            runs += [["game-nash"], ["game-hierarchical"], ["to-cpnet"]]
+            runs += [["game-eliminate", "--mode", m] for m in ("nbr", "s")]
+        if kind == "payoffgame":
+            runs += [["game-nash"], ["game-pareto"]]
+        for run_ in runs:
+            key = " ".join([run_[0], name] + run_[1:])
+            cases.append((key, [run_[0], path] + run_[1:]))
+    return cases
+
+
+def record_golden(capsys, tmp_path):
+    out = {}
+    for key, argv in golden_cases(tmp_path):
+        code, stdout, _ = run(capsys, *argv)
+        out[key] = {"exit": code, "stdout": stdout}
+    return out
+
+
+def test_golden_outputs(capsys, tmp_path):
+    expected = json.loads(GOLDEN.read_text())
+    got = record_golden(capsys, tmp_path)
+    assert sorted(got) == sorted(expected)
+    for key in expected:
+        assert got[key] == expected[key], key

@@ -1,8 +1,9 @@
 import pytest
 
-from optiform import cpnet, softcsp
+from optiform import cpnet, oracle, softcsp
 from optiform.cpnet import BUDGET_EXHAUSTED, CPNet, CPTable
 from optiform.errors import ValidationError
+from optiform.oracle import GeneratorConfig
 
 
 def two_var_cycle():
@@ -159,3 +160,14 @@ def test_validation():
                 CPTable(1, (0,), {(a,): ("b", "b~")}),
             ),
         )
+
+
+def test_eligibility_matches_consistency_of_optimality_constraints():
+    seen = set()
+    for acyclic in (False, True):
+        for seed in range(1, 1001):
+            net = oracle.random_cpnet(GeneratorConfig(seed=seed, acyclic=acyclic))
+            eligible = cpnet.is_eligible(net)
+            assert eligible == softcsp.is_consistent(cpnet.optimality_constraints(net))
+            seen.add(eligible)
+    assert seen == {True, False}

@@ -149,3 +149,5 @@ def test_two_cycle_is_not_well_structured():
 def test_ppgame_validation():
     with pytest.raises(ValidationError):
         PPGame(("p1",), (("u", "v"),), ((),), ({(): ("u",)},))
+    with pytest.raises(ValidationError):
+        DirectedGraph(("a", "a"), ())
