@@ -7,10 +7,11 @@ last two.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import cpnet, pgame, semiring, softcsp
-from .errors import ValidationError
+from .errors import ValidationError, check_space
 
 
 def game_of_cpnet(net):
@@ -23,7 +24,7 @@ def game_of_cpnet(net):
 def cpnet_of_game(game):
     """Players become variables with full parent sets; graphical preferences
     are expanded by ignoring the non-neighbour coordinates."""
-    parents, rows = cpnet.full_tables(game.strategies, game.neigh, game.prefs)
+    parents, rows = cpnet.full_tables(game.players, game.strategies, game.neigh, game.prefs)
     return cpnet.from_tables(game.players, game.strategies, parents, rows)
 
 
@@ -46,6 +47,8 @@ def local_map(problem):
     for i in range(n):
         incident = [c for c in problem.constraints if i in c.scope]
         scope = tuple(sorted(neigh[i] + (i,)))
+        check_space(math.prod(len(problem.domains[j]) for j in scope),
+                    "payoff table of %s" % problem.variables[i])
         table = {}
         for s in itertools.product(*(problem.domains[j] for j in scope)):
             pos = {j: k for k, j in enumerate(scope)}

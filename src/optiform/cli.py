@@ -6,6 +6,7 @@ enumeration bound exhausted.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,14 +32,41 @@ def _load(path, *kinds):
     return kind, obj
 
 
+def _payoffs(game, s):
+    return {
+        p: serialize.payoff_to_json(game, game.payoff(i, s))
+        for i, p in enumerate(game.players)
+    }
+
+
+def _elimination_report(command, mode, names, trace, domains_key, domains):
+    return {
+        "command": command,
+        "mode": mode,
+        "rounds": [
+            {names[i]: r for i, r in enumerate(round_) if r} for round_ in trace
+        ],
+        domains_key: {n: list(d) for n, d in zip(names, domains)},
+        "solved": all(len(d) == 1 for d in domains),
+    }
+
+
 # ------------------------------------------------------------------ handlers
+
+def cmd_translate(kind, translate, args):
+    """Load a `kind` document and write `translate` of it as a document."""
+    _, obj = _load(args.file, kind)
+    sys.stdout.write(serialize.dumps(translate(obj)))
+    return EXIT_OK
+
 
 def cmd_scsp_solve(args):
     _, problem = _load(args.file, "scsp")
     _emit({
         "command": "scsp-solve",
         "optimal": [
-            {"assignment": list(s), "preference": serialize.value_to_json(p)}
+            {"assignment": list(s),
+             "preference": serialize.payload_to_json(p.spec, p.payload)}
             for s, p in softcsp.optimal_solutions(problem)
         ],
     })
@@ -75,34 +103,14 @@ def cmd_cpnet_eligible(args):
     return EXIT_OK
 
 
-def cmd_cpnet_opt_constraints(args):
-    _, net = _load(args.file, "cpnet")
-    sys.stdout.write(serialize.dumps(cpnet.optimality_constraints(net)))
-    return EXIT_OK
-
-
-def cmd_cpnet_reduce(args):
-    _, net = _load(args.file, "cpnet")
-    sys.stdout.write(serialize.dumps(cpnet.reduce(net)))
-    return EXIT_OK
-
-
 def cmd_cpnet_eliminate(args):
     _, net = _load(args.file, "cpnet")
     trace = []
     final = cpnet.reduce_to_fixpoint(net, args.mode, trace)
-    _emit({
-        "command": "cpnet-eliminate",
-        "mode": args.mode,
-        "rounds": [
-            {net.variables[i]: r for i, r in enumerate(round_) if r}
-            for round_ in trace
-        ],
-        "domains": {v: list(d) for v, d in zip(final.variables, final.domains)},
-        "solved": all(len(d) == 1 for d in final.domains),
-        "outcome": [d[0] for d in final.domains]
-        if all(len(d) == 1 for d in final.domains) else None,
-    })
+    report = _elimination_report("cpnet-eliminate", args.mode, net.variables, trace,
+                                 "domains", final.domains)
+    report["outcome"] = [d[0] for d in final.domains] if report["solved"] else None
+    _emit(report)
     return EXIT_OK
 
 
@@ -134,16 +142,10 @@ def _nash_report_pp(game):
 
 
 def _nash_report_payoff(game):
-    out = []
-    for s in pgame.nash_equilibria_payoff(game):
-        out.append({
-            "joint_strategy": list(s),
-            "payoffs": {
-                game.players[i]: serialize.payoff_to_json(game, game.payoff(i, s))
-                for i in range(len(game.players))
-            },
-        })
-    return out
+    return [
+        {"joint_strategy": list(s), "payoffs": _payoffs(game, s)}
+        for s in pgame.nash_equilibria_payoff(game)
+    ]
 
 
 def cmd_game_nash(args):
@@ -161,13 +163,7 @@ def cmd_game_pareto(args):
     _emit({
         "command": "game-pareto",
         "pareto": [
-            {
-                "joint_strategy": list(s),
-                "payoffs": {
-                    game.players[i]: serialize.payoff_to_json(game, game.payoff(i, s))
-                    for i in range(len(game.players))
-                },
-            }
+            {"joint_strategy": list(s), "payoffs": _payoffs(game, s)}
             for s in pgame.pareto_efficient(game)
         ],
     })
@@ -178,16 +174,8 @@ def cmd_game_eliminate(args):
     _, game = _load(args.file, "ppgame")
     trace = []
     final = pgame.reduce_pp_fixpoint(game, args.mode, trace)
-    _emit({
-        "command": "game-eliminate",
-        "mode": args.mode,
-        "rounds": [
-            {game.players[i]: r for i, r in enumerate(round_) if r}
-            for round_ in trace
-        ],
-        "strategies": {p: list(s) for p, s in zip(final.players, final.strategies)},
-        "solved": all(len(s) == 1 for s in final.strategies),
-    })
+    _emit(_elimination_report("game-eliminate", args.mode, game.players, trace,
+                              "strategies", final.strategies))
     return EXIT_OK
 
 
@@ -203,39 +191,9 @@ def cmd_game_hierarchical(args):
     return EXIT_OK
 
 
-def cmd_to_game(args):
-    _, net = _load(args.file, "cpnet")
-    sys.stdout.write(serialize.dumps(bridge.game_of_cpnet(net)))
-    return EXIT_OK
-
-
-def cmd_to_cpnet(args):
-    _, game = _load(args.file, "ppgame")
-    sys.stdout.write(serialize.dumps(bridge.cpnet_of_game(game)))
-    return EXIT_OK
-
-
-def cmd_map_local(args):
-    _, problem = _load(args.file, "scsp")
-    sys.stdout.write(serialize.dumps(bridge.local_map(problem)))
-    return EXIT_OK
-
-
-def cmd_map_global(args):
-    _, problem = _load(args.file, "scsp")
-    sys.stdout.write(serialize.dumps(bridge.global_map(problem)))
-    return EXIT_OK
-
-
 def cmd_map_to_scsp(args):
     _, game = _load(args.file, "payoffgame")
     sys.stdout.write(serialize.dumps(bridge.scsp_of_game(game, args.offset)))
-    return EXIT_OK
-
-
-def cmd_regret_constraints(args):
-    _, game = _load(args.file, "payoffgame")
-    sys.stdout.write(serialize.dumps(bridge.regret_constraints(game)))
     return EXIT_OK
 
 
@@ -244,7 +202,8 @@ def cmd_pareto_nash(args):
     _emit({
         "command": "pareto-nash",
         "equilibria": [
-            {"joint_strategy": list(s), "preference": serialize.value_to_json(p)}
+            {"joint_strategy": list(s),
+             "preference": serialize.payload_to_json(p.spec, p.payload)}
             for s, p in bridge.pareto_nash(game, args.offset)
         ],
     })
@@ -332,25 +291,28 @@ def build_parser():
         p.set_defaults(handler=handler)
         return p
 
+    def translation(kind, translate):
+        return functools.partial(cmd_translate, kind, translate)
+
     add("scsp-solve", cmd_scsp_solve)
     add("scsp-join", cmd_scsp_join, other=True)
     add("cpnet-optimal", cmd_cpnet_optimal)
     add("cpnet-sweep", cmd_cpnet_sweep)
     add("cpnet-eligible", cmd_cpnet_eligible)
-    add("cpnet-opt-constraints", cmd_cpnet_opt_constraints)
-    add("cpnet-reduce", cmd_cpnet_reduce)
+    add("cpnet-opt-constraints", translation("cpnet", cpnet.optimality_constraints))
+    add("cpnet-reduce", translation("cpnet", cpnet.reduce))
     add("cpnet-eliminate", cmd_cpnet_eliminate, mode=True)
     add("cpnet-dominates", cmd_cpnet_dominates, budget=True, outcomes=True)
     add("game-nash", cmd_game_nash)
     add("game-pareto", cmd_game_pareto)
     add("game-eliminate", cmd_game_eliminate, mode=True)
     add("game-hierarchical", cmd_game_hierarchical)
-    add("to-game", cmd_to_game)
-    add("to-cpnet", cmd_to_cpnet)
-    add("map-local", cmd_map_local)
-    add("map-global", cmd_map_global)
+    add("to-game", translation("cpnet", bridge.game_of_cpnet))
+    add("to-cpnet", translation("ppgame", bridge.cpnet_of_game))
+    add("map-local", translation("scsp", bridge.local_map))
+    add("map-global", translation("scsp", bridge.global_map))
     add("map-to-scsp", cmd_map_to_scsp, offset=True)
-    add("regret-constraints", cmd_regret_constraints)
+    add("regret-constraints", translation("payoffgame", bridge.regret_constraints))
     add("pareto-nash", cmd_pareto_nash, offset=True)
     add("tech-game", cmd_tech_game, k=True)
     add("well-structured", cmd_well_structured)

@@ -150,12 +150,14 @@ def full_parents(n):
     return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
 
 
-def full_tables(domains, parents, rows):
+def full_tables(names, domains, parents, rows):
     """The same tables with every other index made a parent; the added
     parents are ignored.  Returns the new parents and rows."""
     wide = full_parents(len(domains))
     new_rows = []
     for i, ps in enumerate(parents):
+        check_space(math.prod(len(domains[j]) for j in wide[i]),
+                    "full table of %s" % names[i])
         table = {}
         for opp in itertools.product(*map(domains.__getitem__, wide[i])):
             full = list(opp)
@@ -247,28 +249,26 @@ def topological_order(net):
     return order if len(order) == n else None
 
 
+def _flips(net, outcome, better):
+    net.check_outcome(outcome)
+    flips = []
+    for i in range(len(net.variables)):
+        order = net.row_for(i, outcome)
+        pos = order.index(outcome[i])
+        for v in order[:pos] if better else order[pos + 1:]:
+            flips.append((i, v))
+    return flips
+
+
 def improving_flips(net, outcome):
     """All single-variable changes to a strictly better value in the row
     selected by the outcome's parent assignment."""
-    net.check_outcome(outcome)
-    flips = []
-    for i in range(len(net.variables)):
-        order = net.row_for(i, outcome)
-        pos = order.index(outcome[i])
-        for better in order[:pos]:
-            flips.append((i, better))
-    return flips
+    return _flips(net, outcome, True)
 
 
 def worsening_flips(net, outcome):
-    net.check_outcome(outcome)
-    flips = []
-    for i in range(len(net.variables)):
-        order = net.row_for(i, outcome)
-        pos = order.index(outcome[i])
-        for worse in order[pos + 1:]:
-            flips.append((i, worse))
-    return flips
+    """All single-variable changes to a strictly worse value in that row."""
+    return _flips(net, outcome, False)
 
 
 def flip_edges(net):

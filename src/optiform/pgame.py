@@ -107,7 +107,7 @@ def classical_ppgame(players, strategies, orders):
 
 def expand_full(game):
     """The same PPGame with every other player made an explicit neighbour."""
-    neigh, prefs = cpnet.full_tables(game.strategies, game.neigh, game.prefs)
+    neigh, prefs = cpnet.full_tables(game.players, game.strategies, game.neigh, game.prefs)
     return PPGame(game.players, game.strategies, neigh, prefs)
 
 
@@ -254,6 +254,7 @@ def tech_game(graph, k):
     )
     prefs = []
     for i in range(n):
+        check_space(k ** len(neigh[i]), "preference table of %s" % graph.nodes[i])
         rows = {}
         for s in itertools.product(*(techs for _ in neigh[i])):
             counts = {t: s.count(t) for t in techs}

@@ -274,19 +274,3 @@ def format_payload(payload):
         return "<" + ",".join(format_payload(p) for p in payload) + ">"
     raise ValidationError("unprintable payload %r" % (payload,))
 
-
-def parse_payload(spec, text):
-    """Inverse of format_payload for non-product specs; products take lists."""
-    if spec.kind == "boolean":
-        if text in ("0", "1", 0, 1, False, True):
-            return _check_payload(spec, int(text))
-        raise ValidationError("boolean value must be 0 or 1, got %r" % (text,))
-    if spec.kind == "product":
-        if not isinstance(text, (list, tuple)) or len(text) != len(spec.factors):
-            raise ValidationError("product value must be a list of arity %d" % len(spec.factors))
-        return tuple(parse_payload(f, t) for f, t in zip(spec.factors, text))
-    if text == "inf":
-        if spec.kind != "weighted":
-            raise ValidationError("'inf' only belongs to the weighted carrier")
-        return INF
-    return _check_payload(spec, text)

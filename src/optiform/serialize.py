@@ -19,19 +19,6 @@ from .errors import ValidationError
 KINDS = ("cpnet", "scsp", "ppgame", "payoffgame", "graph")
 
 
-def _fmt_fraction(q):
-    return semiring.format_payload(q if q is semiring.INF else Fraction(q))
-
-
-def _parse_fraction(text, where):
-    if text == "inf":
-        return semiring.INF
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError("%s: cannot parse %r as a rational" % (where, text))
-
-
 # ------------------------------------------------------------- semiring specs
 
 def spec_to_json(spec):
@@ -50,40 +37,96 @@ def spec_from_json(data):
     raise ValidationError("bad semiring spec %r" % (data,))
 
 
-def value_to_json(v):
-    def walk(spec, payload):
-        if spec.kind == "boolean":
-            return 1 if payload else 0
-        if spec.kind == "product":
-            return [walk(f, p) for f, p in zip(spec.factors, payload)]
-        return _fmt_fraction(payload)
-    return walk(v.spec, v.payload)
+# ---------------------------------------------------------------- value codec
+
+def payload_to_json(spec, payload):
+    """The JSON form of a payload of `spec`; spec None is a plain rational
+    payoff.  Booleans are 0/1, rationals "p/q" text, infinity "inf", and
+    products lists of their factors' forms."""
+    kind = None if spec is None else spec.kind
+    if kind == "boolean":
+        return 1 if payload else 0
+    if kind == "product":
+        return [payload_to_json(f, p) for f, p in zip(spec.factors, payload)]
+    return semiring.format_payload(
+        payload if payload is semiring.INF else Fraction(payload))
 
 
-def _value_from_json(spec, data, where):
-    if spec.kind == "product":
+def payload_from_json(spec, data, where):
+    """The payload of `spec` (spec None: a finite plain rational) that
+    `payload_to_json` writes as `data`; errors name `where`."""
+    kind = None if spec is None else spec.kind
+    if kind == "product":
         if not isinstance(data, list) or len(data) != len(spec.factors):
             raise ValidationError("%s: product value needs a list of arity %d"
                                   % (where, len(spec.factors)))
-        return semiring.SemiringValue(
-            spec,
-            tuple(
-                _value_from_json(f, d, where).payload
-                for f, d in zip(spec.factors, data)
-            ),
-        )
-    if spec.kind == "boolean":
+        return tuple(payload_from_json(f, d, where) for f, d in zip(spec.factors, data))
+    if kind == "boolean":
         if data not in (0, 1):
             raise ValidationError("%s: boolean value must be 0 or 1" % where)
-        return semiring.value(spec, data)
-    return semiring.value(spec, _parse_fraction(data, where))
+        return semiring.value(spec, data).payload
+    if data == "inf":
+        q = semiring.INF
+    else:
+        try:
+            q = Fraction(str(data))
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError("%s: cannot parse %r as a rational" % (where, data))
+    if spec is None:
+        if q is semiring.INF:
+            raise ValidationError("%s: plain payoffs must be finite" % where)
+        return q
+    return semiring.value(spec, q).payload
+
+
+# ------------------------------------------------------------------- headers
+
+def _values(data, where):
+    """A list of names or domain values as a tuple.  All strings or all
+    numbers, so that the values hash and sort."""
+    if not isinstance(data, list) or not (
+            all(isinstance(v, str) for v in data)
+            or all(isinstance(v, (int, float)) for v in data)):
+        raise ValidationError("%s must be a list of strings or of numbers" % where)
+    return tuple(data)
+
+
+def _header_to_json(kind, names_key, names, domains_key, domains):
+    return {
+        "kind": kind,
+        names_key: list(names),
+        domains_key: {n: list(d) for n, d in zip(names, domains)},
+    }
+
+
+def _header_from_json(data, names_key, domains_key):
+    """The names, their index and their domains."""
+    names = _values(data[names_key], names_key)
+    domains = tuple(_values(data[domains_key][n], "%s of %s" % (domains_key, n))
+                    for n in names)
+    return names, {n: i for i, n in enumerate(names)}, domains
+
+
+def _game_to_json(kind, game):
+    doc = _header_to_json(kind, "players", game.players, "strategies", game.strategies)
+    doc["neigh"] = {
+        p: [game.players[j] for j in ns] for p, ns in zip(game.players, game.neigh)
+    }
+    return doc
+
+
+def _game_from_json(data):
+    """The players, their strategies and their neighbour indices."""
+    players, index, strategies = _header_from_json(data, "players", "strategies")
+    neigh = tuple(tuple(index[q] for q in data["neigh"][p]) for p in players)
+    return players, strategies, neigh
 
 
 # --------------------------------------------------------------------- cpnet
 
 def _cpnet_to_json(net):
-    domains = {v: list(d) for v, d in zip(net.variables, net.domains)}
-    tables = {}
+    doc = _header_to_json("cpnet", "variables", net.variables, "domains", net.domains)
+    doc["tables"] = tables = {}
     for i, t in enumerate(net.tables):
         rows = [
             {"when": [list(pa)], "order": list(order)}
@@ -93,18 +136,11 @@ def _cpnet_to_json(net):
             "parents": [net.variables[p] for p in t.parents],
             "rows": rows,
         }
-    return {
-        "kind": "cpnet",
-        "variables": list(net.variables),
-        "domains": domains,
-        "tables": tables,
-    }
+    return doc
 
 
 def _cpnet_from_json(data):
-    variables = tuple(data["variables"])
-    index = {v: i for i, v in enumerate(variables)}
-    domains = tuple(tuple(data["domains"][v]) for v in variables)
+    variables, index, domains = _header_from_json(data, "variables", "domains")
     tables = []
     for i, v in enumerate(variables):
         try:
@@ -133,36 +169,33 @@ def _cpnet_from_json(data):
 # ---------------------------------------------------------------------- scsp
 
 def _scsp_to_json(problem):
-    return {
-        "kind": "scsp",
-        "semiring": spec_to_json(problem.semiring),
-        "variables": list(problem.variables),
-        "domains": {v: list(d) for v, d in zip(problem.variables, problem.domains)},
-        "constraints": [
-            {
-                "scope": [problem.variables[i] for i in c.scope],
-                "table": [
-                    {"tuple": list(t), "value": value_to_json(v)}
-                    for t, v in sorted(c.table.items())
-                ],
-            }
-            for c in problem.constraints
-        ],
-    }
+    spec = problem.semiring
+    doc = _header_to_json("scsp", "variables", problem.variables, "domains", problem.domains)
+    doc["semiring"] = spec_to_json(spec)
+    doc["constraints"] = [
+        {
+            "scope": [problem.variables[i] for i in c.scope],
+            "table": [
+                {"tuple": list(t), "value": payload_to_json(spec, v.payload)}
+                for t, v in sorted(c.table.items())
+            ],
+        }
+        for c in problem.constraints
+    ]
+    return doc
 
 
 def _scsp_from_json(data):
     spec = spec_from_json(data["semiring"])
-    variables = tuple(data["variables"])
-    index = {v: i for i, v in enumerate(variables)}
-    domains = tuple(tuple(data["domains"][v]) for v in variables)
+    variables, index, domains = _header_from_json(data, "variables", "domains")
     constraints = []
     for k, entry in enumerate(data["constraints"]):
         scope = tuple(index[v] for v in entry["scope"])
         table = {}
         for cell in entry["table"]:
             where = "constraint %d over %s" % (k, entry["scope"])
-            table[tuple(cell["tuple"])] = _value_from_json(spec, cell["value"], where)
+            table[tuple(cell["tuple"])] = semiring.SemiringValue(
+                spec, payload_from_json(spec, cell["value"], where))
         constraints.append(softcsp.SoftConstraint(scope, table))
     return softcsp.SoftCSP(variables, domains, tuple(constraints), spec)
 
@@ -170,29 +203,16 @@ def _scsp_from_json(data):
 # -------------------------------------------------------------------- ppgame
 
 def _ppgame_to_json(game):
-    return {
-        "kind": "ppgame",
-        "players": list(game.players),
-        "strategies": {p: list(s) for p, s in zip(game.players, game.strategies)},
-        "neigh": {
-            game.players[i]: [game.players[j] for j in game.neigh[i]]
-            for i in range(len(game.players))
-        },
-        "prefs": {
-            game.players[i]: [
-                {"when": list(k), "order": list(order)}
-                for k, order in sorted(game.prefs[i].items())
-            ]
-            for i in range(len(game.players))
-        },
+    doc = _game_to_json("ppgame", game)
+    doc["prefs"] = {
+        p: [{"when": list(k), "order": list(order)} for k, order in sorted(rows.items())]
+        for p, rows in zip(game.players, game.prefs)
     }
+    return doc
 
 
 def _ppgame_from_json(data):
-    players = tuple(data["players"])
-    index = {p: i for i, p in enumerate(players)}
-    strategies = tuple(tuple(data["strategies"][p]) for p in players)
-    neigh = tuple(tuple(index[q] for q in data["neigh"][p]) for p in players)
+    players, strategies, neigh = _game_from_json(data)
     prefs = []
     for p in players:
         rows = {}
@@ -208,49 +228,30 @@ def _ppgame_from_json(data):
 # ---------------------------------------------------------------- payoffgame
 
 def payoff_to_json(game, v):
-    if game.carrier is None:
-        return _fmt_fraction(v)
-    return value_to_json(v)
+    """A payoff of `game`: a plain rational, or a value of its carrier."""
+    return payload_to_json(game.carrier, v if game.carrier is None else v.payload)
 
 
 def _payoffgame_to_json(game):
-    return {
-        "kind": "payoffgame",
-        "players": list(game.players),
-        "strategies": {p: list(s) for p, s in zip(game.players, game.strategies)},
-        "neigh": {
-            game.players[i]: [game.players[j] for j in game.neigh[i]]
-            for i in range(len(game.players))
-        },
-        "carrier": None if game.carrier is None else spec_to_json(game.carrier),
-        "payoffs": {
-            game.players[i]: [
-                {"when": list(k), "value": payoff_to_json(game, v)}
-                for k, v in sorted(game.payoffs[i].items())
-            ]
-            for i in range(len(game.players))
-        },
+    doc = _game_to_json("payoffgame", game)
+    doc["carrier"] = None if game.carrier is None else spec_to_json(game.carrier)
+    doc["payoffs"] = {
+        p: [{"when": list(k), "value": payoff_to_json(game, v)} for k, v in sorted(t.items())]
+        for p, t in zip(game.players, game.payoffs)
     }
+    return doc
 
 
 def _payoffgame_from_json(data):
-    players = tuple(data["players"])
-    index = {p: i for i, p in enumerate(players)}
-    strategies = tuple(tuple(data["strategies"][p]) for p in players)
-    neigh = tuple(tuple(index[q] for q in data["neigh"][p]) for p in players)
+    players, strategies, neigh = _game_from_json(data)
     carrier = None if data.get("carrier") is None else spec_from_json(data["carrier"])
     payoffs = []
     for p in players:
         table = {}
         for cell in data["payoffs"][p]:
-            where = "payoffs of %s" % p
-            if carrier is None:
-                v = _parse_fraction(cell["value"], where)
-                if v is semiring.INF:
-                    raise ValidationError("%s: plain payoffs must be finite" % where)
-            else:
-                v = _value_from_json(carrier, cell["value"], where)
-            table[tuple(cell["when"])] = v
+            v = payload_from_json(carrier, cell["value"], "payoffs of %s" % p)
+            table[tuple(cell["when"])] = (
+                v if carrier is None else semiring.SemiringValue(carrier, v))
         payoffs.append(table)
     return pgame.PayoffGame(players, strategies, neigh, tuple(payoffs), carrier)
 
@@ -269,10 +270,14 @@ def _graph_to_json(graph, levels=None):
 
 
 def _graph_from_json(data):
-    graph = pgame.DirectedGraph(
-        tuple(data["nodes"]), tuple(tuple(e) for e in data["edges"])
-    )
+    edges = data["edges"]
+    if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValidationError("each graph edge must be a pair of nodes")
+    graph = pgame.DirectedGraph(_values(data["nodes"], "nodes"), tuple(map(tuple, edges)))
     levels = data.get("levels")
+    if levels is not None and not (
+            isinstance(levels, dict) and all(type(lv) is int for lv in levels.values())):
+        raise ValidationError("graph levels must map nodes to integers")
     return graph, levels
 
 
@@ -306,6 +311,8 @@ def parse_document(data):
         return kind, parse(data)
     except KeyError as exc:
         raise ValidationError("%s document: missing key or unknown name %s" % (kind, exc))
+    except TypeError as exc:
+        raise ValidationError("%s document: a field has the wrong type (%s)" % (kind, exc))
 
 
 def dumps(obj, levels=None):
@@ -321,5 +328,9 @@ def loads(text):
 
 
 def load_path(path):
-    with open(path) as fh:
-        return loads(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("%s is not UTF-8 text: %s" % (path, exc))
+    return loads(text)

@@ -3,10 +3,10 @@ import pathlib
 
 import pytest
 
-from optiform import bridge, cli, serialize
+from optiform import bridge, cli, oracle, serialize
 from tests.conftest import FIXTURES
 
-#: The stdout and exit code of every case in `golden_cases`, as
+#: The stdout, stderr and exit code of every case in `golden_cases`, as
 #: `record_golden` wrote them; rewrite it only for an intended output change.
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
 
@@ -200,13 +200,23 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 2 and "expected scsp" in err
 
     # malformed input ends in one line on stderr, never a traceback
+    net = '"variables": ["A"], "domains": {"A": %s}, "tables": {"A": {"parents": [], "rows": %s}}'
+    game = ('"players": ["p"], "strategies": {"p": [["x"], ["y"]]}, "neigh": {"p": []}, '
+            '"prefs": {"p": [{"when": [], "order": [["x"], ["y"]]}]}')
     for command, doc, says in (
         ("to-game", '{"kind": "cpnet"}', "variables"),
         ("to-game", "[]", "JSON object"),
         ("well-structured", '{"kind": "graph", "nodes": ["a", "a"], "edges": []}',
          "duplicate"),
+        ("to-game", b'\xff\xfe{', "UTF-8"),
+        ("to-game", '{"kind": "cpnet", %s}' % (net % ('["a", "b"]', '"x"')), "wrong type"),
+        ("game-eliminate", '{"kind": "ppgame", %s}' % game, "strategies of p"),
+        ("cpnet-optimal", '{"kind": "cpnet", %s}' % (
+            net % ('["a", 1]', '[{"when": [[]], "order": ["a", 1]}]')), "domains of A"),
+        ("well-structured", '{"kind": "graph", "nodes": ["a", "b"], "edges": [["a", "b", "a"]]}',
+         "pair"),
     ):
-        bad.write_text(doc)
+        bad.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
         code, _, err = run(capsys, command, str(bad))
         assert code == 2 and says in err and err.count("\n") == 1
     for argv in (["to-game", str(tmp_path)],
@@ -217,9 +227,16 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "scsp-solve", fx("fuzzy_chain.scsp.json"))
     assert code == 2 and "OPTIFORM_MAX_SPACE" in err
 
+    # tables that outgrow their input obey the bound too
+    game = tmp_path / "cyclic4.ppgame.json"
+    game.write_text(run(capsys, "to-game", fx("cyclic4.cpnet.json"))[1])
     monkeypatch.setenv("OPTIFORM_MAX_SPACE", "2")
-    for command in ("scsp-solve", "map-global"):
-        code, _, err = run(capsys, command, fx("fuzzy_chain.scsp.json"))
+    for argv in (["scsp-solve", fx("fuzzy_chain.scsp.json")],
+                 ["map-global", fx("fuzzy_chain.scsp.json")],
+                 ["map-local", fx("fuzzy_chain.scsp.json")],
+                 ["tech-game", fx("diamond.graph.json"), "--k", "2"],
+                 ["to-cpnet", str(game)]):
+        code, _, err = run(capsys, *argv)
         assert code == 3 and "exhaust" in err
 
 
@@ -229,18 +246,41 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+#: Seeds of the `check` runs in `golden_cases`.
+GOLDEN_SEEDS = "1..3"
+
+
 def golden_cases(tmp_path):
-    """Every cpnet-*, game-*, to-game and to-cpnet run on each fixture of a
-    kind it accepts, and on the to-game output of each CP-net fixture, so the
-    game commands also meet cyclic and graphical games.  Returns a list of
-    (key, argv) pairs; keys name documents by fixture, not by path."""
+    """Every subcommand run on each fixture of a kind it accepts, and on
+    documents derived from the fixtures: the to-game output of each CP-net
+    fixture, so the game commands also meet cyclic and graphical games; the
+    map-local and map-global outputs of each soft CSP fixture, the only
+    carrier-valued payoff games; and the map-to-scsp output of each payoff
+    game fixture, a product-valued soft CSP.  Each `check` theorem runs on
+    GOLDEN_SEEDS.  Returns a list of (key, argv) pairs; keys name documents
+    by fixture, not by path, and "@" in a run stands for its own document."""
     docs = {p.name: str(p) for p in sorted(FIXTURES.glob("*.json"))}
-    for name in [n for n in docs if n.endswith(".cpnet.json")]:
-        _, net = serialize.load_path(docs[name])
-        derived = tmp_path / name.replace(".cpnet.", ".ppgame.")
-        derived.write_text(serialize.dumps(bridge.game_of_cpnet(net)))
-        docs["to-game:" + name] = str(derived)
-    cases = []
+    derived = []
+    for name in list(docs):
+        kind, obj = serialize.load_path(docs[name])
+        if kind == "cpnet":
+            derived.append(("to-game:" + name, name.replace(".cpnet.", ".ppgame."),
+                            bridge.game_of_cpnet(obj)))
+        if kind == "scsp":
+            for command, translate in (("map-local", bridge.local_map),
+                                       ("map-global", bridge.global_map)):
+                target = name.replace(".scsp.", ".%s.payoffgame." % command)
+                derived.append(("%s:%s" % (command, name), target, translate(obj)))
+        if kind == "payoffgame":
+            derived.append(("map-to-scsp:" + name, name.replace(".payoffgame.", ".scsp."),
+                            bridge.scsp_of_game(obj)))
+    for key, target, obj in derived:
+        path = tmp_path / target
+        path.write_text(serialize.dumps(obj))
+        docs[key] = str(path)
+    cases = [("check --theorem %s --seeds %s" % (t, GOLDEN_SEEDS),
+              ["check", "--theorem", t, "--seeds", GOLDEN_SEEDS])
+             for t in sorted(oracle.THEOREMS)]
     for name, path in docs.items():
         doc = json.loads(pathlib.Path(path).read_text())
         kind = doc["kind"]
@@ -255,22 +295,30 @@ def golden_cases(tmp_path):
                      ["cpnet-dominates", "--better", last, "--worse", first],
                      ["cpnet-dominates", "--better", first, "--worse", last,
                       "--budget", "1"]]
+        if kind == "scsp":
+            runs += [["scsp-solve"], ["scsp-join", "@"], ["map-local"], ["map-global"]]
         if kind == "ppgame":
             runs += [["game-nash"], ["game-hierarchical"], ["to-cpnet"]]
             runs += [["game-eliminate", "--mode", m] for m in ("nbr", "s")]
         if kind == "payoffgame":
-            runs += [["game-nash"], ["game-pareto"]]
+            runs += [["game-nash"], ["game-pareto"], ["regret-constraints"]]
+            for command in ("map-to-scsp", "pareto-nash"):
+                runs += [[command], [command, "--offset", "10"]]
+        if kind == "graph":
+            runs += [["tech-game", "--k", k] for k in ("1", "2", "3")]
+            runs += [["well-structured"]]
         for run_ in runs:
-            key = " ".join([run_[0], name] + run_[1:])
-            cases.append((key, [run_[0], path] + run_[1:]))
+            key = " ".join([run_[0], name] + [name if a == "@" else a for a in run_[1:]])
+            argv = [run_[0], path] + [path if a == "@" else a for a in run_[1:]]
+            cases.append((key, argv))
     return cases
 
 
 def record_golden(capsys, tmp_path):
     out = {}
     for key, argv in golden_cases(tmp_path):
-        code, stdout, _ = run(capsys, *argv)
-        out[key] = {"exit": code, "stdout": stdout}
+        code, stdout, stderr = run(capsys, *argv)
+        out[key] = {"exit": code, "stdout": stdout, "stderr": stderr}
     return out
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from optiform.errors import CarrierMismatchError, ValidationError
+from optiform.serialize import payload_from_json, payload_to_json
 from optiform.semiring import (
     BOOLEAN,
     FUZZY,
@@ -16,7 +17,6 @@ from optiform.semiring import (
     is_strictly_monotonic,
     leq,
     one,
-    parse_payload,
     plus,
     product,
     strictly_less,
@@ -114,11 +114,12 @@ def test_format_and_parse_roundtrip():
     pair = product(WEIGHTED, FUZZY)
     v = value(pair, (INF, Fraction(1, 3)))
     assert format_payload(v.payload) == "<inf,1/3>"
-    assert parse_payload(pair, ["inf", Fraction(1, 3)]) == v.payload
+    assert payload_to_json(pair, v.payload) == ["inf", "1/3"]
+    assert payload_from_json(pair, ["inf", "1/3"], "test") == v.payload
     assert format_payload(Fraction(4)) == "4"
-    assert parse_payload(WEIGHTED, "inf") is INF
+    assert payload_from_json(WEIGHTED, "inf", "test") is INF
     with pytest.raises(ValidationError):
-        parse_payload(FUZZY, "inf")
+        payload_from_json(FUZZY, "inf", "test")
 
 
 def test_axioms_hold_on_builtin_carriers():

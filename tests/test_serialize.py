@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from optiform import pgame, serialize
+from optiform import pgame, semiring, serialize
 from optiform.errors import ValidationError
 from tests.conftest import FIXTURES, load
 
@@ -59,6 +60,18 @@ def test_malformed_documents_rejected():
         serialize.loads(json.dumps({"kind": "mystery"}))
     with pytest.raises(ValidationError):
         serialize.loads(json.dumps({"no": "kind"}))
+
+
+def test_value_codec_pins_json_forms():
+    for spec in (semiring.FUZZY, semiring.WEIGHTED, None):
+        with pytest.raises(ValidationError, match="rational"):
+            serialize.payload_from_json(spec, True, "cell")
+        assert serialize.payload_from_json(spec, 0.1, "cell") == Fraction(1, 10)
+    with pytest.raises(ValidationError, match="finite"):
+        serialize.payload_from_json(None, "inf", "cell")
+    assert serialize.payload_to_json(None, 3) == "3"
+    assert serialize.payload_from_json(semiring.BOOLEAN, 1, "cell") is True
+    assert serialize.payload_to_json(semiring.BOOLEAN, True) == 1
 
 
 def test_cpnet_disjunctive_rows_expand():
