@@ -7,7 +7,6 @@ enumeration bound exhausted.
 
 import argparse
 import functools
-import json
 import sys
 
 from . import bridge, cpnet, oracle, pgame, semiring, serialize, softcsp
@@ -19,8 +18,7 @@ EXIT_EXHAUSTED = 3
 
 
 def _emit(report):
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(serialize.text_of(report))
 
 
 def _load(path, *kinds):
@@ -255,6 +253,7 @@ def cmd_check(args):
 
 # --------------------------------------------------------------------- wiring
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="optiform",

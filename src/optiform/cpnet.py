@@ -36,8 +36,10 @@ def check_strict_orders(orders, domain):
 
 
 def check_tables(names, domains, parents, rows):
-    """Each domain is nonempty, no index is its own parent, and each table has
-    exactly one strict total order per parent assignment."""
+    """The names differ, each domain is nonempty, no index is its own parent,
+    and each table has exactly one strict total order per parent assignment."""
+    if len(set(names)) != len(names):
+        raise ValidationError("duplicate names in %r" % (names,))
     for i, (name, dom, ps, r) in enumerate(zip(names, domains, parents, rows)):
         if not dom:
             raise ValidationError("empty domain for %s" % name)
@@ -341,6 +343,9 @@ def dominates(net, alpha, beta, budget=DEFAULT_DOMINANCE_BUDGET):
     """
     net.check_outcome(alpha)
     net.check_outcome(beta)
+    # flips in `worsening_flips` order, over the raw tables: every node is
+    # reached from alpha by flips inside the domains, so none needs a check
+    tables = list(enumerate(zip(net.parents, net.rows)))
     frontier = deque([alpha])
     visited = {alpha}
     expanded = 0
@@ -349,13 +354,15 @@ def dominates(net, alpha, beta, budget=DEFAULT_DOMINANCE_BUDGET):
             return BUDGET_EXHAUSTED
         o = frontier.popleft()
         expanded += 1
-        for i, v in worsening_flips(net, o):
-            succ = o[:i] + (v,) + o[i + 1:]
-            if succ == beta:
-                return True
-            if succ not in visited:
-                visited.add(succ)
-                frontier.append(succ)
+        for i, (ps, rows) in tables:
+            order = rows[tuple(map(o.__getitem__, ps))]
+            for v in order[order.index(o[i]) + 1:]:
+                succ = o[:i] + (v,) + o[i + 1:]
+                if succ == beta:
+                    return True
+                if succ not in visited:
+                    visited.add(succ)
+                    frontier.append(succ)
     return False
 
 

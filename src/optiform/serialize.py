@@ -11,7 +11,9 @@ assignment at parse time.
 """
 
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import cpnet, pgame, semiring, softcsp
 from .errors import ValidationError
@@ -65,13 +67,7 @@ def payload_from_json(spec, data, where):
         if data not in (0, 1):
             raise ValidationError("%s: boolean value must be 0 or 1" % where)
         return semiring.value(spec, data).payload
-    if data == "inf":
-        q = semiring.INF
-    else:
-        try:
-            q = Fraction(str(data))
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError("%s: cannot parse %r as a rational" % (where, data))
+    q = semiring.INF if data == "inf" else _rational(str(data), where)
     if spec is None:
         if q is semiring.INF:
             raise ValidationError("%s: plain payoffs must be finite" % where)
@@ -79,23 +75,44 @@ def payload_from_json(spec, data, where):
     return semiring.value(spec, q).payload
 
 
+#: The most digits a rational may have in its numerator and in its
+#: denominator, and the largest exponent its text may carry.  Far below the
+#: 4,300 digits Python writes as text: every value read can be written back,
+#: and what is written can be read again.
+MAX_DIGITS = 1000
+_DIGITS_CAP = 10 ** MAX_DIGITS
+
+
+def _rational(text, where):
+    exponent = text.lower().partition("e")[2]
+    try:
+        # a larger exponent is refused before Fraction expands it
+        q = None if exponent and abs(int(exponent)) > MAX_DIGITS else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError("%s: cannot parse %r as a rational" % (where, text))
+    if q is None or max(abs(q.numerator), q.denominator) >= _DIGITS_CAP:
+        raise ValidationError("%s: a rational takes at most %d digits and an exponent "
+                              "of at most %d" % (where, MAX_DIGITS, MAX_DIGITS))
+    return q
+
+
 # ------------------------------------------------------------------- headers
 
 def _values(data, where):
     """A list of names or domain values as a tuple.  All strings or all
-    numbers, so that the values hash and sort."""
+    finite numbers, so that the values hash, sort and equal themselves."""
     if not isinstance(data, list) or not (
             all(isinstance(v, str) for v in data)
-            or all(isinstance(v, (int, float)) for v in data)):
-        raise ValidationError("%s must be a list of strings or of numbers" % where)
+            or all(isinstance(v, (int, float)) and math.isfinite(v) for v in data)):
+        raise ValidationError("%s must be a list of strings or of finite numbers" % where)
     return tuple(data)
 
 
 def _header_to_json(kind, names_key, names, domains_key, domains):
     return {
         "kind": kind,
-        names_key: list(names),
-        domains_key: {n: list(d) for n, d in zip(names, domains)},
+        names_key: names,
+        domains_key: dict(zip(names, domains)),
     }
 
 
@@ -129,8 +146,7 @@ def _cpnet_to_json(net):
     doc["tables"] = tables = {}
     for i, t in enumerate(net.tables):
         rows = [
-            {"when": [list(pa)], "order": list(order)}
-            for pa, order in sorted(t.rows.items())
+            {"when": [pa], "order": order} for pa, order in sorted(t.rows.items())
         ]
         tables[net.variables[i]] = {
             "parents": [net.variables[p] for p in t.parents],
@@ -176,7 +192,7 @@ def _scsp_to_json(problem):
         {
             "scope": [problem.variables[i] for i in c.scope],
             "table": [
-                {"tuple": list(t), "value": payload_to_json(spec, v.payload)}
+                {"tuple": t, "value": payload_to_json(spec, v.payload)}
                 for t, v in sorted(c.table.items())
             ],
         }
@@ -205,7 +221,7 @@ def _scsp_from_json(data):
 def _ppgame_to_json(game):
     doc = _game_to_json("ppgame", game)
     doc["prefs"] = {
-        p: [{"when": list(k), "order": list(order)} for k, order in sorted(rows.items())]
+        p: [{"when": k, "order": order} for k, order in sorted(rows.items())]
         for p, rows in zip(game.players, game.prefs)
     }
     return doc
@@ -236,7 +252,7 @@ def _payoffgame_to_json(game):
     doc = _game_to_json("payoffgame", game)
     doc["carrier"] = None if game.carrier is None else spec_to_json(game.carrier)
     doc["payoffs"] = {
-        p: [{"when": list(k), "value": payoff_to_json(game, v)} for k, v in sorted(t.items())]
+        p: [{"when": k, "value": payoff_to_json(game, v)} for k, v in sorted(t.items())]
         for p, t in zip(game.players, game.payoffs)
     }
     return doc
@@ -261,8 +277,8 @@ def _payoffgame_from_json(data):
 def _graph_to_json(graph, levels=None):
     doc = {
         "kind": "graph",
-        "nodes": list(graph.nodes),
-        "edges": [list(e) for e in graph.edges],
+        "nodes": graph.nodes,
+        "edges": graph.edges,
     }
     if levels is not None:
         doc["levels"] = dict(levels)
@@ -315,14 +331,80 @@ def parse_document(data):
         raise ValidationError("%s document: a field has the wrong type (%s)" % (kind, exc))
 
 
+# -------------------------------------------------------------------- writer
+
+def text_of(obj):
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte: the
+    one writer of documents and reports.  It collects chunks and joins them
+    once, and writes a list of strings with one join over the C string
+    encoder, where the stdlib makes a chunk per item and separator."""
+    chunks = []
+    _write(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _scalar_text(o):
+    """The JSON text of a number, a bool or None."""
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf or o == -math.inf:
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
+def _write(o, nl, put):
+    """Append the text of `o` to a chunk list through `put`; `nl` is a
+    newline plus the indent of the line `o` starts on."""
+    if isinstance(o, str):
+        put(_quote(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        if isinstance(o[0], str):
+            try:
+                put("[" + inner + ("," + inner).join(map(_quote, o)) + nl + "]")
+                return
+            except TypeError:
+                pass
+        sep = "[" + inner
+        for item in o:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            put(sep + _quote(key if isinstance(key, str) else _scalar_text(key)) + ": ")
+            _write(value, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        put(_scalar_text(o))
+
+
 def dumps(obj, levels=None):
-    return json.dumps(document_of(obj, levels), sort_keys=True, indent=2) + "\n"
+    return text_of(document_of(obj, levels))
 
 
 def loads(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer too long to read, or nesting too deep
         raise ValidationError("syntax error: %s" % exc)
     return parse_document(data)
 

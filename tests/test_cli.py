@@ -203,6 +203,9 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     net = '"variables": ["A"], "domains": {"A": %s}, "tables": {"A": {"parents": [], "rows": %s}}'
     game = ('"players": ["p"], "strategies": {"p": [["x"], ["y"]]}, "neigh": {"p": []}, '
             '"prefs": {"p": [{"when": [], "order": [["x"], ["y"]]}]}')
+    scsp = ('{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
+            '{"x": ["a"]}, "constraints": [{"scope": ["x"], "table": '
+            '[{"tuple": ["a"], "value": %s}]}]}')
     for command, doc, says in (
         ("to-game", '{"kind": "cpnet"}', "variables"),
         ("to-game", "[]", "JSON object"),
@@ -215,6 +218,18 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
             net % ('["a", 1]', '[{"when": [[]], "order": ["a", 1]}]')), "domains of A"),
         ("well-structured", '{"kind": "graph", "nodes": ["a", "b"], "edges": [["a", "b", "a"]]}',
          "pair"),
+        ("cpnet-optimal", '{"kind": "cpnet", "variables": ["A", "A"], "domains": {"A": ["a"]}, '
+         '"tables": {"A": {"parents": [], "rows": [{"when": [[]], "order": ["a"]}]}}}',
+         "duplicate names"),
+        ("game-nash", '{"kind": "ppgame", "players": ["p", "p"], "strategies": {"p": ["x"]}, '
+         '"neigh": {"p": []}, "prefs": {"p": [{"when": [], "order": ["x"]}]}}',
+         "duplicate names"),
+        ("cpnet-optimal", '{"kind": "cpnet", %s}' % (
+            net % ("[NaN, 1]", '[{"when": [[]], "order": [NaN, 1]}]')), "finite"),
+        ("scsp-solve", scsp % '"1e999999"', "at most"),
+        ("scsp-solve", scsp % ('"%s"' % ("7" * 1001)), "at most"),
+        ("scsp-solve", scsp % ("7" * 5000), "syntax"),
+        ("scsp-solve", "[" * 100000 + "]" * 100000, "syntax"),
     ):
         bad.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
         code, _, err = run(capsys, command, str(bad))
