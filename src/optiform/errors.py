@@ -16,7 +16,8 @@ class ValidationError(OptiformError):
 
 
 class EnumerationLimitError(OptiformError):
-    """The joint assignment space exceeds the configured bound."""
+    """A size bound was exceeded: the configured bound on the joint
+    assignment space, or Python's bound on the digits of a written int."""
 
 
 DEFAULT_MAX_SPACE = 10 ** 6

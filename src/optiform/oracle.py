@@ -2,8 +2,10 @@
 the theorem check suites that pit them against the main modules.
 
 The brute routines share only the data types with the main modules: every
-result here is recomputed from the definitions (nested loops over outcomes,
-deviations and pairwise comparisons), never by calling the main solvers.
+result here is recomputed from the definitions, never by calling the main
+solvers.  A payoff game's payoffs are read once into a table; then each
+candidate outcome or joint strategy is tested against its improving flips,
+deviations or dominators, and is dropped at the first such witness.
 """
 
 import itertools
@@ -36,66 +38,66 @@ class Verdict:
 
 # ---------------------------------------------------------------- brute force
 
+def _unbeaten(candidates, witnesses):
+    """The candidates, in order, for which `witnesses(c)` yields nothing.
+    Each candidate is dropped at its first witness."""
+    return [c for c in candidates if next(witnesses(c), None) is None]
+
+
+def _improving_values(order, current, values):
+    """The values ranked above `current` by `order`."""
+    rank = order.index(current)
+    return (v for v in values if v != current and order.index(v) < rank)
+
+
 def brute_optimal_outcomes(net):
     """Definition-literal: an outcome is optimal iff no single-variable
     change to a value placed earlier in its selected row exists."""
-    out = []
-    for o in net.outcomes():
-        optimal = True
+    def better_flips(o):
         for i in range(len(net.variables)):
-            order = net.row_for(i, o)
-            for v in net.domains[i]:
-                if v != o[i] and order.index(v) < order.index(o[i]):
-                    optimal = False
-        if optimal:
-            out.append(o)
-    return out
+            yield from _improving_values(net.row_for(i, o), o[i], net.domains[i])
+    return _unbeaten(net.outcomes(), better_flips)
+
+
+def _payoff_table(game):
+    """Every joint strategy, in enumeration order, mapped to its payoff
+    vector; `game.payoff(i, s)` is read once per player and joint strategy."""
+    players = range(len(game.players))
+    return {s: tuple(game.payoff(i, s) for i in players) for s in game.joint_strategies()}
+
+
+def _dominates(game, q, p):
+    """Payoff vector q is weakly better than p for every player and
+    strictly better for some player."""
+    return all(map(game.payoff_leq, p, q)) and any(map(game.payoff_lt, p, q))
 
 
 def brute_nash(game):
-    out = []
     if isinstance(game, pgame.PPGame):
-        for s in game.joint_strategies():
-            ok = True
+        def better_replies(s):
             for i in range(len(game.players)):
                 order = game.prefs[i][tuple(s[j] for j in game.neigh[i])]
-                for v in game.strategies[i]:
-                    if v != s[i] and order.index(v) < order.index(s[i]):
-                        ok = False
-            if ok:
-                out.append(s)
-        return out
-    for s in game.joint_strategies():
-        ok = True
+                yield from _improving_values(order, s[i], game.strategies[i])
+        return _unbeaten(game.joint_strategies(), better_replies)
+    table = _payoff_table(game)
+
+    def better_deviations(s):
         for i in range(len(game.players)):
+            p = table[s][i]
             for v in game.strategies[i]:
                 dev = s[:i] + (v,) + s[i + 1:]
-                if game.payoff_lt(game.payoff(i, s), game.payoff(i, dev)):
-                    ok = False
-        if ok:
-            out.append(s)
-    return out
+                if game.payoff_lt(p, table[dev][i]):
+                    yield dev
+    return _unbeaten(table, better_deviations)
 
 
 def brute_pareto(game):
-    joint = list(game.joint_strategies())
-    out = []
-    for s in joint:
-        dominated = False
-        for t in joint:
-            weakly_up = all(
-                game.payoff_leq(game.payoff(i, s), game.payoff(i, t))
-                for i in range(len(game.players))
-            )
-            strictly = any(
-                game.payoff_lt(game.payoff(i, s), game.payoff(i, t))
-                for i in range(len(game.players))
-            )
-            if weakly_up and strictly:
-                dominated = True
-        if not dominated:
-            out.append(s)
-    return out
+    table = _payoff_table(game)
+
+    def dominators(s):
+        p = table[s]
+        return (t for t, q in table.items() if _dominates(game, q, p))
+    return _unbeaten(table, dominators)
 
 
 # ----------------------------------------------------------------- generators
@@ -401,11 +403,9 @@ def _check_regrets(game):
 def _check_pareto_nash(game):
     got = {s for s, _ in bridge.pareto_nash(game)}
     nash = brute_nash(game)
-    vectors = {s: pgame.payoff_vector(game, s) for s in nash}
-    expected = {
-        s for s in nash
-        if not any(pgame.pareto_less(game, vectors[s], vectors[t]) for t in nash)
-    }
+    table = _payoff_table(game)
+    expected = set(_unbeaten(nash, lambda s: (
+        t for t in nash if _dominates(game, table[t], table[s]))))
     return _verdict(got == expected, "got %r expected %r" % (sorted(got), sorted(expected)))
 
 

@@ -99,12 +99,6 @@ class PayoffGame:
 full_neighbourhoods = cpnet.full_parents
 
 
-def classical_ppgame(players, strategies, orders):
-    """A non-graphical PPGame: `orders` maps (i, opponent joint strategy) rows."""
-    n = len(players)
-    return PPGame(tuple(players), tuple(strategies), full_neighbourhoods(n), tuple(orders))
-
-
 def expand_full(game):
     """The same PPGame with every other player made an explicit neighbour."""
     neigh, prefs = cpnet.full_tables(game.players, game.strategies, game.neigh, game.prefs)

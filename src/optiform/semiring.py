@@ -7,10 +7,11 @@ the preference order is the reverse of the numeric order on costs, and leaking
 a numeric score would invite sign bugs.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CarrierMismatchError, ValidationError
+from .errors import CarrierMismatchError, EnumerationLimitError, ValidationError
 
 
 class _Infinity:
@@ -268,8 +269,13 @@ def format_payload(payload):
     if payload is INF:
         return "inf"
     if isinstance(payload, Fraction):
-        return "%d/%d" % (payload.numerator, payload.denominator) \
-            if payload.denominator != 1 else str(payload.numerator)
+        try:
+            return "%d/%d" % (payload.numerator, payload.denominator) \
+                if payload.denominator != 1 else str(payload.numerator)
+        except ValueError:  # values read are bounded, their combinations are not
+            raise EnumerationLimitError(
+                "a value has more digits than the bound of %d that Python writes "
+                "for an integer" % sys.get_int_max_str_digits())
     if isinstance(payload, tuple):
         return "<" + ",".join(format_payload(p) for p in payload) + ">"
     raise ValidationError("unprintable payload %r" % (payload,))

@@ -238,6 +238,15 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
                  ["check", "--theorem", "regrets", "--seeds", "x"]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.count("\n") == 1
+
+    # values of at most 1,000 digits each whose sum has about 5,000 digits,
+    # more than Python writes as text
+    bad.write_text(json.dumps({
+        "kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": {"x": ["a"]},
+        "constraints": [{"scope": ["x"], "table": [{"tuple": ["a"], "value": "1/%d" % p ** k}]}
+                        for p, k in ((2, 3300), (3, 2090), (7, 1180), (11, 958), (13, 896))]}))
+    code, _, err = run(capsys, "scsp-solve", str(bad))
+    assert code == 3 and "digits" in err and err.count("\n") == 1
     monkeypatch.setenv("OPTIFORM_MAX_SPACE", "abc")
     code, _, err = run(capsys, "scsp-solve", fx("fuzzy_chain.scsp.json"))
     assert code == 2 and "OPTIFORM_MAX_SPACE" in err
