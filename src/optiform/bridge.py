@@ -49,9 +49,9 @@ def local_map(problem):
         scope = tuple(sorted(neigh[i] + (i,)))
         check_space(math.prod(len(problem.domains[j]) for j in scope),
                     "payoff table of %s" % problem.variables[i])
+        pos = {j: k for k, j in enumerate(scope)}
         table = {}
         for s in itertools.product(*(problem.domains[j] for j in scope)):
-            pos = {j: k for k, j in enumerate(scope)}
             vals = [
                 c.table[tuple(s[pos[j]] for j in c.scope)] for c in incident
             ]

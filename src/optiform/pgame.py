@@ -178,24 +178,30 @@ def is_hierarchical(game):
     return True, levels
 
 
+def _payoff_codes(game):
+    """Each player's payoff table with every payoff replaced by its exact
+    code (`semiring._compile`), higher being better."""
+    return [semiring._compile(game.carrier, [t])[0][0] for t in game.payoffs]
+
+
 def nash_equilibria_payoff(game):
-    """Weak-inequality Nash over unilateral deviations (canonical extension)."""
-    out = []
-    for s in game.joint_strategies():
-        ok = True
-        for i in range(len(game.players)):
-            p = game.payoff(i, s)
-            for v in game.strategies[i]:
-                if v == s[i]:
-                    continue
-                if game.payoff_lt(p, game.payoff(i, s[:i] + (v,) + s[i + 1:])):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(s)
-    return out
+    """Weak-inequality Nash over unilateral deviations (canonical extension):
+    the joint strategies where every player's payoff is the best one in its
+    neighbours' context, looked up by exact code."""
+    scopes, best_replies = [], []
+    for i, codes in enumerate(_payoff_codes(game)):
+        scope = game.local_scope(i)
+        own = scope.index(i)
+        top = {}
+        for t, c in codes.items():
+            context = t[:own] + t[own + 1:]
+            top[context] = max(top.get(context, c), c)
+        scopes.append(scope)
+        best_replies.append({t for t, c in codes.items() if c == top[t[:own] + t[own + 1:]]})
+    return [
+        s for s in game.joint_strategies()
+        if all(tuple(s[j] for j in scope) in ok for scope, ok in zip(scopes, best_replies))
+    ]
 
 
 def payoff_vector(game, s):
@@ -210,9 +216,14 @@ def pareto_less(game, a, b):
 
 
 def pareto_efficient(game):
-    scored = [(s, payoff_vector(game, s)) for s in game.joint_strategies()]
-    vectors = [v for _, v in scored]
-    return [s for s, v in scored if not any(pareto_less(game, v, w) for w in vectors)]
+    """The joint strategies whose payoff vector no other one Pareto-dominates,
+    in enumeration order: one skyline over vectors of exact payoff codes."""
+    scopes = [game.local_scope(i) for i in range(len(game.players))]
+    codes = _payoff_codes(game)
+    return semiring.maximal(
+        (s, tuple(t[tuple(s[j] for j in scope)] for scope, t in zip(scopes, codes)))
+        for s in game.joint_strategies()
+    )
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,15 @@ explicit infinity marker.  The induced preference order is exposed only through
 the predicates leq / strictly_less / incomparable: for the weighted instance
 the preference order is the reverse of the numeric order on costs, and leaking
 a numeric score would invite sign bugs.
+
+The solvers that pick optima (`maximal`) work on exact integer codes that
+`_compile` gives a problem's values, once per call: codes are ordered like the
+preference order and folded like the carrier's combination.  The codes are
+private to one call and never printed; results carry the boxed values.
 """
 
+import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,24 +143,23 @@ def one(spec):
 
 
 def _require(spec, v, side=""):
-    if not isinstance(v, SemiringValue) or v.spec != spec:
+    if not isinstance(v, SemiringValue) or (v.spec is not spec and v.spec != spec):
         raise CarrierMismatchError(
             "value %r does not belong to the %s carrier%s"
             % (v, spec.kind, " (%s)" % side if side else "")
         )
 
 
-def _combine_payload(spec, a, b):
+def _fold_payloads(spec, payloads):
+    """The combination of a list of payloads of `spec`; the empty list gives 1."""
     if spec.kind == "boolean":
-        return a and b
+        return all(payloads)
     if spec.kind == "fuzzy":
-        return min(a, b)
+        return min(payloads, default=Fraction(1))
     if spec.kind == "weighted":
-        if a is INF or b is INF:
-            return INF
-        return a + b
+        return INF if any(p is INF for p in payloads) else sum(payloads, Fraction(0))
     return tuple(
-        _combine_payload(f, x, y) for f, x, y in zip(spec.factors, a, b)
+        _fold_payloads(f, [p[k] for p in payloads]) for k, f in enumerate(spec.factors)
     )
 
 
@@ -161,7 +167,7 @@ def combine(spec, a, b):
     """The multiplicative operator: and / min / cost sum / componentwise."""
     _require(spec, a, "left")
     _require(spec, b, "right")
-    return SemiringValue(spec, _combine_payload(spec, a.payload, b.payload))
+    return SemiringValue(spec, _fold_payloads(spec, [a.payload, b.payload]))
 
 
 def _plus_payload(spec, a, b):
@@ -215,10 +221,121 @@ def is_strictly_monotonic(spec):
 
 
 def combine_all(spec, values):
-    acc = one(spec)
+    """The combination of `values`, boxed once; no values give 1."""
+    payloads = []
     for v in values:
-        acc = combine(spec, acc, v)
-    return acc
+        _require(spec, v)
+        payloads.append(v.payload)
+    return SemiringValue(spec, _fold_payloads(spec, payloads))
+
+
+# ------------------------------------------------------- exact codes and optima
+
+def _leaf_codes(spec, columns):
+    """Code every payload in `columns` (per table, the table's payloads).
+
+    Returns (coded, folds).  `coded` mirrors `columns` with each payload
+    replaced by its code: an int ordered like the carrier's preference
+    order, or for a product the flat tuple of its factors' codes.  `folds`
+    holds, per int in a code, the function that maps the ints of one
+    payload from each of some of the tables to the int of their
+    combination.  The codes are exact on the payloads given.  A `spec` of
+    None stands for plain rationals, higher being better."""
+    kind = "rational" if spec is None else spec.kind
+    if kind == "product":
+        parts, folds = [], []
+        for k, f in enumerate(spec.factors):
+            coded, fs = _leaf_codes(f, [[p[k] for p in col] for col in columns])
+            if f.kind != "product":
+                coded = [[(c,) for c in col] for col in coded]
+            parts.append(coded)
+            folds += fs
+        return [[sum(cs, ()) for cs in zip(*cols)] for cols in zip(*parts)], folds
+    if kind == "boolean":
+        return [[int(q) for q in col] for col in columns], [lambda codes: min(codes, default=1)]
+    scale = math.lcm(*(q.denominator for col in columns for q in col if q is not INF))
+    scaled = [[None if q is INF else q.numerator * (scale // q.denominator) for q in col]
+              for col in columns]
+    if kind == "rational":
+        return scaled, [sum]
+    if kind == "fuzzy":
+        rank = {v: r for r, v in enumerate(sorted({scale}.union(*scaled)))}
+        top = rank[scale]
+        return ([[rank[v] for v in col] for col in scaled],
+                [lambda codes: min(codes, default=top)])
+    # costs: a lower cost is better, so a code is the negated scaled cost;
+    # infinity is one sentinel below the dearest total of one value per
+    # table, and every total at or below it is clamped to it
+    floor = -1 - sum(max((v for v in col if v is not None), default=0) for col in scaled)
+    return ([[floor if v is None else -v for v in col] for col in scaled],
+            [lambda codes: max(sum(codes), floor)])
+
+
+def _compile(spec, tables):
+    """Exact codes for the values of `tables`, a list of dicts whose values
+    are elements of `spec` (plain rationals when `spec` is None).
+
+    Returns (coded, fold).  `coded` is `tables` with every value replaced
+    by its code: an int for a linearly ordered carrier, a flat tuple of ints
+    (one per factor, nested products flattened) for a product.  Code order
+    is the preference order, componentwise for tuples, and equal codes mean
+    equal values.  `fold(codes)` takes a list holding the codes of one value
+    from each of some of the tables and returns the code of the values'
+    combination; the empty list gives the code of 1."""
+    if spec is None:
+        columns = [list(t.values()) for t in tables]
+    else:
+        for t in tables:
+            for v in t.values():
+                _require(spec, v)
+        columns = [[v.payload for v in t.values()] for t in tables]
+    coded, folds = _leaf_codes(spec, columns)
+    if spec is not None and spec.kind == "product":
+        def fold(codes):
+            return tuple(f([c[k] for c in codes]) for k, f in enumerate(folds))
+    else:
+        [fold] = folds
+    return [dict(zip(t, col)) for t, col in zip(tables, coded)], fold
+
+
+def maximal(items):
+    """The x of every (x, code) pair in `items` whose code no other code
+    strictly exceeds, in the order of `items`.
+
+    Int codes (linear carriers) take one pass that keeps ties.  Tuple codes
+    (products, Pareto vectors) are compared componentwise by a sort-filter
+    skyline: sorted by code, highest first, each item is kept unless a kept
+    code dominates it, which suffices because a dominator sorts earlier and
+    dominance is transitive."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        return []
+    if isinstance(first[1], tuple):
+        return _skyline([first, *items])
+    best, out = first[1], [first[0]]
+    for x, c in items:
+        if c > best:
+            best, out = c, [x]
+        elif c == best:
+            out.append(x)
+    return out
+
+
+def _skyline(items):
+    front, kept = [], []
+    last = keep = None
+    for k in sorted(range(len(items)), key=lambda k: items[k][1], reverse=True):
+        c = items[k][1]
+        if c != last:
+            # every code in `front` sorts above c, so none equals it
+            keep = not any(all(map(operator.ge, f, c)) for f in front)
+            if keep:
+                front.append(c)
+            last = c
+        if keep:
+            kept.append(k)
+    return [items[k][0] for k in sorted(kept)]
 
 
 def validate_axioms(spec, sample, combine_op=None, plus_op=None):

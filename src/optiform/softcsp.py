@@ -85,27 +85,25 @@ class SoftCSP:
 def solution_preference(problem, s):
     """Combine the constraint values at s; the empty problem yields 1."""
     problem.check_assignment(s)
-    spec = problem.semiring
-    acc = semiring.one(spec)
-    for c in problem.constraints:
-        acc = semiring.combine(spec, acc, c.lookup(s))
-    return acc
+    return semiring.combine_all(problem.semiring, [c.lookup(s) for c in problem.constraints])
 
 
 def optimal_solutions(problem):
     """All assignments whose preference no other assignment strictly exceeds.
 
     For product carriers this is the Pareto frontier of the partial order.
-    Output is sorted by domain-value declaration index per variable.
+    Output is sorted by domain-value declaration index per variable.  Each
+    assignment's preference is folded from the exact codes of its constraint
+    values, the optima are picked in one `semiring.maximal` pass (a skyline
+    for products), and only the optima's preferences are boxed.
     """
-    spec = problem.semiring
-    scored = [(s, solution_preference(problem, s)) for s in problem.assignments()]
-    prefs = [p for _, p in scored]
-    out = []
-    for s, p in scored:
-        if not any(semiring.strictly_less(spec, p, q) for q in prefs):
-            out.append((s, p))
-    return out
+    coded, fold = semiring._compile(problem.semiring, [c.table for c in problem.constraints])
+    cells = [(c.scope, t) for c, t in zip(problem.constraints, coded)]
+    best = semiring.maximal(
+        (s, fold([t[tuple(s[i] for i in scope)] for scope, t in cells]))
+        for s in problem.assignments()
+    )
+    return [(s, solution_preference(problem, s)) for s in best]
 
 
 def is_consistent(problem):

@@ -6,6 +6,7 @@ from optiform.errors import CarrierMismatchError, ValidationError
 from optiform.serialize import payload_from_json, payload_to_json
 from optiform.semiring import (
     BOOLEAN,
+    SemiringSpec,
     FUZZY,
     INF,
     WEIGHTED,
@@ -147,3 +148,32 @@ def test_values_are_hashable_and_comparable():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_require_accepts_equal_specs_and_keeps_its_messages():
+    fresh = SemiringSpec("weighted")  # equal to WEIGHTED, not the same object
+    assert fresh == WEIGHTED and fresh is not WEIGHTED
+    assert leq(WEIGHTED, value(fresh, 1), value(WEIGHTED, 0))
+    half = value(FUZZY, Fraction(1, 2))
+    with pytest.raises(CarrierMismatchError) as left:
+        leq(WEIGHTED, half, value(WEIGHTED, 0))
+    assert str(left.value) == \
+        "value SemiringValue(1/2) does not belong to the weighted carrier (left)"
+    with pytest.raises(CarrierMismatchError) as right:
+        combine(FUZZY, half, 3)
+    assert str(right.value) == "value 3 does not belong to the fuzzy carrier (right)"
+    with pytest.raises(CarrierMismatchError) as product_side:
+        plus(product(WEIGHTED), value(product(FUZZY), (1,)), value(product(WEIGHTED), (1,)))
+    assert str(product_side.value) == \
+        "value SemiringValue(<1>) does not belong to the product carrier (left)"
+
+
+def test_combine_all_reads_any_iterable_once():
+    vals = [value(WEIGHTED, Fraction(1, 3)), value(WEIGHTED, Fraction(2, 7))]
+    assert combine_all(WEIGHTED, iter(vals)).payload == Fraction(13, 21)
+    assert combine_all(WEIGHTED, iter(vals + [zero(WEIGHTED)])).payload is INF
+    pair = product(FUZZY, BOOLEAN)
+    assert combine_all(pair, (value(pair, (q, b)) for q, b in ((1, 1), (Fraction(1, 4), 1))))\
+        .payload == (Fraction(1, 4), True)
+    with pytest.raises(CarrierMismatchError):
+        combine_all(WEIGHTED, [value(FUZZY, 1)])
