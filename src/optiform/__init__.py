@@ -1,7 +1,11 @@
 """CP-nets, strategic games with parametrized preferences and c-semiring
-soft constraints, plus the translations between the three formalisms."""
+soft constraints, plus the translations between the three formalisms.
 
-from . import bridge, cpnet, oracle, pgame, semiring, serialize, softcsp
+The submodules load on first use, so a process pays only for the ones it
+runs."""
+
+import importlib
+
 from .errors import (
     CarrierMismatchError,
     EnumerationLimitError,
@@ -22,3 +26,17 @@ __all__ = [
     "OptiformError",
     "ValidationError",
 ]
+
+_SUBMODULES = {"bridge", "cpnet", "oracle", "pgame", "semiring", "serialize", "softcsp"}
+
+
+def __getattr__(name):
+    # PEP 562: only called for names not yet bound; importing a submodule
+    # binds it on the package, so this runs once per submodule
+    if name in _SUBMODULES:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES)

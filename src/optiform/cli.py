@@ -3,13 +3,16 @@
 Reports are JSON with sorted keys, so identical inputs give byte-identical
 output.  Exit codes: 0 success, 2 validation failure, 3 budget or
 enumeration bound exhausted.
+
+A run builds the parser of its own subcommand only, and only `check` loads
+the oracle.
 """
 
 import argparse
 import functools
 import sys
 
-from . import bridge, cpnet, oracle, pgame, semiring, serialize, softcsp
+from . import bridge, cpnet, pgame, serialize, softcsp
 from .errors import EnumerationLimitError, OptiformError, ValidationError
 
 EXIT_OK = 0
@@ -189,9 +192,16 @@ def cmd_game_hierarchical(args):
     return EXIT_OK
 
 
+def _offset(args):
+    """The --offset value, read like a plain payoff in a document, or None."""
+    if args.offset is None:
+        return None
+    return serialize.payload_from_json(None, args.offset, "--offset")
+
+
 def cmd_map_to_scsp(args):
     _, game = _load(args.file, "payoffgame")
-    sys.stdout.write(serialize.dumps(bridge.scsp_of_game(game, args.offset)))
+    sys.stdout.write(serialize.dumps(bridge.scsp_of_game(game, _offset(args))))
     return EXIT_OK
 
 
@@ -202,7 +212,7 @@ def cmd_pareto_nash(args):
         "equilibria": [
             {"joint_strategy": list(s),
              "preference": serialize.payload_to_json(p.spec, p.payload)}
-            for s, p in bridge.pareto_nash(game, args.offset)
+            for s, p in bridge.pareto_nash(game, _offset(args))
         ],
     })
     return EXIT_OK
@@ -236,6 +246,8 @@ def _parse_seed_range(text):
 
 
 def cmd_check(args):
+    from . import oracle
+
     seeds = _parse_seed_range(args.seeds)
     results = oracle.run_suite(args.theorem, seeds)
     failures = {
@@ -253,8 +265,11 @@ def cmd_check(args):
 
 # --------------------------------------------------------------------- wiring
 
-@functools.cache
-def build_parser():
+@functools.lru_cache(maxsize=32)  # all 23 subcommands and None, bounded against junk names
+def build_parser(subcommand=None):
+    """The argument parser.  Given the name of a subcommand it holds that
+    subcommand's parser alone; given None or a name that no subcommand has,
+    the parsers of all of them, whose names its usage and errors list."""
     parser = argparse.ArgumentParser(
         prog="optiform",
         description="CP-nets, parametrized-preference games and soft "
@@ -264,6 +279,8 @@ def build_parser():
 
     def add(name, handler, *, other=False, mode=False, budget=False,
             offset=False, k=False, outcomes=False, check=False):
+        if subcommand not in (None, name):
+            return
         p = sub.add_parser(name)
         if not check:
             p.add_argument("file", help="instance document")
@@ -283,12 +300,13 @@ def build_parser():
                            help="comma-separated outcome, e.g. a,b,c,d")
             p.add_argument("--worse", required=True)
         if check:
+            from . import oracle
+
             p.add_argument("--theorem", required=True,
                            choices=sorted(oracle.THEOREMS))
             p.add_argument("--seeds", default="1..100",
                            help="single seed or inclusive range A..B")
         p.set_defaults(handler=handler)
-        return p
 
     def translation(kind, translate):
         return functools.partial(cmd_translate, kind, translate)
@@ -316,11 +334,16 @@ def build_parser():
     add("tech-game", cmd_tech_game, k=True)
     add("well-structured", cmd_well_structured)
     add("check", cmd_check, check=True)
+    if not sub.choices:
+        return build_parser()
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:  # the full parser reports them, its usage listing every subcommand
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except EnumerationLimitError as exc:

@@ -11,10 +11,10 @@ import itertools
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 
 from . import semiring, softcsp
 from .errors import ValidationError, check_space
+from .record import Record, init_field
 
 #: Result of a dominance query whose step budget tripped.
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -171,21 +171,26 @@ def full_tables(names, domains, parents, rows):
 
 # -------------------------------------------------------------------- CP-nets
 
-@dataclass(frozen=True)
-class CPTable:
-    owner: int
-    parents: tuple  # variable indices, ordered
-    rows: dict      # parent assignment tuple -> order tuple (best first)
+class CPTable(Record):
+    __slots__ = _fields = ("owner", "parents", "rows")
+
+    def __init__(self, owner, parents, rows):
+        init_field(self, "owner", owner)
+        init_field(self, "parents", parents)  # variable indices, ordered
+        init_field(self, "rows", rows)  # parent assignment tuple -> order tuple (best first)
 
 
-@dataclass(frozen=True)
-class CPNet:
-    variables: tuple
-    domains: tuple
-    tables: tuple  # one CPTable per variable, positionally aligned
-    # the tables' per-index parents and rows, as the table core takes them
-    parents: tuple = field(init=False, repr=False, compare=False)
-    rows: tuple = field(init=False, repr=False, compare=False)
+class CPNet(Record):
+    # `parents` and `rows` hold the tables' per-index parents and rows, as
+    # the table core takes them; they are derived, so not fields
+    __slots__ = ("variables", "domains", "tables", "parents", "rows")
+    _fields = ("variables", "domains", "tables")
+
+    def __init__(self, variables, domains, tables):
+        init_field(self, "variables", variables)
+        init_field(self, "domains", domains)
+        init_field(self, "tables", tables)  # one CPTable per variable, positionally aligned
+        self.__post_init__()
 
     def __post_init__(self):
         if not (len(self.variables) == len(self.domains) == len(self.tables)):
@@ -193,8 +198,8 @@ class CPNet:
         for i, t in enumerate(self.tables):
             if t.owner != i:
                 raise ValidationError("table %d owned by variable %d" % (i, t.owner))
-        object.__setattr__(self, "parents", tuple([t.parents for t in self.tables]))
-        object.__setattr__(self, "rows", tuple([t.rows for t in self.tables]))
+        init_field(self, "parents", tuple([t.parents for t in self.tables]))
+        init_field(self, "rows", tuple([t.rows for t in self.tables]))
         check_tables(self.variables, self.domains, self.parents, self.rows)
 
     def space_size(self):

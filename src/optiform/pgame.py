@@ -12,19 +12,22 @@ by the carrier's preference order.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cpnet, semiring
 from .errors import ValidationError, check_space
+from .record import Record, init_field
 
 
-@dataclass(frozen=True)
-class PPGame:
-    players: tuple
-    strategies: tuple  # per-player tuples
-    neigh: tuple       # per-player tuples of indices, ascending, i excluded
-    prefs: tuple       # per-player dict: neigh joint strategy -> order tuple
+class PPGame(Record):
+    __slots__ = _fields = ("players", "strategies", "neigh", "prefs")
+
+    def __init__(self, players, strategies, neigh, prefs):
+        init_field(self, "players", players)
+        init_field(self, "strategies", strategies)  # per-player tuples
+        init_field(self, "neigh", neigh)  # per-player tuples of indices, ascending, i excluded
+        init_field(self, "prefs", prefs)  # per-player dict: neigh joint strategy -> order tuple
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.players)
@@ -43,13 +46,16 @@ class PPGame:
         return tuple(s[j] for j in self.neigh[i])
 
 
-@dataclass(frozen=True)
-class PayoffGame:
-    players: tuple
-    strategies: tuple
-    neigh: tuple
-    payoffs: tuple     # per-player dict: local joint strategy -> payoff
-    carrier: object = None  # SemiringSpec or None for plain rationals
+class PayoffGame(Record):
+    __slots__ = _fields = ("players", "strategies", "neigh", "payoffs", "carrier")
+
+    def __init__(self, players, strategies, neigh, payoffs, carrier=None):
+        init_field(self, "players", players)
+        init_field(self, "strategies", strategies)
+        init_field(self, "neigh", neigh)
+        init_field(self, "payoffs", payoffs)  # per-player dict: local joint strategy -> payoff
+        init_field(self, "carrier", carrier)  # SemiringSpec or None for plain rationals
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.players)
@@ -67,6 +73,9 @@ class PayoffGame:
                     "payoff table of player %s is not total over neigh+self"
                     % self.players[i]
                 )
+            if self.carrier is not None:
+                for v in self.payoffs[i].values():
+                    semiring._require(self.carrier, v)
 
     def local_scope(self, i):
         return tuple(sorted(self.neigh[i] + (i,)))
@@ -226,10 +235,13 @@ def pareto_efficient(game):
     )
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    nodes: tuple
-    edges: tuple  # pairs of node names
+class DirectedGraph(Record):
+    __slots__ = _fields = ("nodes", "edges")
+
+    def __init__(self, nodes, edges):
+        init_field(self, "nodes", nodes)
+        init_field(self, "edges", edges)  # pairs of node names
+        self.__post_init__()
 
     def __post_init__(self):
         known = set(self.nodes)

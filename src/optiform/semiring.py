@@ -15,10 +15,10 @@ private to one call and never printed; results carry the boxed values.
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CarrierMismatchError, EnumerationLimitError, ValidationError
+from .record import Record, init_field
 
 
 class _Infinity:
@@ -40,10 +40,13 @@ INF = _Infinity()
 KINDS = ("boolean", "fuzzy", "weighted", "product")
 
 
-@dataclass(frozen=True)
-class SemiringSpec:
-    kind: str
-    factors: tuple = ()
+class SemiringSpec(Record):
+    __slots__ = _fields = ("kind", "factors")
+
+    def __init__(self, kind, factors=()):
+        init_field(self, "kind", kind)
+        init_field(self, "factors", factors)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -67,10 +70,12 @@ def product(*factors):
     return SemiringSpec("product", tuple(factors))
 
 
-@dataclass(frozen=True)
-class SemiringValue:
-    spec: SemiringSpec
-    payload: object
+class SemiringValue(Record):
+    __slots__ = _fields = ("spec", "payload")
+
+    def __init__(self, spec, payload):
+        init_field(self, "spec", spec)
+        init_field(self, "payload", payload)
 
     def __repr__(self):
         return "SemiringValue(%s)" % (format_payload(self.payload),)

@@ -6,28 +6,33 @@ values in declaration order, so output is deterministic.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from . import semiring
 from .errors import CarrierMismatchError, ValidationError, check_space
+from .record import Record, init_field
 
 
-@dataclass(frozen=True)
-class SoftConstraint:
-    scope: tuple  # variable indices, ordered
-    table: dict   # tuple of values over the scope -> SemiringValue
+class SoftConstraint(Record):
+    __slots__ = _fields = ("scope", "table")
+
+    def __init__(self, scope, table):
+        init_field(self, "scope", scope)  # variable indices, ordered
+        init_field(self, "table", table)  # tuple of values over the scope -> SemiringValue
 
     def lookup(self, assignment):
         """Table value at the projection of a full assignment onto the scope."""
         return self.table[tuple(assignment[i] for i in self.scope)]
 
 
-@dataclass(frozen=True)
-class SoftCSP:
-    variables: tuple   # names
-    domains: tuple     # per-variable tuple of values
-    constraints: tuple
-    semiring: semiring.SemiringSpec
+class SoftCSP(Record):
+    __slots__ = _fields = ("variables", "domains", "constraints", "semiring")
+
+    def __init__(self, variables, domains, constraints, semiring):
+        init_field(self, "variables", variables)  # names
+        init_field(self, "domains", domains)  # per-variable tuple of values
+        init_field(self, "constraints", constraints)
+        init_field(self, "semiring", semiring)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.variables) != len(self.domains):

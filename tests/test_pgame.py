@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from optiform import pgame
-from optiform.errors import ValidationError
+from optiform import pgame, semiring
+from optiform.errors import CarrierMismatchError, ValidationError
 from optiform.pgame import DirectedGraph, PPGame, PayoffGame
 
 
@@ -104,6 +104,28 @@ def test_weak_nash_keeps_ties():
     )
     # p1 is indifferent everywhere, so only p2's coordination binds
     assert pgame.nash_equilibria_payoff(g) == [("u", "u"), ("v", "v")]
+
+
+def test_payoffs_must_belong_to_the_carrier():
+    fuzzy, weighted = semiring.FUZZY, semiring.WEIGHTED
+    half = semiring.value(fuzzy, Fraction(1, 2))
+    one_strategy = (("p",), (("x",),), ((),))
+    two_players = (("p", "q"), (("x", "y"), ("u",)), ((), ()))
+
+    def payoffs(v):
+        return ({("x",): v, ("y",): semiring.value(weighted, 1)}, {("u",): v})
+
+    for bad in (half, Fraction(1, 2), None):
+        # a foreign payoff fails at construction, before any solver reads it
+        with pytest.raises(CarrierMismatchError):
+            PayoffGame(*one_strategy, ({("x",): bad},), weighted)
+        with pytest.raises(CarrierMismatchError):
+            PayoffGame(*two_players, payoffs(bad), weighted)
+    g = PayoffGame(*two_players, payoffs(semiring.value(weighted, 0)), weighted)
+    assert pgame.nash_equilibria_payoff(g) == [("x", "u")]
+    assert PayoffGame(*one_strategy, ({("x",): half},), fuzzy).carrier == fuzzy
+    # an equal spec that is another object is the same carrier
+    assert PayoffGame(*one_strategy, ({("x",): half},), semiring.SemiringSpec("fuzzy"))
 
 
 def test_tech_game_prefers_majority_then_index(cycle3):
