@@ -236,13 +236,15 @@ def cmd_well_structured(args):
 
 
 def _parse_seed_range(text):
+    """The seeds of --seeds: one seed, or a nonempty inclusive range A..B."""
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return range(int(lo), int(hi) + 1)
-        return [int(text)]
+        seeds = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
-        raise ValidationError("--seeds takes a seed or a range A..B, got %r" % text)
+        seeds = range(0)
+    if not seeds:
+        raise ValidationError("--seeds takes a seed or a range A..B with A <= B, got %r" % text)
+    return seeds
 
 
 def cmd_check(args):

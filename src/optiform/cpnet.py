@@ -54,21 +54,19 @@ def check_tables(names, domains, parents, rows):
                     % (name, sorted(missing)[0])
                 )
             raise ValidationError("table of %s has spurious rows" % name)
-        check_strict_orders(r.values(), dom)
+        check_strict_orders(dict.fromkeys(r.values()), dom)
 
 
 def stable_outcomes(domains, parents, rows):
     """Outcomes, in enumeration order, in which every value tops the row its
     parents select: the optimal outcomes of a CP-net, and the Nash equilibria
-    of a game with parametrized preferences."""
+    of a game with parametrized preferences.  Table i allows, over its
+    parents and i, each parent assignment followed by its row's top."""
     check_space(math.prod(map(len, domains)), "outcome space")
-    tops = [
-        (i, ps, {pa: order[0] for pa, order in r.items()})
+    yield from softcsp.solutions(domains, [
+        (ps + (i,), {pa + (order[0],) for pa, order in r.items()})
         for i, (ps, r) in enumerate(zip(parents, rows))
-    ]
-    for o in itertools.product(*domains):
-        if all(o[i] == top[tuple(map(o.__getitem__, ps))] for i, ps, top in tops):
-            yield o
+    ])
 
 
 def never_best(domain, rows):

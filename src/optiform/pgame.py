@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import cpnet, semiring
+from . import cpnet, semiring, softcsp
 from .errors import ValidationError, check_space
 from .record import Record, init_field
 
@@ -196,8 +196,9 @@ def _payoff_codes(game):
 def nash_equilibria_payoff(game):
     """Weak-inequality Nash over unilateral deviations (canonical extension):
     the joint strategies where every player's payoff is the best one in its
-    neighbours' context, looked up by exact code."""
-    scopes, best_replies = [], []
+    neighbours' context, looked up by exact code.  Each player's best
+    replies are the tuples its constraint allows over its local scope."""
+    best_replies = []
     for i, codes in enumerate(_payoff_codes(game)):
         scope = game.local_scope(i)
         own = scope.index(i)
@@ -205,12 +206,10 @@ def nash_equilibria_payoff(game):
         for t, c in codes.items():
             context = t[:own] + t[own + 1:]
             top[context] = max(top.get(context, c), c)
-        scopes.append(scope)
-        best_replies.append({t for t, c in codes.items() if c == top[t[:own] + t[own + 1:]]})
-    return [
-        s for s in game.joint_strategies()
-        if all(tuple(s[j] for j in scope) in ok for scope, ok in zip(scopes, best_replies))
-    ]
+        best_replies.append(
+            (scope, {t for t, c in codes.items() if c == top[t[:own] + t[own + 1:]]}))
+    check_space(game.space_size(), "joint strategy space")
+    return list(softcsp.solutions(game.strategies, best_replies))
 
 
 def payoff_vector(game, s):

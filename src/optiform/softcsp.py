@@ -1,4 +1,5 @@
-"""Soft CSP model: evaluation, optimal-solution enumeration, consistency, join.
+"""Soft CSP model: evaluation, optimal-solution enumeration, the backtracking
+search for hard constraints, consistency, join.
 
 A joint assignment is a tuple of values positionally aligned with the
 problem's variable list.  Enumeration walks variables by index and domain
@@ -6,6 +7,7 @@ values in declaration order, so output is deterministic.
 """
 
 import itertools
+from operator import itemgetter
 
 from . import semiring
 from .errors import CarrierMismatchError, ValidationError, check_space
@@ -111,15 +113,62 @@ def optimal_solutions(problem):
     return [(s, solution_preference(problem, s)) for s in best]
 
 
+def solutions(domains, constraints):
+    """The assignments of one value per index of `domains` that every
+    constraint allows, in `itertools.product(*domains)` order.
+
+    A constraint is a pair (scope, allowed): a tuple of indices and the
+    tuples of values over them that it allows.  Indices are assigned in
+    order, values in declaration order, on an explicit stack rather than by
+    recursion; a constraint is tested as soon as the last index of its
+    scope is set, so no assignment a set prefix already violates is ever
+    extended.  A constraint over the empty scope allows everything or
+    nothing.
+    """
+    n = len(domains)
+    checks = [[] for _ in range(n)]
+    for scope, allowed in constraints:
+        if not scope:
+            if () not in allowed:
+                return
+            continue
+        if len(scope) == 1:  # itemgetter of one index returns the bare value
+            allowed = {t[0] for t in allowed}
+        checks[max(scope)].append((itemgetter(*scope), allowed))
+    if not n:
+        yield ()
+        return
+    values = [None] * n
+    tries = [iter(domains[0])] + [None] * (n - 1)
+    k = 0
+    while k >= 0:
+        for values[k] in tries[k]:
+            for get, allowed in checks[k]:
+                if get(values) not in allowed:
+                    break
+            else:  # every check at index k passed: keep this value
+                break
+        else:  # every value of index k tried: step back
+            k -= 1
+            continue
+        if k == n - 1:
+            yield tuple(values)
+        else:
+            k += 1
+            tries[k] = iter(domains[k])
+
+
 def is_consistent(problem):
-    """Whether some assignment of a boolean problem has preference 1."""
+    """Whether some assignment of a boolean problem has preference 1: one
+    that every constraint allows at a tuple of payload 1."""
     if problem.semiring.kind != "boolean":
         raise ValidationError("consistency is defined for boolean problems only")
     top = semiring.one(problem.semiring)
-    return any(
-        solution_preference(problem, s).payload == top.payload
-        for s in problem.assignments()
-    )
+    check_space(problem.space_size())
+    return next(solutions(problem.domains, [
+        (c.scope, {t for t, v in c.table.items() if v.payload == top.payload})
+        for c in problem.constraints
+    ]), None) is not None
 
 
 def lift_boolean(problem, spec):

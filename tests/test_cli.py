@@ -70,6 +70,22 @@ def test_cpnet_commands(capsys):
     assert net.tables[2].parents == ()
 
 
+def test_deep_chain_searches_without_recursion(capsys, tmp_path):
+    # 1,500 variables of one value each, each the parent of the next: an
+    # outcome space of 1, deeper than Python's recursion limit
+    names = ["X%d" % i for i in range(1500)]
+    chain = tmp_path / "chain.cpnet.json"
+    chain.write_text(json.dumps({
+        "kind": "cpnet", "variables": names, "domains": {x: ["a"] for x in names},
+        "tables": {x: {"parents": names[i - 1:i],
+                       "rows": [{"when": [["a"][:i]], "order": ["a"]}]}
+                   for i, x in enumerate(names)}}))
+    code, out, _ = run(capsys, "cpnet-optimal", str(chain))
+    assert code == 0 and json.loads(out)["optimal"] == [["a"] * 1500]
+    code, out, _ = run(capsys, "cpnet-eligible", str(chain))
+    assert code == 0 and json.loads(out)["eligible"] is True
+
+
 def test_cpnet_eliminate(capsys):
     code, out, _ = run(capsys, "cpnet-eliminate", fx("cyclic4.cpnet.json"),
                        "--mode", "s")
@@ -235,9 +251,14 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, command, str(bad))
         assert code == 2 and says in err and err.count("\n") == 1
     for argv in (["to-game", str(tmp_path)],
-                 ["check", "--theorem", "regrets", "--seeds", "x"]):
+                 ["check", "--theorem", "regrets", "--seeds", "x"],
+                 ["check", "--theorem", "regrets", "--seeds", "3.."]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.count("\n") == 1
+    # a range that holds no seed would report a success that tested nothing
+    for seeds in ("3..1", "1..-1"):
+        code, out, err = run(capsys, "check", "--theorem", "regrets", "--seeds", seeds)
+        assert (code, out) == (2, "") and "A <= B" in err and err.count("\n") == 1
 
     # values of at most 1,000 digits each whose sum has about 5,000 digits,
     # more than Python writes as text
@@ -262,6 +283,15 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
                  ["to-cpnet", str(game)]):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "exhaust" in err
+    # the searches for optima and equilibria check the bound before they start
+    for argv, space in (
+        (["cpnet-optimal", fx("acyclic4.cpnet.json")], "outcome space has 16"),
+        (["cpnet-eligible", fx("acyclic4.cpnet.json")], "outcome space has 16"),
+        (["game-nash", fx("pd.ppgame.json")], "outcome space has 4"),
+        (["game-nash", fx("pd.payoffgame.json")], "joint strategy space has 4"),
+    ):
+        assert run(capsys, *argv) == (
+            3, "", "bound exhausted: %s elements, exceeding the bound 2\n" % space)
 
 
 def test_output_is_deterministic(capsys):

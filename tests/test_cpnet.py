@@ -160,6 +160,12 @@ def test_validation():
                 CPTable(1, (0,), {(a,): ("b", "b~")}),
             ),
         )
+    # every row's order is checked, the first bad one in row order reported
+    b = ("b", "b~", "b+")
+    rows = {("a",): b, ("a~",): ("b", "b"), ("a+",): b, ("a-",): ("b~",)}
+    with pytest.raises(ValidationError, match=r"\('b', 'b'\) is not a strict"):
+        CPNet(("A", "B"), (("a", "a~", "a+", "a-"), b),
+              (CPTable(0, (), {(): ("a", "a~", "a+", "a-")}), CPTable(1, (0,), rows)))
 
 
 def test_eligibility_matches_consistency_of_optimality_constraints():
