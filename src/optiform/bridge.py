@@ -110,23 +110,15 @@ def scsp_of_game(game, offset=None):
 
 
 def regret_constraints(game):
-    """Per player, a hard constraint allowing exactly the local tuples in
-    which the player's strategy weakly maximizes its payoff."""
-    constraints = []
-    for i in range(len(game.players)):
-        scope = game.local_scope(i)
-        own = scope.index(i)
-        table = {}
-        for s, p in game.payoffs[i].items():
-            ok = all(
-                not game.payoff_lt(p, game.payoffs[i][s[:own] + (v,) + s[own + 1:]])
-                for v in game.strategies[i]
-            )
-            table[s] = semiring.value(semiring.BOOLEAN, ok)
-        constraints.append(softcsp.SoftConstraint(scope, table))
-    return softcsp.SoftCSP(
-        game.players, game.strategies, tuple(constraints), semiring.BOOLEAN
+    """Per player, a hard constraint allowing exactly its best replies: the
+    local tuples in which its strategy weakly maximizes its payoff."""
+    constraints = tuple(
+        softcsp.SoftConstraint(scope, {
+            t: semiring.value(semiring.BOOLEAN, t in best) for t in game.payoffs[i]
+        })
+        for i, (scope, best) in enumerate(pgame.best_replies(game))
     )
+    return softcsp.SoftCSP(game.players, game.strategies, constraints, semiring.BOOLEAN)
 
 
 def pareto_nash(game, offset=None):

@@ -36,8 +36,9 @@ def check_strict_orders(orders, domain):
 
 
 def check_tables(names, domains, parents, rows):
-    """The names differ, each domain is nonempty, no index is its own parent,
-    and each table has exactly one strict total order per parent assignment."""
+    """The names differ, each domain is nonempty, no index is its own parent
+    or names one parent twice, and each table has exactly one strict total
+    order per parent assignment."""
     if len(set(names)) != len(names):
         raise ValidationError("duplicate names in %r" % (names,))
     for i, (name, dom, ps, r) in enumerate(zip(names, domains, parents, rows)):
@@ -45,6 +46,8 @@ def check_tables(names, domains, parents, rows):
             raise ValidationError("empty domain for %s" % name)
         if i in ps:
             raise ValidationError("%s is its own parent" % name)
+        if len(set(ps)) != len(ps):
+            raise ValidationError("%s names a parent or neighbour twice" % name)
         expected = set(itertools.product(*map(domains.__getitem__, ps)))
         if r.keys() != expected:
             missing = expected - r.keys()
@@ -113,23 +116,23 @@ def restrict(names, parents, rows, keep):
     return kept, tuple(new_rows)
 
 
-def elimination_round(x, mode, removable, shrink):
-    """One round removing every value `removable(x, mode)` finds.  Returns the
-    per-index removals and `shrink(x, removals)`, or x itself when there are
-    none."""
-    removals = removable(x, mode)
-    return removals, shrink(x, removals) if any(removals) else x
-
-
-def elimination_fixpoint(x, mode, removable, shrink, trace=None):
-    """Elimination rounds until nothing is removable.  `trace`, if a list,
-    collects the per-round removals."""
+def eliminate_values(names, domains, parents, rows, mode, trace=None):
+    """Elimination rounds over raw tables until nothing is removable: each
+    round `restrict`s the tables to the values `removable_values` leaves.
+    `trace`, if a list, collects the per-round removals.  Returns the final
+    domains and rows, the inputs themselves when nothing was removable."""
     while True:
-        removals, x = elimination_round(x, mode, removable, shrink)
+        removals = removable_values(domains, rows, mode)
         if not any(removals):
-            return x
+            return domains, rows
+        domains, rows = restrict(names, parents, rows, without(domains, removals))
         if trace is not None:
             trace.append([sorted(r) for r in removals])
+
+
+def without(domains, removals):
+    """Each domain without its removed values, in declaration order."""
+    return [[v for v in dom if v not in r] for dom, r in zip(domains, removals)]
 
 
 def unused_parents(domains, parents, rows):
@@ -405,28 +408,14 @@ def is_reduced(net):
     return all(not redundant_parents(net, i) for i in range(len(net.variables)))
 
 
-def _removable(net, mode):
-    return removable_values(net.domains, net.rows, mode)
-
-
-def nbr_elements(net):
-    """Per-variable sets of values that top no row (never best responses)."""
-    return removable_values(net.domains, net.rows, "nbr")
-
-
-def dominated_elements(net):
-    """Per-variable sets of values strictly below some fixed value in every row."""
-    return removable_values(net.domains, net.rows, "s")
-
-
 def eliminate(net, removals):
     """The subnet without the given values (a per-variable collection).
 
     Rows whose parent assignment mentions a removed value are dropped;
     surviving orders are restricted to surviving values.
     """
-    keep = [[v for v in dom if v not in r] for dom, r in zip(net.domains, removals)]
-    domains, rows = restrict(net.variables, net.parents, net.rows, keep)
+    domains, rows = restrict(net.variables, net.parents, net.rows,
+                             without(net.domains, removals))
     return from_tables(net.variables, domains, net.parents, rows)
 
 
@@ -434,4 +423,6 @@ def reduce_to_fixpoint(net, mode, trace=None):
     """Iteratively remove all NBR (mode='nbr') or dominated (mode='s')
     elements each round until none remain.  `trace`, if a list, collects the
     per-round removals."""
-    return elimination_fixpoint(net, mode, _removable, eliminate, trace)
+    domains, rows = eliminate_values(net.variables, net.domains, net.parents, net.rows,
+                                     mode, trace)
+    return net if rows is net.rows else from_tables(net.variables, domains, net.parents, rows)

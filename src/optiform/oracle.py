@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import bridge, cpnet, pgame, semiring, softcsp
-from .errors import ValidationError, check_space
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -286,8 +286,7 @@ def _check_elimination_round_net(net):
     for mode in ("nbr", "s"):
         n, before = net, set(brute_optimal_outcomes(net))
         while True:
-            picker = cpnet.nbr_elements if mode == "nbr" else cpnet.dominated_elements
-            removals = picker(n)
+            removals = cpnet.removable_values(n.domains, n.rows, mode)
             if not any(removals):
                 break
             nxt = cpnet.eliminate(n, removals)
@@ -417,48 +416,49 @@ def _check_tech_adoption(graph):
 
 
 THEOREMS = {
-    "net_game_equivalence": (lambda cfg: random_cpnet(cfg), _check_net_game_equivalence),
-    "game_net_equivalence": (lambda cfg: random_ppgame(cfg), _check_game_net_equivalence),
-    "parent_reduction": (lambda cfg: random_cpnet(cfg), _check_parent_reduction),
+    "net_game_equivalence": (random_cpnet, _check_net_game_equivalence),
+    "game_net_equivalence": (random_ppgame, _check_game_net_equivalence),
+    "parent_reduction": (random_cpnet, _check_parent_reduction),
     "elimination_round_game": (lambda cfg: random_ppgame(replace(cfg, graphical=True)), _check_elimination_round_game),
-    "elimination_round_net": (lambda cfg: random_cpnet(cfg), _check_elimination_round_net),
+    "elimination_round_net": (random_cpnet, _check_elimination_round_net),
     "elimination_fixpoint_game": (lambda cfg: random_ppgame(replace(cfg, graphical=True)), _check_elimination_fixpoint_game),
-    "elimination_fixpoint_net": (lambda cfg: random_cpnet(cfg), _check_elimination_fixpoint_net),
+    "elimination_fixpoint_net": (random_cpnet, _check_elimination_fixpoint_net),
     "acyclic_sweep": (lambda cfg: random_cpnet(replace(cfg, acyclic=True)), _check_acyclic_sweep),
     "hierarchical_unique": (
         lambda cfg: random_ppgame(replace(cfg, graphical=True, acyclic=True)),
         _check_hierarchical_unique,
     ),
-    "strict_monotone_inclusion": (lambda cfg: random_scsp(cfg), _check_strict_monotone),
+    "strict_monotone_inclusion": (random_scsp, _check_strict_monotone),
     "consistent_csp": (
         lambda cfg: random_scsp(replace(cfg, carrier="boolean", force_consistent=True)),
         _check_consistent_csp,
     ),
-    "global_map": (lambda cfg: random_scsp(cfg), _check_global_map),
-    "pareto_frontier": (lambda cfg: random_payoff_game(cfg), _check_pareto_frontier),
-    "regrets": (lambda cfg: random_payoff_game(cfg), _check_regrets),
-    "pareto_nash": (lambda cfg: random_payoff_game(cfg), _check_pareto_nash),
-    "tech_adoption": (lambda cfg: random_dag(cfg), _check_tech_adoption),
+    "global_map": (random_scsp, _check_global_map),
+    "pareto_frontier": (random_payoff_game, _check_pareto_frontier),
+    "regrets": (random_payoff_game, _check_regrets),
+    "pareto_nash": (random_payoff_game, _check_pareto_nash),
+    "tech_adoption": (random_dag, _check_tech_adoption),
 }
 
 
-def check_theorem(theorem_id, instance):
+def _theorem(theorem_id):
+    """The (generator, check) pair of a theorem id."""
     if theorem_id not in THEOREMS:
         raise ValidationError("unknown theorem id %r" % (theorem_id,))
-    return THEOREMS[theorem_id][1](instance)
+    return THEOREMS[theorem_id]
+
+
+def check_theorem(theorem_id, instance):
+    return _theorem(theorem_id)[1](instance)
 
 
 def generate_instance(theorem_id, cfg):
-    if theorem_id not in THEOREMS:
-        raise ValidationError("unknown theorem id %r" % (theorem_id,))
-    return THEOREMS[theorem_id][0](cfg)
+    return _theorem(theorem_id)[0](cfg)
 
 
-def run_suite(theorem_id, seeds, cfg=None):
+def run_suite(theorem_id, seeds):
     """Run one theorem over many seeds; returns {seed: Verdict}."""
-    base = cfg or GeneratorConfig()
-    results = {}
-    for seed in seeds:
-        instance = generate_instance(theorem_id, replace(base, seed=seed))
-        results[seed] = check_theorem(theorem_id, instance)
-    return results
+    return {
+        seed: check_theorem(theorem_id, generate_instance(theorem_id, GeneratorConfig(seed=seed)))
+        for seed in seeds
+    }

@@ -12,7 +12,6 @@ by the carrier's preference order.
 
 import itertools
 import math
-from fractions import Fraction
 
 from . import cpnet, semiring, softcsp
 from .errors import ValidationError, check_space
@@ -66,6 +65,8 @@ class PayoffGame(Record):
         for i in range(n):
             if i in self.neigh[i]:
                 raise ValidationError("player %s is its own neighbour" % self.players[i])
+            if len(set(self.neigh[i])) != len(self.neigh[i]):
+                raise ValidationError("player %s names a neighbour twice" % self.players[i])
             scope = self.local_scope(i)
             expected = set(itertools.product(*(self.strategies[j] for j in scope)))
             if set(self.payoffs[i]) != expected:
@@ -81,10 +82,7 @@ class PayoffGame(Record):
         return tuple(sorted(self.neigh[i] + (i,)))
 
     def space_size(self):
-        n = 1
-        for s in self.strategies:
-            n *= len(s)
-        return n
+        return math.prod(map(len, self.strategies))
 
     def joint_strategies(self):
         check_space(self.space_size(), "joint strategy space")
@@ -142,19 +140,16 @@ def removable_strategies(game, mode):
     return cpnet.removable_values(game.strategies, game.prefs, mode)
 
 
-def _drop(game, removals):
-    return subgame(game, [
-        [v for v in s if v not in r] for s, r in zip(game.strategies, removals)
-    ])
-
-
 def reduce_pp(game, mode):
     """One maximal elimination round; returns the game unchanged at a fixpoint."""
-    return cpnet.elimination_round(game, mode, removable_strategies, _drop)[1]
+    removals = removable_strategies(game, mode)
+    return subgame(game, cpnet.without(game.strategies, removals)) if any(removals) else game
 
 
 def reduce_pp_fixpoint(game, mode, trace=None):
-    return cpnet.elimination_fixpoint(game, mode, removable_strategies, _drop, trace)
+    strategies, prefs = cpnet.eliminate_values(game.players, game.strategies, game.neigh,
+                                               game.prefs, mode, trace)
+    return game if prefs is game.prefs else PPGame(game.players, strategies, game.neigh, prefs)
 
 
 def essential_neighbours(game, i):
@@ -171,18 +166,23 @@ def is_hierarchical(game):
     (dependencies only on strictly lower levels); levels is None when cyclic.
     Players with constant preferences depend on nobody and sit at level 0.
     """
-    n = len(game.players)
-    deps = [essential_neighbours(game, i) for i in range(n)]
+    deps = [essential_neighbours(game, i) for i in range(len(game.players))]
+    return _layers(range(len(deps)), lambda i, placed: all(j in placed for j in deps[i]))
+
+
+def _layers(items, ready):
+    """Level 0 for the items `ready(item, placed)` accepts with nothing
+    placed, then level 1 for those it accepts once level 0 is placed, and so
+    on.  Returns (True, levels), or (False, None) when some item never is."""
     levels = {}
-    remaining = set(range(n))
+    remaining = set(items)
     level = 0
     while remaining:
-        ready = {i for i in remaining if all(j in levels for j in deps[i])}
-        if not ready:
+        layer = {x for x in remaining if ready(x, levels)}
+        if not layer:
             return False, None
-        for i in ready:
-            levels[i] = level
-        remaining -= ready
+        levels.update(dict.fromkeys(layer, level))
+        remaining -= layer
         level += 1
     return True, levels
 
@@ -193,12 +193,11 @@ def _payoff_codes(game):
     return [semiring._compile(game.carrier, [t])[0][0] for t in game.payoffs]
 
 
-def nash_equilibria_payoff(game):
-    """Weak-inequality Nash over unilateral deviations (canonical extension):
-    the joint strategies where every player's payoff is the best one in its
-    neighbours' context, looked up by exact code.  Each player's best
-    replies are the tuples its constraint allows over its local scope."""
-    best_replies = []
+def best_replies(game):
+    """Per player, its local scope and the tuples over it in which its
+    strategy has the best payoff of its neighbours' context, looked up by
+    exact code."""
+    out = []
     for i, codes in enumerate(_payoff_codes(game)):
         scope = game.local_scope(i)
         own = scope.index(i)
@@ -206,21 +205,15 @@ def nash_equilibria_payoff(game):
         for t, c in codes.items():
             context = t[:own] + t[own + 1:]
             top[context] = max(top.get(context, c), c)
-        best_replies.append(
-            (scope, {t for t, c in codes.items() if c == top[t[:own] + t[own + 1:]]}))
+        out.append((scope, {t for t, c in codes.items() if c == top[t[:own] + t[own + 1:]]}))
+    return out
+
+
+def nash_equilibria_payoff(game):
+    """Weak-inequality Nash over unilateral deviations (canonical extension):
+    the joint strategies whose every local tuple is a best reply."""
     check_space(game.space_size(), "joint strategy space")
-    return list(softcsp.solutions(game.strategies, best_replies))
-
-
-def payoff_vector(game, s):
-    return tuple(game.payoff(i, s) for i in range(len(game.players)))
-
-
-def pareto_less(game, a, b):
-    """Componentwise strict Pareto order on payoff vectors."""
-    return all(game.payoff_leq(x, y) for x, y in zip(a, b)) and any(
-        game.payoff_lt(x, y) for x, y in zip(a, b)
-    )
+    return list(softcsp.solutions(game.strategies, best_replies(game)))
 
 
 def pareto_efficient(game):
@@ -302,20 +295,9 @@ def is_well_structured(graph, levels=None):
         if set(levels) != set(graph.nodes):
             raise ValidationError("level assignment must cover exactly the nodes")
         return (_levels_ok(graph, levels), dict(levels))
-    placed = {}
-    level = 0
-    remaining = set(graph.nodes)
-    while remaining:
-        ready = set()
-        for node in remaining:
-            preds = graph.predecessors(node)
-            done = sum(1 for u in preds if u in placed)
-            if done >= len(preds) - done:
-                ready.add(node)
-        if not ready:
-            return False, None
-        for node in ready:
-            placed[node] = level
-        remaining -= ready
-        level += 1
-    return True, placed
+
+    def ready(node, placed):
+        preds = graph.predecessors(node)
+        done = sum(1 for u in preds if u in placed)
+        return done >= len(preds) - done
+    return _layers(graph.nodes, ready)

@@ -7,6 +7,7 @@ values in declaration order, so output is deterministic.
 """
 
 import itertools
+import math
 from operator import itemgetter
 
 from . import semiring
@@ -51,6 +52,10 @@ class SoftCSP(Record):
         for i in c.scope:
             if not 0 <= i < len(self.variables):
                 raise ValidationError("constraint scope mentions unknown variable %d" % i)
+        if len(set(c.scope)) != len(c.scope):
+            raise ValidationError(
+                "constraint scope %s names a variable twice"
+                % ([self.variables[i] for i in c.scope],))
         expected = list(itertools.product(*(self.domains[i] for i in c.scope)))
         if set(c.table) != set(expected):
             missing = [t for t in expected if t not in c.table]
@@ -70,10 +75,7 @@ class SoftCSP(Record):
                 )
 
     def space_size(self):
-        n = 1
-        for dom in self.domains:
-            n *= len(dom)
-        return n
+        return math.prod(map(len, self.domains))
 
     def assignments(self):
         check_space(self.space_size())

@@ -242,6 +242,22 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
          "duplicate names"),
         ("cpnet-optimal", '{"kind": "cpnet", %s}' % (
             net % ("[NaN, 1]", '[{"when": [[]], "order": [NaN, 1]}]')), "finite"),
+        # a repeated parent, neighbour or scope variable leaves rows that are never read
+        ("cpnet-optimal", '{"kind": "cpnet", "variables": ["A", "B"], "domains": {"A": ["a", "b"], '
+         '"B": ["b"]}, "tables": {"A": {"parents": [], "rows": [{"when": [[]], "order": ["a", "b"]}]}, '
+         '"B": {"parents": ["A", "A"], "rows": [{"when": [["a", "a"], ["a", "b"], ["b", "a"], '
+         '["b", "b"]], "order": ["b"]}]}}}', "B names a parent or neighbour twice"),
+        ("game-nash", '{"kind": "ppgame", "players": ["p", "q"], "strategies": {"p": ["x"], '
+         '"q": ["x"]}, "neigh": {"p": [], "q": ["p", "p"]}, "prefs": {"p": [{"when": [], '
+         '"order": ["x"]}], "q": [{"when": ["x", "x"], "order": ["x"]}]}}',
+         "q names a parent or neighbour twice"),
+        ("game-nash", '{"kind": "payoffgame", "carrier": null, "players": ["p", "q"], "strategies": '
+         '{"p": ["x"], "q": ["x"]}, "neigh": {"p": [], "q": ["p", "p"]}, "payoffs": {"p": [{"when": '
+         '["x"], "value": "1"}], "q": [{"when": ["x", "x", "x"], "value": "1"}]}}',
+         "player q names a neighbour twice"),
+        ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
+         '{"x": ["a"]}, "constraints": [{"scope": ["x", "x"], "table": [{"tuple": ["a", "a"], '
+         '"value": "1"}]}]}', "names a variable twice"),
         ("scsp-solve", scsp % '"1e999999"', "at most"),
         ("scsp-solve", scsp % ('"%s"' % ("7" * 1001)), "at most"),
         ("scsp-solve", scsp % ("7" * 5000), "syntax"),

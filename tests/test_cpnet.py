@@ -115,8 +115,9 @@ def test_reduce_keeps_needed_parents(acyclic4):
 
 def test_nbr_and_dominated_elements(cyclic4):
     # A's two rows both rank a first, so a~ tops no row.
-    assert cpnet.nbr_elements(cyclic4) == [{"a~"}, set(), set(), set()]
-    assert cpnet.dominated_elements(cyclic4) == [{"a~"}, set(), set(), set()]
+    for mode in ("nbr", "s"):
+        assert cpnet.removable_values(cyclic4.domains, cyclic4.rows, mode) == [
+            {"a~"}, set(), set(), set()]
 
 
 def test_elimination_chain(cyclic4):

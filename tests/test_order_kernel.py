@@ -51,10 +51,18 @@ def nested_nash_equilibria_payoff(game):
     return out
 
 
+def pareto_less(game, a, b):
+    """Componentwise strict Pareto order on payoff vectors."""
+    return all(game.payoff_leq(x, y) for x, y in zip(a, b)) and any(
+        game.payoff_lt(x, y) for x, y in zip(a, b)
+    )
+
+
 def nested_pareto_efficient(game):
-    scored = [(s, pgame.payoff_vector(game, s)) for s in game.joint_strategies()]
+    players = range(len(game.players))
+    scored = [(s, tuple(game.payoff(i, s) for i in players)) for s in game.joint_strategies()]
     vectors = [v for _, v in scored]
-    return [s for s, v in scored if not any(pgame.pareto_less(game, v, w) for w in vectors)]
+    return [s for s, v in scored if not any(pareto_less(game, v, w) for w in vectors)]
 
 
 def nested_pareto_nash(game, offset=None):
