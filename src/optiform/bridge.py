@@ -2,8 +2,8 @@
 
 CP-net <-> parametrized-preference game, SCSP -> payoff game (local and
 global forms), payoff game -> SCSP (per-player cost tuples and no-regret
-hard constraints), and the Pareto-efficient-Nash pipeline built from the
-last two.
+hard constraints), and the Pareto-efficient Nash equilibria with their
+cost tuples.
 """
 
 import itertools
@@ -122,13 +122,19 @@ def regret_constraints(game):
 
 
 def pareto_nash(game, offset=None):
-    """Optimal solutions of the cost-tuple problem joined with the no-regret
-    constraints, kept only when the preference is above
-    the all-infinity bottom: the Pareto-efficient Nash equilibria."""
-    merged = softcsp.join(scsp_of_game(game, offset), regret_constraints(game))
-    bottom = semiring.zero(merged.semiring)
+    """The Pareto-efficient Nash equilibria, each with its preference in the
+    cost-tuple problem `scsp_of_game(game, offset)`, in enumeration order.
+
+    They are the members of the Nash set (`pgame.nash_equilibria_payoff`)
+    that no other member Pareto-dominates, found by one skyline over their
+    payoff-code vectors.  This equals the optimal solutions above the
+    all-infinity bottom of the cost-tuple problem joined with the no-regret
+    constraints: the lifted constraints give a non-equilibrium the bottom
+    and an equilibrium the all-zero tuple, so an equilibrium's preference is
+    its cost tuple alone."""
+    costs = scsp_of_game(game, offset)
+    check_space(game.space_size())
     return [
-        (s, p)
-        for s, p in softcsp.optimal_solutions(merged)
-        if p.payload != bottom.payload
+        (s, softcsp.solution_preference(costs, s))
+        for s in pgame.pareto_maximal(game, pgame.nash_equilibria_payoff(game))
     ]

@@ -350,8 +350,12 @@ def dominates(net, alpha, beta, budget=DEFAULT_DOMINANCE_BUDGET):
     net.check_outcome(alpha)
     net.check_outcome(beta)
     # flips in `worsening_flips` order, over the raw tables: every node is
-    # reached from alpha by flips inside the domains, so none needs a check
-    tables = list(enumerate(zip(net.parents, net.rows)))
+    # reached from alpha by flips inside the domains, so none needs a check.
+    # Per variable i, `after` maps the values of i's parents and of i to the
+    # values ranked after i's in the row they select; it is filled on first
+    # use, so a small budget reads few rows of a wide table.
+    tables = [(i, operator.itemgetter(*ps, i), ps, rows, {})
+              for i, (ps, rows) in enumerate(zip(net.parents, net.rows))]
     frontier = deque([alpha])
     visited = {alpha}
     expanded = 0
@@ -360,10 +364,17 @@ def dominates(net, alpha, beta, budget=DEFAULT_DOMINANCE_BUDGET):
             return BUDGET_EXHAUSTED
         o = frontier.popleft()
         expanded += 1
-        for i, (ps, rows) in tables:
-            order = rows[tuple(map(o.__getitem__, ps))]
-            for v in order[order.index(o[i]) + 1:]:
-                succ = o[:i] + (v,) + o[i + 1:]
+        for i, key, ps, rows, after in tables:
+            k = key(o)
+            worse = after.get(k)
+            if worse is None:
+                order = rows[tuple(map(o.__getitem__, ps))]
+                worse = after[k] = order[order.index(o[i]) + 1:]
+            if not worse:
+                continue
+            head, tail = o[:i], o[i + 1:]
+            for v in worse:
+                succ = head + (v,) + tail
                 if succ == beta:
                     return True
                 if succ not in visited:

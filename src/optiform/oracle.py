@@ -3,9 +3,14 @@ the theorem check suites that pit them against the main modules.
 
 The brute routines share only the data types with the main modules: every
 result here is recomputed from the definitions, never by calling the main
-solvers.  A payoff game's payoffs are read once into a table; then each
-candidate outcome or joint strategy is tested against its improving flips,
-deviations or dominators, and is dropped at the first such witness.
+solvers.  A payoff game's payoffs are read once into one table per game,
+which every referee of a check shares: each player's payoffs are interned
+to small ints, and the order of each distinct pair of them is asked of the
+game's `payoff_leq`/`payoff_lt` (so of `semiring.leq`) once, on first use.
+Then each candidate outcome or joint strategy is tested against its
+improving flips, deviations or dominators, and is dropped at the first such
+witness.  Nothing here calls the exact codes of `semiring._compile`, the
+skyline `semiring.maximal` or the Nash and Pareto solvers of `pgame`.
 """
 
 import itertools
@@ -59,45 +64,88 @@ def brute_optimal_outcomes(net):
     return _unbeaten(net.outcomes(), better_flips)
 
 
-def _payoff_table(game):
-    """Every joint strategy, in enumeration order, mapped to its payoff
-    vector; `game.payoff(i, s)` is read once per player and joint strategy."""
-    players = range(len(game.players))
-    return {s: tuple(game.payoff(i, s) for i in players) for s in game.joint_strategies()}
+class _PayoffTable:
+    """A payoff game's payoffs, read once: `rows` maps each joint strategy,
+    in enumeration order, to its vector of payoff ids, where a player's
+    equal payoffs share one small int and the joint strategy is projected
+    onto each player's scope (the canonical extension).  The order of two
+    distinct ids of a player is asked of `game.payoff_leq`/`payoff_lt` on
+    first use and remembered; equal ids are never asked, as the induced
+    order is reflexive."""
+
+    def __init__(self, game):
+        self.game, self.values, self.order, local = game, [], [], []
+        for i, table in enumerate(game.payoffs):
+            ids = {}
+            local.append(({t: ids.setdefault(v, len(ids)) for t, v in table.items()},
+                          game.local_scope(i)))
+            self.values.append(list(ids))
+            self.order.append({})
+        self.rows = {s: tuple(t[tuple(s[j] for j in scope)] for t, scope in local)
+                     for s in game.joint_strategies()}
+
+    def relation(self, i, a, b):
+        """(payoff a <= payoff b, payoff a < payoff b) for distinct payoff
+        ids a and b of player i."""
+        known = self.order[i].get((a, b))
+        if known is None:
+            x, y = self.values[i][a], self.values[i][b]
+            known = self.order[i][a, b] = (self.game.payoff_leq(x, y),
+                                           self.game.payoff_lt(x, y))
+        return known
+
+    def dominates(self, q, p):
+        """Whether id vector q is weakly better than p for every player and
+        strictly better for some, in one pass that stops at the first player
+        q is not weakly better for."""
+        strict = False
+        for i, (a, b) in enumerate(zip(p, q)):
+            if a != b:
+                leq, lt = self.relation(i, a, b)
+                if not leq:
+                    return False
+                strict = strict or lt
+        return strict
+
+    def undominated(self, joint):
+        """The members of `joint`, in order, whose vector no member's
+        vector dominates."""
+        vectors = set(map(self.rows.__getitem__, joint))
+        return _unbeaten(joint, lambda s: (
+            q for q in vectors if self.dominates(q, self.rows[s])))
 
 
-def _dominates(game, q, p):
-    """Payoff vector q is weakly better than p for every player and
-    strictly better for some player."""
-    return all(map(game.payoff_leq, p, q)) and any(map(game.payoff_lt, p, q))
-
-
-def brute_nash(game):
+def brute_nash(game, table=None):
+    """The pure Nash equilibria of a PPGame or a PayoffGame, from the
+    definition.  `table`, the payoff game's `_PayoffTable`, is built if not
+    given."""
     if isinstance(game, pgame.PPGame):
         def better_replies(s):
             for i in range(len(game.players)):
                 order = game.prefs[i][tuple(s[j] for j in game.neigh[i])]
                 yield from _improving_values(order, s[i], game.strategies[i])
         return _unbeaten(game.joint_strategies(), better_replies)
-    table = _payoff_table(game)
+    if table is None:
+        table = _PayoffTable(game)
+    rows = table.rows
 
     def better_deviations(s):
         for i in range(len(game.players)):
-            p = table[s][i]
+            p = rows[s][i]
             for v in game.strategies[i]:
                 dev = s[:i] + (v,) + s[i + 1:]
-                if game.payoff_lt(p, table[dev][i]):
+                q = rows[dev][i]
+                if q != p and table.relation(i, p, q)[1]:
                     yield dev
-    return _unbeaten(table, better_deviations)
+    return _unbeaten(rows, better_deviations)
 
 
-def brute_pareto(game):
-    table = _payoff_table(game)
-
-    def dominators(s):
-        p = table[s]
-        return (t for t, q in table.items() if _dominates(game, q, p))
-    return _unbeaten(table, dominators)
+def brute_pareto(game, table=None):
+    """The Pareto-efficient joint strategies of a PayoffGame, from the
+    definition.  `table`, the game's `_PayoffTable`, is built if not given."""
+    if table is None:
+        table = _PayoffTable(game)
+    return table.undominated(list(table.rows))
 
 
 # ----------------------------------------------------------------- generators
@@ -346,8 +394,9 @@ def _check_strict_monotone(problem):
         return Verdict(True, skipped=True, detail="combination not strictly monotonic")
     game = bridge.local_map(problem)
     optimal = {s for s, _ in softcsp.optimal_solutions(problem)}
-    nash = set(brute_nash(game))
-    pareto = set(brute_pareto(game))
+    table = _PayoffTable(game)
+    nash = set(brute_nash(game, table))
+    pareto = set(brute_pareto(game, table))
     broken = []
     if not optimal <= nash:
         broken.append("Nash")
@@ -358,6 +407,12 @@ def _check_strict_monotone(problem):
         "optimal solutions escape the %s set of the local game: %r"
         % ("+".join(broken), sorted(optimal - (nash & pareto))),
     )
+
+
+def _nash_and_pareto(game):
+    """The joint strategies that are both Nash and Pareto-efficient."""
+    table = _PayoffTable(game)
+    return set(brute_nash(game, table)) & set(brute_pareto(game, table))
 
 
 def _check_consistent_csp(problem):
@@ -371,15 +426,15 @@ def _check_consistent_csp(problem):
         s for s in problem.assignments()
         if softcsp.solution_preference(problem, s).payload == top
     }
-    both = set(brute_nash(game)) & set(brute_pareto(game))
-    return _verdict(solutions == both, "solutions differ from Nash-and-Pareto of the local game")
+    return _verdict(solutions == _nash_and_pareto(game),
+                    "solutions differ from Nash-and-Pareto of the local game")
 
 
 def _check_global_map(problem):
     game = bridge.global_map(problem)
     optimal = {s for s, _ in softcsp.optimal_solutions(problem)}
-    both = set(brute_nash(game)) & set(brute_pareto(game))
-    return _verdict(optimal == both, "optimal differs from Nash-and-Pareto of the global game")
+    return _verdict(optimal == _nash_and_pareto(game),
+                    "optimal differs from Nash-and-Pareto of the global game")
 
 
 def _check_pareto_frontier(game):
@@ -401,10 +456,8 @@ def _check_regrets(game):
 
 def _check_pareto_nash(game):
     got = {s for s, _ in bridge.pareto_nash(game)}
-    nash = brute_nash(game)
-    table = _payoff_table(game)
-    expected = set(_unbeaten(nash, lambda s: (
-        t for t in nash if _dominates(game, table[t], table[s]))))
+    table = _PayoffTable(game)
+    expected = set(table.undominated(brute_nash(game, table)))
     return _verdict(got == expected, "got %r expected %r" % (sorted(got), sorted(expected)))
 
 

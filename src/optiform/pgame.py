@@ -216,15 +216,22 @@ def nash_equilibria_payoff(game):
     return list(softcsp.solutions(game.strategies, best_replies(game)))
 
 
-def pareto_efficient(game):
-    """The joint strategies whose payoff vector no other one Pareto-dominates,
-    in enumeration order: one skyline over vectors of exact payoff codes."""
+def pareto_maximal(game, joint):
+    """The members of `joint` whose payoff vector no other member
+    Pareto-dominates, in the order of `joint`: one skyline over vectors of
+    exact payoff codes."""
     scopes = [game.local_scope(i) for i in range(len(game.players))]
     codes = _payoff_codes(game)
     return semiring.maximal(
         (s, tuple(t[tuple(s[j] for j in scope)] for scope, t in zip(scopes, codes)))
-        for s in game.joint_strategies()
+        for s in joint
     )
+
+
+def pareto_efficient(game):
+    """The joint strategies whose payoff vector no other one Pareto-dominates,
+    in enumeration order."""
+    return pareto_maximal(game, game.joint_strategies())
 
 
 class DirectedGraph(Record):

@@ -108,6 +108,14 @@ def _values(data, where):
     return tuple(data)
 
 
+def _list(data, where):
+    """A JSON list as a tuple.  Anything else is refused: a string would
+    split into its characters and be read as a list of them."""
+    if not isinstance(data, list):
+        raise ValidationError("%s must be a list, not %s" % (where, type(data).__name__))
+    return tuple(data)
+
+
 def _header_to_json(kind, names_key, names, domains_key, domains):
     return {
         "kind": kind,
@@ -135,7 +143,8 @@ def _game_to_json(kind, game):
 def _game_from_json(data):
     """The players, their strategies and their neighbour indices."""
     players, index, strategies = _header_from_json(data, "players", "strategies")
-    neigh = tuple(tuple(index[q] for q in data["neigh"][p]) for p in players)
+    neigh = tuple(tuple(index[q] for q in _list(data["neigh"][p], "neigh of %s" % p))
+                  for p in players)
     return players, strategies, neigh
 
 
@@ -163,13 +172,13 @@ def _cpnet_from_json(data):
             entry = data["tables"][v]
         except KeyError:
             raise ValidationError("missing table for variable %s" % v)
-        parents = tuple(index[p] for p in entry["parents"])
+        where = "table of %s: " % v
+        parents = tuple(index[p] for p in _list(entry["parents"], where + '"parents"'))
         rows = {}
         for row in entry["rows"]:
-            order = tuple(row["order"])
-            cpnet.check_strict_orders([order], domains[i])
-            for when in row["when"]:
-                key = tuple(when)
+            order = _list(row["order"], where + '"order"')
+            for when in _list(row["when"], where + '"when"'):
+                key = _list(when, where + 'each "when" entry')
                 if key in rows:
                     raise ValidationError(
                         "table of %s: duplicate row for parent assignment %r" % (v, when)
@@ -206,11 +215,11 @@ def _scsp_from_json(data):
     variables, index, domains = _header_from_json(data, "variables", "domains")
     constraints = []
     for k, entry in enumerate(data["constraints"]):
-        scope = tuple(index[v] for v in entry["scope"])
+        scope = tuple(index[v] for v in _list(entry["scope"], 'constraint %d: "scope"' % k))
         table = {}
         for cell in entry["table"]:
             where = "constraint %d over %s" % (k, entry["scope"])
-            table[tuple(cell["tuple"])] = semiring.SemiringValue(
+            table[_list(cell["tuple"], where + ': "tuple"')] = semiring.SemiringValue(
                 spec, payload_from_json(spec, cell["value"], where))
         constraints.append(softcsp.SoftConstraint(scope, table))
     return softcsp.SoftCSP(variables, domains, tuple(constraints), spec)
@@ -233,10 +242,10 @@ def _ppgame_from_json(data):
     for p in players:
         rows = {}
         for row in data["prefs"][p]:
-            key = tuple(row["when"])
+            key = _list(row["when"], 'prefs of %s: "when"' % p)
             if key in rows:
                 raise ValidationError("prefs of %s: duplicate row %r" % (p, row["when"]))
-            rows[key] = tuple(row["order"])
+            rows[key] = _list(row["order"], 'prefs of %s: "order"' % p)
         prefs.append(rows)
     return pgame.PPGame(players, strategies, neigh, tuple(prefs))
 
@@ -266,7 +275,7 @@ def _payoffgame_from_json(data):
         table = {}
         for cell in data["payoffs"][p]:
             v = payload_from_json(carrier, cell["value"], "payoffs of %s" % p)
-            table[tuple(cell["when"])] = (
+            table[_list(cell["when"], 'payoffs of %s: "when"' % p)] = (
                 v if carrier is None else semiring.SemiringValue(carrier, v))
         payoffs.append(table)
     return pgame.PayoffGame(players, strategies, neigh, tuple(payoffs), carrier)

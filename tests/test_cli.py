@@ -258,6 +258,40 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
          '{"x": ["a"]}, "constraints": [{"scope": ["x", "x"], "table": [{"tuple": ["a", "a"], '
          '"value": "1"}]}]}', "names a variable twice"),
+        # a string where a list belongs would split into its characters
+        ("cpnet-optimal", '{"kind": "cpnet", %s}' % (
+            net % ('["x", "y"]', '[{"when": [[]], "order": "xy"}]')), 'table of A: "order"'),
+        ("cpnet-optimal", '{"kind": "cpnet", "variables": ["P", "Q", "C"], "domains": {"P": '
+         '["a", "b"], "Q": ["a", "b"], "C": ["c"]}, "tables": {"P": {"parents": [], "rows": '
+         '[{"when": [[]], "order": ["a", "b"]}]}, "Q": {"parents": [], "rows": [{"when": [[]], '
+         '"order": ["a", "b"]}]}, "C": {"parents": ["P", "Q"], "rows": [{"when": '
+         '["aa", "ab", "ba", "bb"], "order": ["c"]}]}}}', 'table of C: each "when" entry'),
+        ("cpnet-optimal", '{"kind": "cpnet", "variables": ["A", "B"], "domains": {"A": ["a", "b"], '
+         '"B": ["c"]}, "tables": {"A": {"parents": [], "rows": [{"when": [[]], "order": '
+         '["a", "b"]}]}, "B": {"parents": ["A"], "rows": [{"when": "ab", "order": ["c"]}]}}}',
+         'table of B: "when"'),
+        ("cpnet-optimal", '{"kind": "cpnet", "variables": ["A", "B"], "domains": {"A": ["a", "b"], '
+         '"B": ["c"]}, "tables": {"A": {"parents": [], "rows": [{"when": [[]], "order": '
+         '["a", "b"]}]}, "B": {"parents": "A", "rows": [{"when": [["a"], ["b"]], "order": '
+         '["c"]}]}}}', 'table of B: "parents"'),
+        ("game-nash", '{"kind": "payoffgame", "carrier": null, "players": ["p", "q"], "strategies": '
+         '{"p": ["x"], "q": ["y"]}, "neigh": {"p": "q", "q": []}, "payoffs": {"p": [{"when": '
+         '["x", "y"], "value": "1"}], "q": [{"when": ["y"], "value": "1"}]}}', "neigh of p"),
+        ("game-nash", '{"kind": "ppgame", "players": ["p", "q"], "strategies": {"p": ["x", "y"], '
+         '"q": ["a"]}, "neigh": {"p": ["q"], "q": []}, "prefs": {"p": [{"when": "a", "order": '
+         '["x", "y"]}], "q": [{"when": [], "order": ["a"]}]}}', 'prefs of p: "when"'),
+        ("game-nash", '{"kind": "ppgame", "players": ["p"], "strategies": {"p": ["x", "y"]}, '
+         '"neigh": {"p": []}, "prefs": {"p": [{"when": [], "order": "xy"}]}}',
+         'prefs of p: "order"'),
+        ("game-nash", '{"kind": "payoffgame", "carrier": null, "players": ["p"], "strategies": '
+         '{"p": ["a"]}, "neigh": {"p": []}, "payoffs": {"p": [{"when": "a", "value": "1"}]}}',
+         'payoffs of p: "when"'),
+        ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x", "y"], '
+         '"domains": {"x": ["a"], "y": ["b"]}, "constraints": [{"scope": ["x", "y"], "table": '
+         '[{"tuple": "ab", "value": "1"}]}]}', '"tuple"'),
+        ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x", "y"], '
+         '"domains": {"x": ["a"], "y": ["b"]}, "constraints": [{"scope": "xy", "table": '
+         '[{"tuple": ["a", "b"], "value": "1"}]}]}', 'constraint 0: "scope"'),
         ("scsp-solve", scsp % '"1e999999"', "at most"),
         ("scsp-solve", scsp % ('"%s"' % ("7" * 1001)), "at most"),
         ("scsp-solve", scsp % ("7" * 5000), "syntax"),
@@ -305,6 +339,7 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         (["cpnet-eligible", fx("acyclic4.cpnet.json")], "outcome space has 16"),
         (["game-nash", fx("pd.ppgame.json")], "outcome space has 4"),
         (["game-nash", fx("pd.payoffgame.json")], "joint strategy space has 4"),
+        (["pareto-nash", fx("pd.payoffgame.json")], "joint assignment space has 4"),
     ):
         assert run(capsys, *argv) == (
             3, "", "bound exhausted: %s elements, exceeding the bound 2\n" % space)

@@ -174,3 +174,49 @@ def test_referees_match_nested_loops():
         assert oracle.brute_nash(game) == nested_nash(game)
         net = oracle.random_cpnet(replace(CFG, seed=seed, acyclic=seed % 2 == 0))
         assert oracle.brute_optimal_outcomes(net) == nested_optimal_outcomes(net)
+
+
+def test_referee_asks_each_order_once(monkeypatch):
+    """One check asks `payoff_leq` at most once per player and distinct
+    ordered pair of payoffs, and never of two equal payoffs.  Each player's
+    payoffs are shifted by 100 per player, so a pair of values names its
+    player."""
+    calls = []
+    leq = pgame.PayoffGame.payoff_leq
+
+    def counting_leq(game, a, b):
+        calls.append((a, b))
+        return leq(game, a, b)
+    monkeypatch.setattr(pgame.PayoffGame, "payoff_leq", counting_leq)
+    asked = 0
+    for seed in range(1, 41):
+        game = oracle.random_payoff_game(replace(CFG, seed=seed, max_vars=3))
+        shifted = tuple({t: p + 100 * i for t, p in table.items()}
+                        for i, table in enumerate(game.payoffs))
+        game = pgame.PayoffGame(game.players, game.strategies, game.neigh, shifted)
+        for theorem in ("pareto_nash", "pareto_frontier"):
+            calls.clear()
+            assert oracle.check_theorem(theorem, game).ok
+            assert len(calls) == len(set(calls)), (seed, theorem)
+            assert all(a != b for a, b in calls)
+        calls.clear()
+        table = oracle._PayoffTable(game)
+        oracle.brute_nash(game, table)
+        oracle.brute_pareto(game, table)
+        assert len(calls) == len(set(calls)), seed
+        asked += len(calls)
+    assert asked
+
+
+def test_oracle_never_calls_the_solvers_it_referees():
+    """The referees decide order through the definitions alone: oracle.py
+    names neither the exact codes, nor the skyline, nor the Nash and Pareto
+    solvers."""
+    import ast
+    import inspect
+    tree = ast.parse(inspect.getsource(oracle))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"maximal", "_skyline", "_compile", "_payoff_codes",
+                        "nash_equilibria_payoff", "best_replies", "pareto_efficient",
+                        "pareto_maximal"}

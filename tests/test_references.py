@@ -1,18 +1,27 @@
 """The elimination loop over raw tables, the no-regret constraints built from
-best replies and the shared layering loop, against the code they replaced,
-kept literally as references: the callback fixpoint and its single round,
-the boxed `regret_constraints` that compares every tuple with every
-deviation, and the two layering loops.
+best replies, the shared layering loop, the Pareto-efficient Nash skyline,
+the oracle's interned payoff table and the memoised dominance search,
+against the code they replaced, kept literally as references: the callback
+fixpoint and its single round, the boxed `regret_constraints` that compares
+every tuple with every deviation, the two layering loops, the `pareto_nash`
+that joins the cost tuples with the no-regret constraints and enumerates
+every joint strategy, the referees over a table of boxed payoff vectors,
+and the dominance search that slices every row it meets.
 
-Results and elimination traces must be equal on every seed.  Level maps are
-compared with `==`: their insertion order follows set iteration, which for
-string keys varies with the per-process hash seed.
+Results and elimination traces must be equal on every seed, lists in the
+same order.  Level maps are compared with `==`: their insertion order
+follows set iteration, which for string keys varies with the per-process
+hash seed.
 """
 
+import itertools
 import random
+from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 
 from optiform import bridge, cpnet, oracle, pgame, semiring, softcsp
+from optiform.errors import ValidationError
 
 CFG = oracle.GeneratorConfig()
 SEEDS = range(300)
@@ -100,6 +109,106 @@ def reference_is_well_structured(graph):
     return True, placed
 
 
+def reference_pareto_nash(game, offset=None):
+    merged = softcsp.join(bridge.scsp_of_game(game, offset), bridge.regret_constraints(game))
+    bottom = semiring.zero(merged.semiring)
+    return [
+        (s, p)
+        for s, p in softcsp.optimal_solutions(merged)
+        if p.payload != bottom.payload
+    ]
+
+
+def reference_payoff_table(game):
+    players = range(len(game.players))
+    return {s: tuple(game.payoff(i, s) for i in players) for s in game.joint_strategies()}
+
+
+def reference_dominates(game, q, p):
+    return all(map(game.payoff_leq, p, q)) and any(map(game.payoff_lt, p, q))
+
+
+def reference_brute_nash(game):
+    table = reference_payoff_table(game)
+
+    def better_deviations(s):
+        for i in range(len(game.players)):
+            p = table[s][i]
+            for v in game.strategies[i]:
+                dev = s[:i] + (v,) + s[i + 1:]
+                if game.payoff_lt(p, table[dev][i]):
+                    yield dev
+    return oracle._unbeaten(table, better_deviations)
+
+
+def reference_brute_pareto(game):
+    table = reference_payoff_table(game)
+
+    def dominators(s):
+        p = table[s]
+        return (t for t, q in table.items() if reference_dominates(game, q, p))
+    return oracle._unbeaten(table, dominators)
+
+
+def reference_dominates_search(net, alpha, beta, budget=cpnet.DEFAULT_DOMINANCE_BUDGET):
+    net.check_outcome(alpha)
+    net.check_outcome(beta)
+    tables = list(enumerate(zip(net.parents, net.rows)))
+    frontier = deque([alpha])
+    visited = {alpha}
+    expanded = 0
+    while frontier:
+        if expanded >= budget:
+            return cpnet.BUDGET_EXHAUSTED
+        o = frontier.popleft()
+        expanded += 1
+        for i, (ps, rows) in tables:
+            order = rows[tuple(map(o.__getitem__, ps))]
+            for v in order[order.index(o[i]) + 1:]:
+                succ = o[:i] + (v,) + o[i + 1:]
+                if succ == beta:
+                    return True
+                if succ not in visited:
+                    visited.add(succ)
+                    frontier.append(succ)
+    return False
+
+
+class ProductPayoffGame(pgame.PayoffGame):
+    """A payoff game over a product carrier, whose induced order leaves some
+    payoffs incomparable.  `PayoffGame` admits linear carriers only, and
+    this subclass skips that check: the referees order payoffs only through
+    `payoff_leq`/`payoff_lt`, which a product carrier defines."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        pass
+
+
+def product_payoff_game(seed):
+    rng = random.Random(seed)
+    spec = semiring.product(semiring.FUZZY, semiring.FUZZY)
+    n = rng.randint(2, 3)
+    strategies = tuple(tuple("s%d" % k for k in range(rng.randint(2, 3))) for _ in range(n))
+    neigh = pgame.full_neighbourhoods(n)
+    halves = [Fraction(k, 2) for k in range(3)]
+    payoffs = tuple(
+        {s: semiring.value(spec, (rng.choice(halves), rng.choice(halves)))
+         for s in itertools.product(*strategies)}
+        for _ in range(n))
+    return ProductPayoffGame(tuple("p%d" % i for i in range(n)), strategies, neigh, payoffs, spec)
+
+
+def fractional(game, seed):
+    """The same game with payoffs drawn from the rationals in [0, 10] with
+    denominators 3 to 7."""
+    rng = random.Random(seed)
+    payoffs = tuple({t: Fraction(rng.randint(0, 30), rng.randint(3, 7)) for t in table}
+                    for table in game.payoffs)
+    return pgame.PayoffGame(game.players, game.strategies, game.neigh, payoffs)
+
+
 # ------------------------------------------------------------------ tests
 
 def test_net_fixpoint_matches_callback_fixpoint():
@@ -152,3 +261,51 @@ def test_layers_match_both_loops():
         back = tuple((v, u) for u, v in dag.edges if rng.random() < 0.3)
         for graph in (dag, pgame.DirectedGraph(dag.nodes, dag.edges + back)):
             assert pgame.is_well_structured(graph) == reference_is_well_structured(graph), seed
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the message of the ValidationError it raises."""
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_pareto_nash_matches_join():
+    for seed in SEEDS:
+        for max_vars in (3, 5):
+            game = oracle.random_payoff_game(replace(CFG, seed=seed, max_vars=max_vars))
+            for g in (game, fractional(game, seed)):
+                # an offset of 5 is below the top payoff of most games
+                for offset in (None, 20, 5):
+                    want = outcome(reference_pareto_nash, g, offset)
+                    assert outcome(bridge.pareto_nash, g, offset) == want, (seed, max_vars, offset)
+
+
+def test_referees_match_boxed_payoff_table():
+    games = [oracle.random_payoff_game(replace(CFG, seed=seed)) for seed in SEEDS]
+    for carrier in ("weighted", "fuzzy", "boolean"):
+        for seed in SEEDS[::3]:
+            problem = oracle.random_scsp(replace(CFG, seed=seed, carrier=carrier))
+            games += [bridge.local_map(problem), bridge.global_map(problem)]
+    products = [product_payoff_game(seed) for seed in SEEDS[:60]]
+    spec = products[0].carrier
+    assert any(semiring.incomparable(spec, a, b)
+               for g in products for a in g.payoffs[0].values() for b in g.payoffs[0].values())
+    for game in games + products:
+        assert oracle.brute_nash(game) == reference_brute_nash(game)
+        assert oracle.brute_pareto(game) == reference_brute_pareto(game)
+
+
+def test_dominates_matches_row_slicing_search():
+    for seed in SEEDS:
+        for acyclic in (False, True):
+            net = oracle.random_cpnet(replace(CFG, seed=seed, acyclic=acyclic))
+            outcomes = list(net.outcomes())
+            rng = random.Random(seed)
+            pairs = [(rng.choice(outcomes), rng.choice(outcomes)) for _ in range(4)]
+            pairs.append((outcomes[0], outcomes[0]))
+            for alpha, beta in pairs:
+                for budget in (1, 3, 10, 10 ** 5):
+                    assert cpnet.dominates(net, alpha, beta, budget) == \
+                        reference_dominates_search(net, alpha, beta, budget), (seed, acyclic)
