@@ -85,56 +85,52 @@ def classical_csp():
 
 def cyclic4():
     # A depends on D, B on A, C on B, D on C; each pair of rows as listed.
-    doms = {v: (v.lower(), v.lower() + "~") for v in "ABCD"}
-    def tbl(i, parent, rows):
-        return cpnet.CPTable(i, (parent,), rows)
+    doms = tuple((v.lower(), v.lower() + "~") for v in "ABCD")
     a, a_, b, b_, c, c_, d, d_ = "a", "a~", "b", "b~", "c", "c~", "d", "d~"
-    tables = (
-        tbl(0, 3, {(d,): (a, a_), (d_,): (a, a_)}),
-        tbl(1, 0, {(a,): (b, b_), (a_,): (b_, b)}),
-        tbl(2, 1, {(b,): (c, c_), (b_,): (c_, c)}),
-        tbl(3, 2, {(c,): (d, d_), (c_,): (d_, d)}),
+    rows = (
+        {(d,): (a, a_), (d_,): (a, a_)},
+        {(a,): (b, b_), (a_,): (b_, b)},
+        {(b,): (c, c_), (b_,): (c_, c)},
+        {(c,): (d, d_), (c_,): (d_, d)},
     )
-    return cpnet.CPNet(tuple("ABCD"), tuple(doms[v] for v in "ABCD"), tables)
+    return cpnet.from_tables(tuple("ABCD"), doms, ((3,), (0,), (1,), (2,)), rows)
 
 
 def acyclic4():
     a, a_, b, b_, c, c_, d, d_ = "a", "a~", "b", "b~", "c", "c~", "d", "d~"
-    tables = (
-        cpnet.CPTable(0, (), {(): (a, a_)}),
-        cpnet.CPTable(1, (), {(): (b, b_)}),
-        cpnet.CPTable(2, (0, 1), {
+    rows = (
+        {(): (a, a_)},
+        {(): (b, b_)},
+        {
             (a, b): (c, c_), (a_, b_): (c, c_),
             (a, b_): (c_, c), (a_, b): (c_, c),
-        }),
-        cpnet.CPTable(3, (2,), {(c,): (d, d_), (c_,): (d_, d)}),
+        },
+        {(c,): (d, d_), (c_,): (d_, d)},
     )
     doms = ((a, a_), (b, b_), (c, c_), (d, d_))
-    return cpnet.CPNet(tuple("ABCD"), doms, tables)
+    return cpnet.from_tables(tuple("ABCD"), doms, ((), (), (0, 1), (2,)), rows)
 
 
 def cyclic2():
     a, a_, b, b_ = "a", "a~", "b", "b~"
-    tables = (
-        cpnet.CPTable(0, (1,), {(b,): (a_, a), (b_,): (a, a_)}),
-        cpnet.CPTable(1, (0,), {(a,): (b, b_), (a_,): (b_, b)}),
+    rows = (
+        {(b,): (a_, a), (b_,): (a, a_)},
+        {(a,): (b, b_), (a_,): (b_, b)},
     )
-    return cpnet.CPNet(("A", "B"), ((a, a_), (b, b_)), tables)
+    return cpnet.from_tables(("A", "B"), ((a, a_), (b, b_)), ((1,), (0,)), rows)
 
 
 def redundant3():
     # Z's four rows all coincide, so both of its parents are redundant.
     order_z = ("c1", "c2")
-    tables = (
-        cpnet.CPTable(0, (), {(): ("a1", "a2")}),
-        cpnet.CPTable(1, (), {(): ("b1", "b2")}),
-        cpnet.CPTable(2, (0, 1), {
-            pa: order_z
-            for pa in itertools.product(("a1", "a2"), ("b1", "b2"))
-        }),
+    rows = (
+        {(): ("a1", "a2")},
+        {(): ("b1", "b2")},
+        {pa: order_z for pa in itertools.product(("a1", "a2"), ("b1", "b2"))},
     )
-    return cpnet.CPNet(
-        ("X", "Y", "Z"), (("a1", "a2"), ("b1", "b2"), ("c1", "c2")), tables
+    return cpnet.from_tables(
+        ("X", "Y", "Z"), (("a1", "a2"), ("b1", "b2"), ("c1", "c2")),
+        ((), (), (0, 1)), rows,
     )
 
 

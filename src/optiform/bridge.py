@@ -67,7 +67,7 @@ def global_map(problem):
     if not semiring.is_linear(problem.semiring):
         raise ValidationError("global map needs a linearly ordered carrier")
     n = len(problem.variables)
-    neigh = pgame.full_neighbourhoods(n)
+    neigh = cpnet.full_parents(n)
     shared = {
         s: softcsp.solution_preference(problem, s)
         for s in problem.assignments()
@@ -78,23 +78,26 @@ def global_map(problem):
     )
 
 
-def _rational_payoffs(game):
+def _cost_carrier(game, offset):
+    """The offset m of the cost tuples (m - payoff per player), by default
+    the top payoff and never below it, and their carrier: one weighted
+    factor per player."""
     if game.carrier is not None:
         raise ValidationError("this mapping needs plain rational payoffs")
+    if not game.players or not all(game.strategies):
+        raise ValidationError("cost tuples need at least one player, and a strategy for each")
+    top = max(max(t.values()) for t in game.payoffs)
+    m = Fraction(offset) if offset is not None else Fraction(top)
+    if m < top:
+        raise ValidationError("offset %s is below the maximum payoff %s" % (m, top))
+    return m, semiring.product(*(semiring.WEIGHTED for _ in game.players))
 
 
 def scsp_of_game(game, offset=None):
     """One soft constraint per player over an n-fold weighted product;
     the player's coordinate carries the cost offset - payoff, the rest 0."""
-    _rational_payoffs(game)
+    m, spec = _cost_carrier(game, offset)
     n = len(game.players)
-    top = max(max(t.values()) for t in game.payoffs)
-    m = Fraction(offset) if offset is not None else Fraction(top)
-    if m < top:
-        raise ValidationError(
-            "offset %s is below the maximum payoff %s" % (m, top)
-        )
-    spec = semiring.product(*(semiring.WEIGHTED for _ in range(n)))
     constraints = []
     for i in range(n):
         scope = game.local_scope(i)
@@ -131,10 +134,11 @@ def pareto_nash(game, offset=None):
     all-infinity bottom of the cost-tuple problem joined with the no-regret
     constraints: the lifted constraints give a non-equilibrium the bottom
     and an equilibrium the all-zero tuple, so an equilibrium's preference is
-    its cost tuple alone."""
-    costs = scsp_of_game(game, offset)
+    its cost tuple alone, boxed here straight from its payoffs."""
+    m, spec = _cost_carrier(game, offset)
     check_space(game.space_size())
+    players = range(len(game.players))
     return [
-        (s, softcsp.solution_preference(costs, s))
+        (s, semiring.value(spec, tuple(m - game.payoff(i, s) for i in players)))
         for s in pgame.pareto_maximal(game, pgame.nash_equilibria_payoff(game))
     ]

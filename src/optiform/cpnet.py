@@ -148,6 +148,42 @@ def unused_parents(domains, parents, rows):
     return out
 
 
+def drop_parents(domains, parents, rows, drop):
+    """One table without the parents in `drop`, each read at the first value
+    of its domain.  Returns the kept parents and their rows."""
+    kept = tuple(p for p in parents if p not in drop)
+    at = {p: domains[p][0] for p in drop}
+    out = {}
+    for a in itertools.product(*map(domains.__getitem__, kept)):
+        at.update(zip(kept, a))
+        out[a] = rows[tuple(map(at.__getitem__, parents))]
+    return kept, out
+
+
+def layers(items, ready):
+    """Level 0 for the items `ready(item, placed)` accepts with nothing
+    placed, then level 1 for those it accepts once level 0 is placed, and so
+    on.  Returns (True, levels), or (False, None) when some item never is."""
+    levels = {}
+    remaining = set(items)
+    level = 0
+    while remaining:
+        layer = {x for x in remaining if ready(x, levels)}
+        if not layer:
+            return False, None
+        levels.update(dict.fromkeys(layer, level))
+        remaining -= layer
+        level += 1
+    return True, levels
+
+
+def parent_levels(parents):
+    """`layers` of the indices, each placed once all its parents are: (True,
+    levels) with every parent on a lower level than its child, or (False,
+    None) when the parents form a cycle."""
+    return layers(range(len(parents)), lambda i, placed: all(p in placed for p in parents[i]))
+
+
 def full_parents(n):
     """Every other index as a parent, for each of n indices."""
     return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
@@ -183,7 +219,8 @@ class CPTable(Record):
 
 class CPNet(Record):
     # `parents` and `rows` hold the tables' per-index parents and rows, as
-    # the table core takes them; they are derived, so not fields
+    # the table core takes them, and every algorithm reads them, not the
+    # tables; they are derived, so not fields
     __slots__ = ("variables", "domains", "tables", "parents", "rows")
     _fields = ("variables", "domains", "tables")
 
@@ -219,8 +256,7 @@ class CPNet(Record):
 
     def row_for(self, i, outcome):
         """The unique order for variable i selected by the outcome's parents."""
-        t = self.tables[i]
-        return t.rows[tuple(outcome[p] for p in t.parents)]
+        return self.rows[i][tuple(outcome[p] for p in self.parents[i])]
 
 
 def from_tables(variables, domains, parents, rows):
@@ -229,32 +265,8 @@ def from_tables(variables, domains, parents, rows):
     return CPNet(variables, domains, tuple(tables))
 
 
-def dependency_graph(net):
-    """Edges parent -> child, as a list of index pairs."""
-    return [(p, t.owner) for t in net.tables for p in t.parents]
-
-
 def is_acyclic(net):
-    return topological_order(net) is not None
-
-
-def topological_order(net):
-    n = len(net.variables)
-    children = {i: [] for i in range(n)}
-    indeg = {i: 0 for i in range(n)}
-    for p, c in dependency_graph(net):
-        children[p].append(c)
-        indeg[c] += 1
-    ready = deque(i for i in range(n) if indeg[i] == 0)
-    order = []
-    while ready:
-        i = ready.popleft()
-        order.append(i)
-        for c in children[i]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    return order if len(order) == n else None
+    return parent_levels(net.parents)[0]
 
 
 def _flips(net, outcome, better):
@@ -303,15 +315,15 @@ def optimality_constraints(net):
     assignments selecting that order imply the variable equals its top.
     """
     constraints = []
-    for i, t in enumerate(net.tables):
+    for i, (ps, rows) in enumerate(zip(net.parents, net.rows)):
         by_order = {}
-        for pa, order in t.rows.items():
+        for pa, order in rows.items():
             by_order.setdefault(order, set()).add(pa)
-        scope = t.parents + (i,)
+        scope = ps + (i,)
         for order, pas in sorted(by_order.items()):
             top = order[0]
             table = {}
-            for pa in itertools.product(*(net.domains[p] for p in t.parents)):
+            for pa in itertools.product(*(net.domains[p] for p in ps)):
                 for v in net.domains[i]:
                     ok = pa not in pas or v == top
                     table[pa + (v,)] = semiring.value(semiring.BOOLEAN, ok)
@@ -327,15 +339,13 @@ def is_eligible(net):
 
 
 def sweep_optimal(net):
-    """Topological sweep through an acyclic net, taking each row's top."""
-    order = topological_order(net)
-    if order is None:
+    """Sweep through an acyclic net level by level, taking each row's top."""
+    acyclic, levels = parent_levels(net.parents)
+    if not acyclic:
         raise ValidationError("sweep requires an acyclic net")
     assignment = [None] * len(net.variables)
-    for i in order:
-        t = net.tables[i]
-        row = t.rows[tuple(assignment[p] for p in t.parents)]
-        assignment[i] = row[0]
+    for i in sorted(levels, key=levels.get):
+        assignment[i] = net.rows[i][tuple(assignment[p] for p in net.parents[i])][0]
     return tuple(assignment)
 
 
@@ -388,31 +398,18 @@ def redundant_parents(net, i):
     return unused_parents(net.domains, net.parents[i], net.rows[i])
 
 
-def _drop_parent(net, i, y):
-    t = net.tables[i]
-    k = t.parents.index(y)
-    rest = t.parents[:k] + t.parents[k + 1:]
-    rows = {}
-    anchor = net.domains[y][0]
-    for a in itertools.product(*(net.domains[p] for p in rest)):
-        rows[a] = t.rows[a[:k] + (anchor,) + a[k:]]
-    tables = list(net.tables)
-    tables[i] = CPTable(i, rest, rows)
-    return CPNet(net.variables, net.domains, tuple(tables))
-
-
 def reduce(net):
-    """Remove redundant parents, scanning variables and parents in ascending
-    index order, until no variable has a redundant parent."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(net.variables)):
-            red = redundant_parents(net, i)
-            for y in sorted(red):
-                net = _drop_parent(net, i, y)
-                changed = True
-    return net
+    """Remove every redundant parent in one pass; the net itself when none
+    is.  Dropping a redundant parent leaves each other parent of its table
+    redundant or essential as it was, so one pass reaches the fixpoint."""
+    unused = [redundant_parents(net, i) for i in range(len(net.variables))]
+    if not any(unused):
+        return net
+    parents, rows = zip(*(
+        drop_parents(net.domains, ps, r, drop) if drop else (ps, r)
+        for ps, r, drop in zip(net.parents, net.rows, unused)
+    ))
+    return from_tables(net.variables, net.domains, parents, rows)
 
 
 def is_reduced(net):

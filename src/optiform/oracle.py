@@ -157,31 +157,40 @@ def _domains(rng, cfg, n):
     )
 
 
+def _random_tables(rng, cfg, domains, graphical):
+    """Parents and rows for each index of `domains`.  When `graphical`, the
+    indices are shuffled and each draws its parents, each kept with
+    probability `cfg.density`, from the indices before it (`cfg.acyclic`)
+    or from all others; otherwise every other index is a parent.  Each row
+    is its index's domain, shuffled."""
+    n = len(domains)
+    if graphical:
+        order = list(range(n))
+        rng.shuffle(order)
+        drawn = {}
+        for rank, i in enumerate(order):
+            pool = order[:rank] if cfg.acyclic else [j for j in range(n) if j != i]
+            drawn[i] = tuple(sorted(j for j in pool if rng.random() < cfg.density))
+        parents = tuple(map(drawn.__getitem__, range(n)))
+    else:
+        parents = cpnet.full_parents(n)
+    rows = []
+    for i, ps in enumerate(parents):
+        table = {}
+        for pa in itertools.product(*map(domains.__getitem__, ps)):
+            perm = list(domains[i])
+            rng.shuffle(perm)
+            table[pa] = tuple(perm)
+        rows.append(table)
+    return parents, tuple(rows)
+
+
 def random_cpnet(cfg):
     rng = random.Random(cfg.seed)
     n = rng.randint(1, cfg.max_vars)
     domains = _domains(rng, cfg, n)
-    order = list(range(n))
-    rng.shuffle(order)
-    tables = []
-    parent_pool = {}
-    for rank, i in enumerate(order):
-        if cfg.acyclic:
-            pool = order[:rank]
-        else:
-            pool = [j for j in range(n) if j != i]
-        parent_pool[i] = tuple(sorted(j for j in pool if rng.random() < cfg.density))
-    for i in range(n):
-        parents = parent_pool[i]
-        rows = {}
-        for pa in itertools.product(*(domains[p] for p in parents)):
-            perm = list(domains[i])
-            rng.shuffle(perm)
-            rows[pa] = tuple(perm)
-        tables.append(cpnet.CPTable(i, parents, rows))
-    return cpnet.CPNet(
-        tuple("X%d" % i for i in range(n)), domains, tuple(tables)
-    )
+    return cpnet.from_tables(tuple("X%d" % i for i in range(n)), domains,
+                             *_random_tables(rng, cfg, domains, True))
 
 
 def _carrier_spec(cfg):
@@ -244,29 +253,8 @@ def random_ppgame(cfg):
     rng = random.Random(cfg.seed)
     n = rng.randint(1, cfg.max_vars)
     strategies = _domains(rng, cfg, n)
-    if cfg.graphical:
-        order = list(range(n))
-        rng.shuffle(order)
-        neigh_sets = {}
-        for rank, i in enumerate(order):
-            pool = order[:rank] if cfg.acyclic else [j for j in range(n) if j != i]
-            neigh_sets[i] = tuple(
-                sorted(j for j in pool if rng.random() < cfg.density)
-            )
-        neigh = tuple(neigh_sets[i] for i in range(n))
-    else:
-        neigh = pgame.full_neighbourhoods(n)
-    prefs = []
-    for i in range(n):
-        rows = {}
-        for s in itertools.product(*(strategies[j] for j in neigh[i])):
-            perm = list(strategies[i])
-            rng.shuffle(perm)
-            rows[s] = tuple(perm)
-        prefs.append(rows)
-    return pgame.PPGame(
-        tuple("p%d" % i for i in range(n)), strategies, neigh, tuple(prefs)
-    )
+    return pgame.PPGame(tuple("p%d" % i for i in range(n)), strategies,
+                        *_random_tables(rng, cfg, strategies, cfg.graphical))
 
 
 def random_dag(cfg, max_nodes=10):

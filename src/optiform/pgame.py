@@ -103,9 +103,6 @@ class PayoffGame(Record):
         return semiring.strictly_less(self.carrier, a, b)
 
 
-full_neighbourhoods = cpnet.full_parents
-
-
 def expand_full(game):
     """The same PPGame with every other player made an explicit neighbour."""
     neigh, prefs = cpnet.full_tables(game.players, game.strategies, game.neigh, game.prefs)
@@ -166,25 +163,8 @@ def is_hierarchical(game):
     (dependencies only on strictly lower levels); levels is None when cyclic.
     Players with constant preferences depend on nobody and sit at level 0.
     """
-    deps = [essential_neighbours(game, i) for i in range(len(game.players))]
-    return _layers(range(len(deps)), lambda i, placed: all(j in placed for j in deps[i]))
-
-
-def _layers(items, ready):
-    """Level 0 for the items `ready(item, placed)` accepts with nothing
-    placed, then level 1 for those it accepts once level 0 is placed, and so
-    on.  Returns (True, levels), or (False, None) when some item never is."""
-    levels = {}
-    remaining = set(items)
-    level = 0
-    while remaining:
-        layer = {x for x in remaining if ready(x, levels)}
-        if not layer:
-            return False, None
-        levels.update(dict.fromkeys(layer, level))
-        remaining -= layer
-        level += 1
-    return True, levels
+    return cpnet.parent_levels([essential_neighbours(game, i)
+                                for i in range(len(game.players))])
 
 
 def _payoff_codes(game):
@@ -279,13 +259,12 @@ def tech_game(graph, k):
     return PPGame(graph.nodes, tuple(techs for _ in range(n)), neigh, tuple(prefs))
 
 
-def _levels_ok(graph, levels):
-    for node in graph.nodes:
-        preds = graph.predecessors(node)
-        lower = sum(1 for u in preds if levels[u] < levels[node])
-        if lower < len(preds) - lower:
-            return False
-    return True
+def _well_placed(graph, node, lower):
+    """Whether at least half of the node's in-edges come from the nodes that
+    `lower` accepts."""
+    preds = graph.predecessors(node)
+    done = sum(1 for u in preds if lower(u))
+    return done >= len(preds) - done
 
 
 def is_well_structured(graph, levels=None):
@@ -301,10 +280,6 @@ def is_well_structured(graph, levels=None):
     if levels is not None:
         if set(levels) != set(graph.nodes):
             raise ValidationError("level assignment must cover exactly the nodes")
-        return (_levels_ok(graph, levels), dict(levels))
-
-    def ready(node, placed):
-        preds = graph.predecessors(node)
-        done = sum(1 for u in preds if u in placed)
-        return done >= len(preds) - done
-    return _layers(graph.nodes, ready)
+        ok = all(_well_placed(graph, v, lambda u: levels[u] < levels[v]) for v in graph.nodes)
+        return ok, dict(levels)
+    return cpnet.layers(graph.nodes, lambda v, placed: _well_placed(graph, v, placed.__contains__))

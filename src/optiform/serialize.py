@@ -153,27 +153,24 @@ def _game_from_json(data):
 def _cpnet_to_json(net):
     doc = _header_to_json("cpnet", "variables", net.variables, "domains", net.domains)
     doc["tables"] = tables = {}
-    for i, t in enumerate(net.tables):
-        rows = [
-            {"when": [pa], "order": order} for pa, order in sorted(t.rows.items())
-        ]
-        tables[net.variables[i]] = {
-            "parents": [net.variables[p] for p in t.parents],
-            "rows": rows,
+    for v, ps, rows in zip(net.variables, net.parents, net.rows):
+        tables[v] = {
+            "parents": [net.variables[p] for p in ps],
+            "rows": [{"when": [pa], "order": order} for pa, order in sorted(rows.items())],
         }
     return doc
 
 
 def _cpnet_from_json(data):
     variables, index, domains = _header_from_json(data, "variables", "domains")
-    tables = []
-    for i, v in enumerate(variables):
+    parents, table_rows = [], []
+    for v in variables:
         try:
             entry = data["tables"][v]
         except KeyError:
             raise ValidationError("missing table for variable %s" % v)
         where = "table of %s: " % v
-        parents = tuple(index[p] for p in _list(entry["parents"], where + '"parents"'))
+        parents.append(tuple(index[p] for p in _list(entry["parents"], where + '"parents"')))
         rows = {}
         for row in entry["rows"]:
             order = _list(row["order"], where + '"order"')
@@ -184,9 +181,9 @@ def _cpnet_from_json(data):
                         "table of %s: duplicate row for parent assignment %r" % (v, when)
                     )
                 rows[key] = order
-        tables.append(cpnet.CPTable(i, parents, rows))
+        table_rows.append(rows)
     try:
-        return cpnet.CPNet(variables, domains, tuple(tables))
+        return cpnet.from_tables(variables, domains, parents, table_rows)
     except ValidationError as exc:
         raise ValidationError("cpnet: %s" % exc)
 

@@ -222,6 +222,8 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     scsp = ('{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
             '{"x": ["a"]}, "constraints": [{"scope": ["x"], "table": '
             '[{"tuple": ["a"], "value": %s}]}]}')
+    nobody = ('{"kind": "payoffgame", "carrier": null, "players": [], "strategies": {}, '
+              '"neigh": {}, "payoffs": {}}')
     for command, doc, says in (
         ("to-game", '{"kind": "cpnet"}', "variables"),
         ("to-game", "[]", "JSON object"),
@@ -292,6 +294,11 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x", "y"], '
          '"domains": {"x": ["a"], "y": ["b"]}, "constraints": [{"scope": "xy", "table": '
          '[{"tuple": ["a", "b"], "value": "1"}]}]}', 'constraint 0: "scope"'),
+        # cost tuples need a weighted factor per player and a payoff to offset
+        ("map-to-scsp", nobody, "at least one player"),
+        ("pareto-nash", nobody, "at least one player"),
+        ("pareto-nash", '{"kind": "payoffgame", "carrier": null, "players": ["p"], "strategies": '
+         '{"p": []}, "neigh": {"p": []}, "payoffs": {"p": []}}', "a strategy for each"),
         ("scsp-solve", scsp % '"1e999999"', "at most"),
         ("scsp-solve", scsp % ('"%s"' % ("7" * 1001)), "at most"),
         ("scsp-solve", scsp % ("7" * 5000), "syntax"),

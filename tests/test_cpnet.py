@@ -21,9 +21,10 @@ def two_var_cycle():
 
 def test_structure_queries(acyclic4, cyclic4):
     assert cpnet.is_acyclic(acyclic4)
-    assert cpnet.topological_order(acyclic4) == [0, 1, 2, 3]
+    assert cpnet.parent_levels(acyclic4.parents) == (True, {0: 0, 1: 0, 2: 1, 3: 2})
     assert not cpnet.is_acyclic(cyclic4)
-    assert set(cpnet.dependency_graph(cyclic4)) == {(3, 0), (0, 1), (1, 2), (2, 3)}
+    assert cyclic4.parents == ((3,), (0,), (1,), (2,))
+    assert cpnet.parent_levels(cyclic4.parents) == (False, None)
 
 
 def test_flips(acyclic4):

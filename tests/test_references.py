@@ -1,12 +1,15 @@
 """The elimination loop over raw tables, the no-regret constraints built from
 best replies, the shared layering loop, the Pareto-efficient Nash skyline,
-the oracle's interned payoff table and the memoised dominance search,
+the oracle's interned payoff table, the memoised dominance search, the
+one-pass parent reduction, the level sweep and the one table generator,
 against the code they replaced, kept literally as references: the callback
 fixpoint and its single round, the boxed `regret_constraints` that compares
 every tuple with every deviation, the two layering loops, the `pareto_nash`
 that joins the cost tuples with the no-regret constraints and enumerates
 every joint strategy, the referees over a table of boxed payoff vectors,
-and the dominance search that slices every row it meets.
+the dominance search that slices every row it meets, the `reduce` loop that
+rebuilds the net once per dropped parent, Kahn's topological order with the
+sweep and acyclicity test built on it, and the two parent generators.
 
 Results and elimination traces must be equal on every seed, lists in the
 same order.  Level maps are compared with `==`: their insertion order
@@ -109,6 +112,15 @@ def reference_is_well_structured(graph):
     return True, placed
 
 
+def reference_levels_ok(graph, levels):
+    for node in graph.nodes:
+        preds = graph.predecessors(node)
+        lower = sum(1 for u in preds if levels[u] < levels[node])
+        if lower < len(preds) - lower:
+            return False
+    return True
+
+
 def reference_pareto_nash(game, offset=None):
     merged = softcsp.join(bridge.scsp_of_game(game, offset), bridge.regret_constraints(game))
     bottom = semiring.zero(merged.semiring)
@@ -174,6 +186,122 @@ def reference_dominates_search(net, alpha, beta, budget=cpnet.DEFAULT_DOMINANCE_
     return False
 
 
+def reference_drop_parent(net, i, y):
+    t = net.tables[i]
+    k = t.parents.index(y)
+    rest = t.parents[:k] + t.parents[k + 1:]
+    rows = {}
+    anchor = net.domains[y][0]
+    for a in itertools.product(*(net.domains[p] for p in rest)):
+        rows[a] = t.rows[a[:k] + (anchor,) + a[k:]]
+    tables = list(net.tables)
+    tables[i] = cpnet.CPTable(i, rest, rows)
+    return cpnet.CPNet(net.variables, net.domains, tuple(tables))
+
+
+def reference_reduce(net):
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(net.variables)):
+            red = cpnet.redundant_parents(net, i)
+            for y in sorted(red):
+                net = reference_drop_parent(net, i, y)
+                changed = True
+    return net
+
+
+def reference_topological_order(net):
+    n = len(net.variables)
+    children = {i: [] for i in range(n)}
+    indeg = {i: 0 for i in range(n)}
+    for p, c in [(p, t.owner) for t in net.tables for p in t.parents]:
+        children[p].append(c)
+        indeg[c] += 1
+    ready = deque(i for i in range(n) if indeg[i] == 0)
+    order = []
+    while ready:
+        i = ready.popleft()
+        order.append(i)
+        for c in children[i]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+    return order if len(order) == n else None
+
+
+def reference_is_acyclic(net):
+    return reference_topological_order(net) is not None
+
+
+def reference_sweep_optimal(net):
+    order = reference_topological_order(net)
+    if order is None:
+        raise ValidationError("sweep requires an acyclic net")
+    assignment = [None] * len(net.variables)
+    for i in order:
+        t = net.tables[i]
+        row = t.rows[tuple(assignment[p] for p in t.parents)]
+        assignment[i] = row[0]
+    return tuple(assignment)
+
+
+def reference_random_cpnet(cfg):
+    rng = random.Random(cfg.seed)
+    n = rng.randint(1, cfg.max_vars)
+    domains = oracle._domains(rng, cfg, n)
+    order = list(range(n))
+    rng.shuffle(order)
+    tables = []
+    parent_pool = {}
+    for rank, i in enumerate(order):
+        if cfg.acyclic:
+            pool = order[:rank]
+        else:
+            pool = [j for j in range(n) if j != i]
+        parent_pool[i] = tuple(sorted(j for j in pool if rng.random() < cfg.density))
+    for i in range(n):
+        parents = parent_pool[i]
+        rows = {}
+        for pa in itertools.product(*(domains[p] for p in parents)):
+            perm = list(domains[i])
+            rng.shuffle(perm)
+            rows[pa] = tuple(perm)
+        tables.append(cpnet.CPTable(i, parents, rows))
+    return cpnet.CPNet(
+        tuple("X%d" % i for i in range(n)), domains, tuple(tables)
+    )
+
+
+def reference_random_ppgame(cfg):
+    rng = random.Random(cfg.seed)
+    n = rng.randint(1, cfg.max_vars)
+    strategies = oracle._domains(rng, cfg, n)
+    if cfg.graphical:
+        order = list(range(n))
+        rng.shuffle(order)
+        neigh_sets = {}
+        for rank, i in enumerate(order):
+            pool = order[:rank] if cfg.acyclic else [j for j in range(n) if j != i]
+            neigh_sets[i] = tuple(
+                sorted(j for j in pool if rng.random() < cfg.density)
+            )
+        neigh = tuple(neigh_sets[i] for i in range(n))
+    else:
+        neigh = cpnet.full_parents(n)
+    prefs = []
+    for i in range(n):
+        rows = {}
+        for s in itertools.product(*(strategies[j] for j in neigh[i])):
+            perm = list(strategies[i])
+            rng.shuffle(perm)
+            rows[s] = tuple(perm)
+        prefs.append(rows)
+    return pgame.PPGame(
+        tuple("p%d" % i for i in range(n)), strategies, neigh, tuple(prefs)
+    )
+
+
 class ProductPayoffGame(pgame.PayoffGame):
     """A payoff game over a product carrier, whose induced order leaves some
     payoffs incomparable.  `PayoffGame` admits linear carriers only, and
@@ -191,7 +319,7 @@ def product_payoff_game(seed):
     spec = semiring.product(semiring.FUZZY, semiring.FUZZY)
     n = rng.randint(2, 3)
     strategies = tuple(tuple("s%d" % k for k in range(rng.randint(2, 3))) for _ in range(n))
-    neigh = pgame.full_neighbourhoods(n)
+    neigh = cpnet.full_parents(n)
     halves = [Fraction(k, 2) for k in range(3)]
     payoffs = tuple(
         {s: semiring.value(spec, (rng.choice(halves), rng.choice(halves)))
@@ -252,8 +380,9 @@ def test_regret_constraints_match_deviation_scan():
 
 def test_layers_match_both_loops():
     for seed in SEEDS:
-        for acyclic in (False, True):
-            game = oracle.random_ppgame(replace(CFG, seed=seed, graphical=True, acyclic=acyclic))
+        for graphical, acyclic in ((False, False), (True, False), (True, True)):
+            game = oracle.random_ppgame(
+                replace(CFG, seed=seed, graphical=graphical, acyclic=acyclic))
             assert pgame.is_hierarchical(game) == reference_is_hierarchical(game), seed
         dag = oracle.random_dag(replace(CFG, seed=seed))
         # some edges reversed as well, so that cycles leave nodes unplaced
@@ -261,6 +390,11 @@ def test_layers_match_both_loops():
         back = tuple((v, u) for u, v in dag.edges if rng.random() < 0.3)
         for graph in (dag, pgame.DirectedGraph(dag.nodes, dag.edges + back)):
             assert pgame.is_well_structured(graph) == reference_is_well_structured(graph), seed
+            # given levels are verified: the greedy ones, and random ones
+            for levels in (pgame.is_well_structured(dag)[1],
+                           {v: rng.randint(0, 2) for v in graph.nodes}):
+                want = reference_levels_ok(graph, levels)
+                assert pgame.is_well_structured(graph, levels) == (want, levels), seed
 
 
 def outcome(f, *args):
@@ -309,3 +443,57 @@ def test_dominates_matches_row_slicing_search():
                 for budget in (1, 3, 10, 10 ** 5):
                     assert cpnet.dominates(net, alpha, beta, budget) == \
                         reference_dominates_search(net, alpha, beta, budget), (seed, acyclic)
+
+
+def structure_nets():
+    """Seeded nets for the structure algorithms: `random_cpnet` nets, cyclic
+    and acyclic, and the full-parent nets of graphical games, whose added
+    parents are all redundant, with their reductions (acyclic when the game
+    is hierarchical)."""
+    for seed in SEEDS:
+        for acyclic in (False, True):
+            yield oracle.random_cpnet(replace(CFG, seed=seed, acyclic=acyclic))
+            game = oracle.random_ppgame(replace(CFG, seed=seed, graphical=True, acyclic=acyclic))
+            net = bridge.cpnet_of_game(game)
+            yield net
+            yield reference_reduce(net)
+
+
+def test_reduce_matches_drop_parent_loop():
+    dropped = 0
+    for net in structure_nets():
+        got, want = cpnet.reduce(net), reference_reduce(net)
+        assert got == want
+        assert [list(r) for r in got.rows] == [list(r) for r in want.rows]
+        assert (got is net) == (want is net)
+        dropped += sum(map(len, net.parents)) - sum(map(len, got.parents))
+    assert dropped > 1000
+
+
+def test_sweep_and_acyclicity_match_topological_order():
+    verdicts = set()
+    for net in structure_nets():
+        acyclic = cpnet.is_acyclic(net)
+        assert acyclic == reference_is_acyclic(net)
+        assert outcome(cpnet.sweep_optimal, net) == outcome(reference_sweep_optimal, net)
+        flag, levels = cpnet.parent_levels(net.parents)
+        assert flag == acyclic
+        if flag:
+            assert all(levels[p] < levels[i] for i, ps in enumerate(net.parents) for p in ps)
+        verdicts.add(acyclic)
+    assert verdicts == {False, True}
+
+
+def test_generators_match_parent_draws():
+    for seed in SEEDS:
+        for acyclic in (False, True):
+            for density in (0.2, 0.5, 0.9):
+                cfg = replace(CFG, seed=seed, acyclic=acyclic, density=density)
+                got, want = oracle.random_cpnet(cfg), reference_random_cpnet(cfg)
+                assert got == want
+                assert [list(r) for r in got.rows] == [list(r) for r in want.rows]
+                for graphical in (False, True):
+                    g = replace(cfg, graphical=graphical)
+                    got, want = oracle.random_ppgame(g), reference_random_ppgame(g)
+                    assert got == want
+                    assert [list(r) for r in got.prefs] == [list(r) for r in want.prefs]
