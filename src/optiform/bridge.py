@@ -84,8 +84,8 @@ def _cost_carrier(game, offset):
     factor per player."""
     if game.carrier is not None:
         raise ValidationError("this mapping needs plain rational payoffs")
-    if not game.players or not all(game.strategies):
-        raise ValidationError("cost tuples need at least one player, and a strategy for each")
+    if not game.players:
+        raise ValidationError("cost tuples need at least one player")
     top = max(max(t.values()) for t in game.payoffs)
     m = Fraction(offset) if offset is not None else Fraction(top)
     if m < top:

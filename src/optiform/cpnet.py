@@ -36,27 +36,14 @@ def check_strict_orders(orders, domain):
 
 
 def check_tables(names, domains, parents, rows):
-    """The names differ, each domain is nonempty, no index is its own parent
-    or names one parent twice, and each table has exactly one strict total
-    order per parent assignment."""
-    if len(set(names)) != len(names):
-        raise ValidationError("duplicate names in %r" % (names,))
+    """The names differ, each domain is nonempty, no index is its own
+    parent, each table is total over its parents (`softcsp.check_table`),
+    and each of its rows is a strict total order of its index's domain."""
+    softcsp.check_names(names, domains)
     for i, (name, dom, ps, r) in enumerate(zip(names, domains, parents, rows)):
-        if not dom:
-            raise ValidationError("empty domain for %s" % name)
         if i in ps:
             raise ValidationError("%s is its own parent" % name)
-        if len(set(ps)) != len(ps):
-            raise ValidationError("%s names a parent or neighbour twice" % name)
-        expected = set(itertools.product(*map(domains.__getitem__, ps)))
-        if r.keys() != expected:
-            missing = expected - r.keys()
-            if missing:
-                raise ValidationError(
-                    "table of %s misses the row for parent assignment %r"
-                    % (name, sorted(missing)[0])
-                )
-            raise ValidationError("table of %s has spurious rows" % name)
+        softcsp.check_table(names, domains, ps, r.keys(), lambda: "table of %s" % name)
         check_strict_orders(dict.fromkeys(r.values()), dom)
 
 
@@ -247,13 +234,6 @@ class CPNet(Record):
         check_space(self.space_size(), "outcome space")
         return itertools.product(*self.domains)
 
-    def check_outcome(self, o):
-        if len(o) != len(self.variables):
-            raise ValidationError("outcome has wrong length")
-        for name, dom, v in zip(self.variables, self.domains, o):
-            if v not in dom:
-                raise ValidationError("value %r not in the domain of %s" % (v, name))
-
     def row_for(self, i, outcome):
         """The unique order for variable i selected by the outcome's parents."""
         return self.rows[i][tuple(outcome[p] for p in self.parents[i])]
@@ -270,7 +250,7 @@ def is_acyclic(net):
 
 
 def _flips(net, outcome, better):
-    net.check_outcome(outcome)
+    softcsp.check_assignment(net.variables, net.domains, outcome)
     flips = []
     for i in range(len(net.variables)):
         order = net.row_for(i, outcome)
@@ -357,8 +337,8 @@ def dominates(net, alpha, beta, budget=DEFAULT_DOMINANCE_BUDGET):
     The chain must be nonempty, so dominates(o, o) is False unless a
     genuine flip cycle returns to o.
     """
-    net.check_outcome(alpha)
-    net.check_outcome(beta)
+    for o in (alpha, beta):
+        softcsp.check_assignment(net.variables, net.domains, o)
     # flips in `worsening_flips` order, over the raw tables: every node is
     # reached from alpha by flips inside the domains, so none needs a check.
     # Per variable i, `after` maps the values of i's parents and of i to the

@@ -62,20 +62,14 @@ class PayoffGame(Record):
             raise ValidationError("player-indexed fields differ in length")
         if self.carrier is not None and not semiring.is_linear(self.carrier):
             raise ValidationError("payoff carrier must be linearly ordered")
-        for i in range(n):
+        softcsp.check_names(self.players, self.strategies)
+        for i, (name, table) in enumerate(zip(self.players, self.payoffs)):
             if i in self.neigh[i]:
-                raise ValidationError("player %s is its own neighbour" % self.players[i])
-            if len(set(self.neigh[i])) != len(self.neigh[i]):
-                raise ValidationError("player %s names a neighbour twice" % self.players[i])
-            scope = self.local_scope(i)
-            expected = set(itertools.product(*(self.strategies[j] for j in scope)))
-            if set(self.payoffs[i]) != expected:
-                raise ValidationError(
-                    "payoff table of player %s is not total over neigh+self"
-                    % self.players[i]
-                )
+                raise ValidationError("player %s is its own neighbour" % name)
+            softcsp.check_table(self.players, self.strategies, self.local_scope(i),
+                                table.keys(), lambda: "payoff table of player %s" % name)
             if self.carrier is not None:
-                for v in self.payoffs[i].values():
+                for v in table.values():
                     semiring._require(self.carrier, v)
 
     def local_scope(self, i):

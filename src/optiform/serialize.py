@@ -103,7 +103,8 @@ def _values(data, where):
     finite numbers, so that the values hash, sort and equal themselves."""
     if not isinstance(data, list) or not (
             all(isinstance(v, str) for v in data)
-            or all(isinstance(v, (int, float)) and math.isfinite(v) for v in data)):
+            or all(isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
+                   for v in data)):
         raise ValidationError("%s must be a list of strings or of finite numbers" % where)
     return tuple(data)
 
@@ -114,6 +115,25 @@ def _list(data, where):
     if not isinstance(data, list):
         raise ValidationError("%s must be a list, not %s" % (where, type(data).__name__))
     return tuple(data)
+
+
+def _table(cells, where, field, keys, read):
+    """The table a list of cells holds: `keys(cell)` lists the tuples a cell
+    sets, each a JSON list that `field` names, and `read(cell)` their shared
+    value.  A tuple given twice is refused; errors name `where`.  The tuples
+    are checked here, not by `_list`, so that no label is built per cell."""
+    table = {}
+    for cell in cells:
+        value = read(cell)
+        for key in keys(cell):
+            if not isinstance(key, list):
+                raise ValidationError("%s: %s must be a list, not %s"
+                                      % (where, field, type(key).__name__))
+            key = tuple(key)
+            if key in table:
+                raise ValidationError("%s: %r is given twice" % (where, list(key)))
+            table[key] = value
+    return table
 
 
 def _header_to_json(kind, names_key, names, domains_key, domains):
@@ -169,19 +189,12 @@ def _cpnet_from_json(data):
             entry = data["tables"][v]
         except KeyError:
             raise ValidationError("missing table for variable %s" % v)
-        where = "table of %s: " % v
-        parents.append(tuple(index[p] for p in _list(entry["parents"], where + '"parents"')))
-        rows = {}
-        for row in entry["rows"]:
-            order = _list(row["order"], where + '"order"')
-            for when in _list(row["when"], where + '"when"'):
-                key = _list(when, where + 'each "when" entry')
-                if key in rows:
-                    raise ValidationError(
-                        "table of %s: duplicate row for parent assignment %r" % (v, when)
-                    )
-                rows[key] = order
-        table_rows.append(rows)
+        where = "table of %s" % v
+        parents.append(tuple(index[p] for p in _list(entry["parents"], where + ': "parents"')))
+        at_when, at_order = where + ': "when"', where + ': "order"'
+        table_rows.append(_table(entry["rows"], where, 'each "when" entry',
+                                 lambda row: _list(row["when"], at_when),
+                                 lambda row: _list(row["order"], at_order)))
     try:
         return cpnet.from_tables(variables, domains, parents, table_rows)
     except ValidationError as exc:
@@ -213,12 +226,11 @@ def _scsp_from_json(data):
     constraints = []
     for k, entry in enumerate(data["constraints"]):
         scope = tuple(index[v] for v in _list(entry["scope"], 'constraint %d: "scope"' % k))
-        table = {}
-        for cell in entry["table"]:
-            where = "constraint %d over %s" % (k, entry["scope"])
-            table[_list(cell["tuple"], where + ': "tuple"')] = semiring.SemiringValue(
-                spec, payload_from_json(spec, cell["value"], where))
-        constraints.append(softcsp.SoftConstraint(scope, table))
+        where = "constraint %d over %s" % (k, entry["scope"])
+        constraints.append(softcsp.SoftConstraint(scope, _table(
+            entry["table"], where, '"tuple"', lambda cell: (cell["tuple"],),
+            lambda cell: semiring.SemiringValue(
+                spec, payload_from_json(spec, cell["value"], where)))))
     return softcsp.SoftCSP(variables, domains, tuple(constraints), spec)
 
 
@@ -237,13 +249,10 @@ def _ppgame_from_json(data):
     players, strategies, neigh = _game_from_json(data)
     prefs = []
     for p in players:
-        rows = {}
-        for row in data["prefs"][p]:
-            key = _list(row["when"], 'prefs of %s: "when"' % p)
-            if key in rows:
-                raise ValidationError("prefs of %s: duplicate row %r" % (p, row["when"]))
-            rows[key] = _list(row["order"], 'prefs of %s: "order"' % p)
-        prefs.append(rows)
+        where = "prefs of %s" % p
+        at_order = where + ': "order"'
+        prefs.append(_table(data["prefs"][p], where, '"when"', lambda row: (row["when"],),
+                            lambda row: _list(row["order"], at_order)))
     return pgame.PPGame(players, strategies, neigh, tuple(prefs))
 
 
@@ -267,14 +276,12 @@ def _payoffgame_to_json(game):
 def _payoffgame_from_json(data):
     players, strategies, neigh = _game_from_json(data)
     carrier = None if data.get("carrier") is None else spec_from_json(data["carrier"])
+    box = (lambda v: v) if carrier is None else (lambda v: semiring.SemiringValue(carrier, v))
     payoffs = []
     for p in players:
-        table = {}
-        for cell in data["payoffs"][p]:
-            v = payload_from_json(carrier, cell["value"], "payoffs of %s" % p)
-            table[_list(cell["when"], 'payoffs of %s: "when"' % p)] = (
-                v if carrier is None else semiring.SemiringValue(carrier, v))
-        payoffs.append(table)
+        where = "payoffs of %s" % p
+        payoffs.append(_table(data["payoffs"][p], where, '"when"', lambda cell: (cell["when"],),
+                              lambda cell: box(payload_from_json(carrier, cell["value"], where))))
     return pgame.PayoffGame(players, strategies, neigh, tuple(payoffs), carrier)
 
 

@@ -15,6 +15,46 @@ from .errors import CarrierMismatchError, ValidationError, check_space
 from .record import Record, init_field
 
 
+def check_names(names, domains):
+    """The names differ and no domain is empty."""
+    if len(set(names)) != len(names):
+        raise ValidationError("duplicate names in %r" % (names,))
+    if not all(domains):
+        empty = list(map(bool, domains)).index(False)
+        raise ValidationError("empty domain for %s" % names[empty])
+
+
+def check_table(names, domains, scope, keys, label):
+    """Each index of `scope` indexes `names`, none twice, and `keys` are
+    exactly the tuples over the domains of the scope: the one check of a
+    table over a scope, for soft constraints, CP-net rows and game
+    preferences and payoffs.  `label()` names the table in an error; it is
+    called only when a check fails."""
+    n = len(names)
+    for i in scope:
+        if not 0 <= i < n:
+            raise ValidationError("%s: scope index %r is out of range" % (label(), i))
+    if len(set(scope)) != len(scope):
+        twice = [i for i in scope if scope.count(i) > 1][0]
+        raise ValidationError("%s names %s twice" % (label(), names[twice]))
+    expected = set(itertools.product(*map(domains.__getitem__, scope)))
+    if keys != expected:
+        for t in itertools.product(*map(domains.__getitem__, scope)):
+            if t not in keys:
+                raise ValidationError("%s misses the tuple %r" % (label(), t))
+        spurious = next(t for t in keys if t not in expected)
+        raise ValidationError("%s has the spurious tuple %r" % (label(), spurious))
+
+
+def check_assignment(names, domains, s):
+    """`s` holds one value of each name's domain, in the names' order."""
+    if len(s) != len(names):
+        raise ValidationError("assignment has wrong length")
+    for name, dom, v in zip(names, domains, s):
+        if v not in dom:
+            raise ValidationError("value %r not in the domain of %s" % (v, name))
+
+
 class SoftConstraint(Record):
     __slots__ = _fields = ("scope", "table")
 
@@ -40,39 +80,15 @@ class SoftCSP(Record):
     def __post_init__(self):
         if len(self.variables) != len(self.domains):
             raise ValidationError("variables and domains differ in length")
-        if len(set(self.variables)) != len(self.variables):
-            raise ValidationError("duplicate variable names")
-        for name, dom in zip(self.variables, self.domains):
-            if not dom:
-                raise ValidationError("empty domain for variable %s" % name)
-        for c in self.constraints:
-            self._check_constraint(c)
-
-    def _check_constraint(self, c):
-        for i in c.scope:
-            if not 0 <= i < len(self.variables):
-                raise ValidationError("constraint scope mentions unknown variable %d" % i)
-        if len(set(c.scope)) != len(c.scope):
-            raise ValidationError(
-                "constraint scope %s names a variable twice"
-                % ([self.variables[i] for i in c.scope],))
-        expected = list(itertools.product(*(self.domains[i] for i in c.scope)))
-        if set(c.table) != set(expected):
-            missing = [t for t in expected if t not in c.table]
-            if missing:
-                raise ValidationError(
-                    "constraint over %s misses tuple %r"
-                    % ([self.variables[i] for i in c.scope], missing[0])
-                )
-            raise ValidationError(
-                "constraint over %s has spurious tuples"
-                % ([self.variables[i] for i in c.scope],)
-            )
-        for v in c.table.values():
-            if not isinstance(v, semiring.SemiringValue) or v.spec != self.semiring:
-                raise CarrierMismatchError(
-                    "constraint value %r is not in the problem's carrier" % (v,)
-                )
+        check_names(self.variables, self.domains)
+        for k, c in enumerate(self.constraints):
+            check_table(self.variables, self.domains, c.scope, c.table.keys(),
+                        lambda: "constraint %d" % k)
+            for v in c.table.values():
+                if not isinstance(v, semiring.SemiringValue) or v.spec != self.semiring:
+                    raise CarrierMismatchError(
+                        "constraint value %r is not in the problem's carrier" % (v,)
+                    )
 
     def space_size(self):
         return math.prod(map(len, self.domains))
@@ -81,19 +97,10 @@ class SoftCSP(Record):
         check_space(self.space_size())
         return itertools.product(*self.domains)
 
-    def check_assignment(self, s):
-        if len(s) != len(self.variables):
-            raise ValidationError("assignment has wrong length")
-        for name, dom, v in zip(self.variables, self.domains, s):
-            if v not in dom:
-                raise ValidationError(
-                    "value %r not in the domain of variable %s" % (v, name)
-                )
-
 
 def solution_preference(problem, s):
     """Combine the constraint values at s; the empty problem yields 1."""
-    problem.check_assignment(s)
+    check_assignment(problem.variables, problem.domains, s)
     return semiring.combine_all(problem.semiring, [c.lookup(s) for c in problem.constraints])
 
 

@@ -1,5 +1,7 @@
+import copy
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -248,18 +250,18 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ("cpnet-optimal", '{"kind": "cpnet", "variables": ["A", "B"], "domains": {"A": ["a", "b"], '
          '"B": ["b"]}, "tables": {"A": {"parents": [], "rows": [{"when": [[]], "order": ["a", "b"]}]}, '
          '"B": {"parents": ["A", "A"], "rows": [{"when": [["a", "a"], ["a", "b"], ["b", "a"], '
-         '["b", "b"]], "order": ["b"]}]}}}', "B names a parent or neighbour twice"),
+         '["b", "b"]], "order": ["b"]}]}}}', "table of B names A twice"),
         ("game-nash", '{"kind": "ppgame", "players": ["p", "q"], "strategies": {"p": ["x"], '
          '"q": ["x"]}, "neigh": {"p": [], "q": ["p", "p"]}, "prefs": {"p": [{"when": [], '
          '"order": ["x"]}], "q": [{"when": ["x", "x"], "order": ["x"]}]}}',
-         "q names a parent or neighbour twice"),
+         "table of q names p twice"),
         ("game-nash", '{"kind": "payoffgame", "carrier": null, "players": ["p", "q"], "strategies": '
          '{"p": ["x"], "q": ["x"]}, "neigh": {"p": [], "q": ["p", "p"]}, "payoffs": {"p": [{"when": '
          '["x"], "value": "1"}], "q": [{"when": ["x", "x", "x"], "value": "1"}]}}',
-         "player q names a neighbour twice"),
+         "payoff table of player q names p twice"),
         ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
          '{"x": ["a"]}, "constraints": [{"scope": ["x", "x"], "table": [{"tuple": ["a", "a"], '
-         '"value": "1"}]}]}', "names a variable twice"),
+         '"value": "1"}]}]}', "constraint 0 names x twice"),
         # a string where a list belongs would split into its characters
         ("cpnet-optimal", '{"kind": "cpnet", %s}' % (
             net % ('["x", "y"]', '[{"when": [[]], "order": "xy"}]')), 'table of A: "order"'),
@@ -294,11 +296,24 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x", "y"], '
          '"domains": {"x": ["a"], "y": ["b"]}, "constraints": [{"scope": "xy", "table": '
          '[{"tuple": ["a", "b"], "value": "1"}]}]}', 'constraint 0: "scope"'),
-        # cost tuples need a weighted factor per player and a payoff to offset
+        # cost tuples need a weighted factor per player
         ("map-to-scsp", nobody, "at least one player"),
         ("pareto-nash", nobody, "at least one player"),
-        ("pareto-nash", '{"kind": "payoffgame", "carrier": null, "players": ["p"], "strategies": '
-         '{"p": []}, "neigh": {"p": []}, "payoffs": {"p": []}}', "a strategy for each"),
+        # a cell given twice would keep its last value
+        ("cpnet-optimal", '{"kind": "cpnet", %s}' % (net % ('["a", "b"]', '[{"when": [[]], '
+         '"order": ["a", "b"]}, {"when": [[]], "order": ["b", "a"]}]')),
+         "table of A: [] is given twice"),
+        ("game-nash", '{"kind": "ppgame", "players": ["p"], "strategies": {"p": ["x", "y"]}, '
+         '"neigh": {"p": []}, "prefs": {"p": [{"when": [], "order": ["x", "y"]}, {"when": [], '
+         '"order": ["y", "x"]}]}}', "prefs of p: [] is given twice"),
+        ("game-nash", '{"kind": "payoffgame", "carrier": null, "players": ["p"], "strategies": '
+         '{"p": ["a", "b"]}, "neigh": {"p": []}, "payoffs": {"p": [{"when": ["a"], "value": "1"}, '
+         '{"when": ["b"], "value": "2"}, {"when": ["a"], "value": "5"}]}}',
+         "payoffs of p: ['a'] is given twice"),
+        ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
+         '{"x": ["a", "b"]}, "constraints": [{"scope": ["x"], "table": [{"tuple": ["a"], "value": '
+         '"1"}, {"tuple": ["b"], "value": "2"}, {"tuple": ["a"], "value": "5"}]}]}',
+         "constraint 0 over ['x']: ['a'] is given twice"),
         ("scsp-solve", scsp % '"1e999999"', "at most"),
         ("scsp-solve", scsp % ('"%s"' % ("7" * 1001)), "at most"),
         ("scsp-solve", scsp % ("7" * 5000), "syntax"),
@@ -307,6 +322,17 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         bad.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
         code, _, err = run(capsys, command, str(bad))
         assert code == 2 and says in err and err.count("\n") == 1
+    # the payoff-game record refuses what the other records refuse
+    for players, strategies, says in ((["p", "p"], ["a"], "duplicate names"),
+                                      (["p"], [], "empty domain for p")):
+        bad.write_text(json.dumps({
+            "kind": "payoffgame", "carrier": None, "players": players,
+            "strategies": {"p": strategies}, "neigh": {"p": []},
+            "payoffs": {"p": [{"when": [v], "value": "1"} for v in strategies]}}))
+        for command in ("game-nash", "game-pareto", "regret-constraints", "map-to-scsp",
+                        "pareto-nash"):
+            code, _, err = run(capsys, command, str(bad))
+            assert code == 2 and says in err and err.count("\n") == 1, command
     for argv in (["to-game", str(tmp_path)],
                  ["check", "--theorem", "regrets", "--seeds", "x"],
                  ["check", "--theorem", "regrets", "--seeds", "3.."]):
@@ -350,6 +376,86 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     ):
         assert run(capsys, *argv) == (
             3, "", "bound exhausted: %s elements, exceeding the bound 2\n" % space)
+
+
+#: The runs of each document kind for `test_mutated_documents`; "@" stands
+#: for the document itself, "first"/"last" for the outcome of every first
+#: or last domain value.
+MUTATED_RUNS = {
+    "cpnet": [["cpnet-optimal"], ["cpnet-sweep"], ["cpnet-eligible"], ["cpnet-opt-constraints"],
+              ["cpnet-reduce"], ["cpnet-eliminate", "--mode", "s"], ["to-game"],
+              ["cpnet-dominates", "--better", "first", "--worse", "last"]],
+    "scsp": [["scsp-solve"], ["scsp-join", "@"], ["map-local"], ["map-global"]],
+    "ppgame": [["game-nash"], ["game-hierarchical"], ["to-cpnet"],
+               ["game-eliminate", "--mode", "nbr"]],
+    "payoffgame": [["game-nash"], ["game-pareto"], ["regret-constraints"], ["map-to-scsp"],
+                   ["pareto-nash"]],
+    "graph": [["tech-game", "--k", "2"], ["well-structured"]],
+}
+
+
+def nodes(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from nodes(child, path + (key,))
+
+
+def mutated(doc, how, rng):
+    """A copy of `doc` with one seeded change of the kind `how`."""
+    doc = copy.deepcopy(doc)
+    paths = list(nodes(doc))
+
+    def at(path):
+        node = doc
+        for key in path:
+            node = node[key]
+        return node
+
+    if how == "drop a key":
+        node = at(rng.choice([p for p in paths if isinstance(at(p), dict) and at(p)]))
+        del node[rng.choice(sorted(node))]
+        return doc
+    if how == "repeat a cell or a name":
+        node = at(rng.choice([p for p in paths if isinstance(at(p), list) and at(p)]))
+        node.append(copy.deepcopy(rng.choice(node)))
+        return doc
+    path = rng.choice(paths[1:])
+    old = at(path)
+    new = {"swap a type": 7 if isinstance(old, str) else "x",
+           "wrap a value in a list": [old],
+           "insert a huge number": 10 ** 400}[how]
+    at(path[:-1])[path[-1]] = new
+    return doc
+
+
+#: One of each kind of mutation, and a second repeat, since a repeated cell
+#: or name is what the record and cell checks must catch.
+MUTATIONS = ("drop a key", "swap a type", "repeat a cell or a name", "wrap a value in a list",
+             "insert a huge number", "repeat a cell or a name")
+
+
+def test_mutated_documents(capsys, tmp_path):
+    """Every command that reads a document's kind, on seeded mutations of
+    every fixture, ends in a result (exit 0) or in exit 2 or 3 with one
+    line on stderr, never in a traceback."""
+    target = tmp_path / "mutated.json"
+    runs = 0
+    for seed, path in enumerate(sorted(FIXTURES.glob("*.json"))):
+        doc = json.loads(path.read_text())
+        rng = random.Random(seed)
+        values = {end: ",".join(doc["domains"][v][k] for v in doc["variables"])
+                  for end, k in (("first", 0), ("last", -1))} if doc["kind"] == "cpnet" else {}
+        for how in MUTATIONS:
+            target.write_text(json.dumps(mutated(doc, how, rng)))
+            for command, *options in MUTATED_RUNS[doc["kind"]]:
+                options = [str(target) if a == "@" else values.get(a, a) for a in options]
+                code, _, err = run(capsys, command, str(target), *options)
+                assert code in (0, 2, 3), (path.name, how, command)
+                assert code == 0 or err.count("\n") == 1, (path.name, how, command, err)
+                runs += 1
+    assert 300 <= runs <= 400
 
 
 def test_output_is_deterministic(capsys):

@@ -3,6 +3,7 @@ hashing and immutability behave as they did when they were frozen
 dataclasses.  The repr strings below were written by the dataclasses."""
 
 import copy
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -165,3 +166,62 @@ def test_records_copy_and_pickle():
             assert type(twin) is type(record) and twin == record
     net, _ = examples()[7]
     assert pickle.loads(pickle.dumps(net)).rows == net.rows
+
+
+# ---------------------------------------------------------- one table check
+
+TABLE_KINDS = ("cpnet", "ppgame", "payoffgame", "scsp")
+
+
+def table_record(kind, names, domains, scope, change=set):
+    """A record of `kind` whose index 0 has a table over `scope` (its parents
+    or neighbours; the scope of constraint 0), holding every tuple over the
+    table's scope passed through `change`; the other indices have tables over
+    nothing.  A payoff table's scope also holds its owner, index 0."""
+    n = len(names)
+    table_scope = sorted(scope + (0,)) if kind == "payoffgame" else scope
+    keys = change(set(itertools.product(
+        *(domains[i] if i < n else ("z",) for i in table_scope))))
+    if kind == "scsp":
+        return SoftCSP(names, domains,
+                       (SoftConstraint(scope, {k: semiring.value(W, 1) for k in keys}),), W)
+    if kind == "payoffgame":
+        payoffs = ({k: 1 for k in keys},) + tuple({(v,): 1 for v in d} for d in domains[1:])
+        return PayoffGame(names, domains, (scope,) + ((),) * (n - 1), payoffs)
+    parents = (scope,) + ((),) * (n - 1)
+    rows = ({k: domains[0] for k in keys},) + tuple({(): d} for d in domains[1:])
+    if kind == "cpnet":
+        return cpnet.from_tables(names, domains, parents, rows)
+    return PPGame(names, domains, parents, rows)
+
+
+NAMES, DOMAINS = ("p", "q"), (("a", "b"), ("c", "d"))
+
+#: (defect, names, domains, scope of table 0, change of its tuples)
+DEFECTS = [
+    ("repeated names", ("p", "p"), DOMAINS, (1,), set),
+    ("empty domain", NAMES, (("a", "b"), ()), (), set),
+    ("out-of-range scope index", NAMES, DOMAINS, (2,), set),
+    ("negative scope index", NAMES, DOMAINS, (-1,), set),
+    ("repeated scope index", NAMES, DOMAINS, (1, 1), set),
+    ("missing tuple", NAMES, DOMAINS, (1,), lambda keys: keys - {min(keys)}),
+    ("spurious tuple", NAMES, DOMAINS, (1,), lambda keys: keys | {("e",) * len(min(keys))}),
+]
+
+
+def test_every_table_record_refuses_every_defect():
+    for kind in TABLE_KINDS:
+        table_record(kind, NAMES, DOMAINS, (1,))
+        for defect, names, domains, scope, change in DEFECTS:
+            with pytest.raises(ValidationError):
+                table_record(kind, names, domains, scope, change)
+                pytest.fail("%s accepts a %s" % (kind, defect))
+
+
+def test_scope_indices_stay_in_range():
+    # a negative neighbour used to wrap around to the player itself
+    with pytest.raises(ValidationError, match="scope index -1 is out of range"):
+        PPGame(("p",), (("a", "b"),), ((-1,),), ({("a",): ("a", "b"), ("b",): ("b", "a")},))
+    # a parent past the last variable used to end in an IndexError
+    with pytest.raises(ValidationError, match="scope index 3 is out of range"):
+        cpnet.from_tables(("A",), (("a",),), ((3,),), ({("a",): ("a",)},))
