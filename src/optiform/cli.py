@@ -10,6 +10,7 @@ the oracle.
 
 import argparse
 import functools
+import json
 import sys
 
 from . import bridge, cpnet, pgame, serialize, softcsp
@@ -115,10 +116,18 @@ def cmd_cpnet_eliminate(args):
     return EXIT_OK
 
 
+def _outcome(net, text):
+    """The outcome of a comma-separated --better or --worse: each field read
+    as the value of its variable's domain whose text it is (a string is its
+    own text, a number its JSON text), or left as it is when none is."""
+    fields = text.split(",")
+    named = [{v if isinstance(v, str) else json.dumps(v): v for v in dom} for dom in net.domains]
+    return tuple(named[k].get(f, f) if k < len(named) else f for k, f in enumerate(fields))
+
+
 def cmd_cpnet_dominates(args):
     _, net = _load(args.file, "cpnet")
-    alpha = tuple(args.better.split(","))
-    beta = tuple(args.worse.split(","))
+    alpha, beta = _outcome(net, args.better), _outcome(net, args.worse)
     result = cpnet.dominates(net, alpha, beta, args.budget)
     _emit({
         "command": "cpnet-dominates",
@@ -129,32 +138,16 @@ def cmd_cpnet_dominates(args):
     return EXIT_EXHAUSTED if result == cpnet.BUDGET_EXHAUSTED else EXIT_OK
 
 
-def _nash_report_pp(game):
-    out = []
-    for s in pgame.nash_equilibria_pp(game):
-        out.append({
-            "joint_strategy": list(s),
-            "best_responses": {
-                game.players[i]: pgame.best_response(game, i, game.project(i, s))
-                for i in range(len(game.players))
-            },
-        })
-    return out
-
-
-def _nash_report_payoff(game):
-    return [
-        {"joint_strategy": list(s), "payoffs": _payoffs(game, s)}
-        for s in pgame.nash_equilibria_payoff(game)
-    ]
-
-
 def cmd_game_nash(args):
     kind, game = _load(args.file, "ppgame", "payoffgame")
     if kind == "ppgame":
-        report = _nash_report_pp(game)
+        # at a parametrized Nash equilibrium every strategy tops the row it
+        # selects, so each player's best response is its own strategy
+        report = [{"joint_strategy": list(s), "best_responses": dict(zip(game.players, s))}
+                  for s in pgame.nash_equilibria_pp(game)]
     else:
-        report = _nash_report_payoff(game)
+        report = [{"joint_strategy": list(s), "payoffs": _payoffs(game, s)}
+                  for s in pgame.nash_equilibria_payoff(game)]
     _emit({"command": "game-nash", "game_kind": kind, "nash": report})
     return EXIT_OK
 

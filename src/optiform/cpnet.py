@@ -25,11 +25,10 @@ DEFAULT_DOMINANCE_BUDGET = 10 ** 5
 # ------------------------------------------------------ preference-table core
 
 def check_strict_orders(orders, domain):
-    """Each order lists every value of the domain exactly once."""
+    """Each order lists every value of the (repeat-free) domain once."""
     ref = sorted(domain)
-    repeats = any(map(operator.eq, ref, ref[1:]))
     for order in orders:
-        if repeats or sorted(order) != ref:
+        if sorted(order) != ref:
             raise ValidationError(
                 "%r is not a strict total order of domain %r" % (order, domain)
             )
@@ -245,30 +244,15 @@ def from_tables(variables, domains, parents, rows):
     return CPNet(variables, domains, tuple(tables))
 
 
-def is_acyclic(net):
-    return parent_levels(net.parents)[0]
-
-
-def _flips(net, outcome, better):
+def improving_flips(net, outcome):
+    """All single-variable changes to a strictly better value in the row
+    selected by the outcome's parent assignment."""
     softcsp.check_assignment(net.variables, net.domains, outcome)
     flips = []
     for i in range(len(net.variables)):
         order = net.row_for(i, outcome)
-        pos = order.index(outcome[i])
-        for v in order[:pos] if better else order[pos + 1:]:
-            flips.append((i, v))
+        flips.extend((i, v) for v in order[:order.index(outcome[i])])
     return flips
-
-
-def improving_flips(net, outcome):
-    """All single-variable changes to a strictly better value in the row
-    selected by the outcome's parent assignment."""
-    return _flips(net, outcome, True)
-
-
-def worsening_flips(net, outcome):
-    """All single-variable changes to a strictly worse value in that row."""
-    return _flips(net, outcome, False)
 
 
 def flip_edges(net):
@@ -278,10 +262,6 @@ def flip_edges(net):
         for i, v in improving_flips(net, o):
             edges.add((o, o[:i] + (v,) + o[i + 1:]))
     return edges
-
-
-def is_optimal(net, outcome):
-    return not improving_flips(net, outcome)
 
 
 def optimal_outcomes(net):
@@ -339,8 +319,9 @@ def dominates(net, alpha, beta, budget=DEFAULT_DOMINANCE_BUDGET):
     """
     for o in (alpha, beta):
         softcsp.check_assignment(net.variables, net.domains, o)
-    # flips in `worsening_flips` order, over the raw tables: every node is
-    # reached from alpha by flips inside the domains, so none needs a check.
+    # worsening flips, variable by variable and each in row order, over the
+    # raw tables: every node is reached from alpha by flips inside the
+    # domains, so none needs a check.
     # Per variable i, `after` maps the values of i's parents and of i to the
     # values ranked after i's in the row they select; it is filled on first
     # use, so a small budget reads few rows of a wide table.
@@ -373,16 +354,11 @@ def dominates(net, alpha, beta, budget=DEFAULT_DOMINANCE_BUDGET):
     return False
 
 
-def redundant_parents(net, i):
-    """Parents of variable i whose value never changes the selected order."""
-    return unused_parents(net.domains, net.parents[i], net.rows[i])
-
-
 def reduce(net):
     """Remove every redundant parent in one pass; the net itself when none
     is.  Dropping a redundant parent leaves each other parent of its table
     redundant or essential as it was, so one pass reaches the fixpoint."""
-    unused = [redundant_parents(net, i) for i in range(len(net.variables))]
+    unused = [unused_parents(net.domains, ps, r) for ps, r in zip(net.parents, net.rows)]
     if not any(unused):
         return net
     parents, rows = zip(*(
@@ -390,21 +366,6 @@ def reduce(net):
         for ps, r, drop in zip(net.parents, net.rows, unused)
     ))
     return from_tables(net.variables, net.domains, parents, rows)
-
-
-def is_reduced(net):
-    return all(not redundant_parents(net, i) for i in range(len(net.variables)))
-
-
-def eliminate(net, removals):
-    """The subnet without the given values (a per-variable collection).
-
-    Rows whose parent assignment mentions a removed value are dropped;
-    surviving orders are restricted to surviving values.
-    """
-    domains, rows = restrict(net.variables, net.parents, net.rows,
-                             without(net.domains, removals))
-    return from_tables(net.variables, domains, net.parents, rows)
 
 
 def reduce_to_fixpoint(net, mode, trace=None):

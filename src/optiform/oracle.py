@@ -14,12 +14,13 @@ skyline `semiring.maximal` or the Nash and Pareto solvers of `pgame`.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import bridge, cpnet, pgame, semiring, softcsp
-from .errors import ValidationError
+from .errors import ValidationError, check_space
 
 
 @dataclass(frozen=True)
@@ -49,19 +50,28 @@ def _unbeaten(candidates, witnesses):
     return [c for c in candidates if next(witnesses(c), None) is None]
 
 
-def _improving_values(order, current, values):
-    """The values ranked above `current` by `order`."""
-    rank = order.index(current)
-    return (v for v in values if v != current and order.index(v) < rank)
+def _unflipped(outcomes, domains, parents, rows):
+    """Definition-literal, over raw tables: the outcomes, in order, where no
+    index has a value placed earlier in the row its parents select: the
+    optimal outcomes of a CP-net, the Nash equilibria of a PPGame."""
+    def better_flips(o):
+        for i, (dom, ps, r) in enumerate(zip(domains, parents, rows)):
+            order = r[tuple(o[p] for p in ps)]
+            rank = order.index(o[i])
+            yield from (v for v in dom if v != o[i] and order.index(v) < rank)
+    return _unbeaten(outcomes, better_flips)
+
+
+def _tables(x):
+    """The names, domains, parents and rows of a CP-net or a PPGame."""
+    if isinstance(x, pgame.PPGame):
+        return x.players, x.strategies, x.neigh, x.prefs
+    return x.variables, x.domains, x.parents, x.rows
 
 
 def brute_optimal_outcomes(net):
-    """Definition-literal: an outcome is optimal iff no single-variable
-    change to a value placed earlier in its selected row exists."""
-    def better_flips(o):
-        for i in range(len(net.variables)):
-            yield from _improving_values(net.row_for(i, o), o[i], net.domains[i])
-    return _unbeaten(net.outcomes(), better_flips)
+    """The optimal outcomes of a CP-net, from the definition."""
+    return _unflipped(net.outcomes(), net.domains, net.parents, net.rows)
 
 
 class _PayoffTable:
@@ -120,11 +130,7 @@ def brute_nash(game, table=None):
     definition.  `table`, the payoff game's `_PayoffTable`, is built if not
     given."""
     if isinstance(game, pgame.PPGame):
-        def better_replies(s):
-            for i in range(len(game.players)):
-                order = game.prefs[i][tuple(s[j] for j in game.neigh[i])]
-                yield from _improving_values(order, s[i], game.strategies[i])
-        return _unbeaten(game.joint_strategies(), better_replies)
+        return _unflipped(game.joint_strategies(), game.strategies, game.neigh, game.prefs)
     if table is None:
         table = _PayoffTable(game)
     rows = table.rows
@@ -304,55 +310,40 @@ def _check_parent_reduction(net):
     return _verdict(again == reduced, "round-tripping the net through a game changed its reduction")
 
 
-def _check_elimination_round_game(game):
-    for mode in ("nbr", "s"):
-        g, before = game, set(brute_nash(game))
-        while True:
-            nxt = pgame.reduce_pp(g, mode)
-            if nxt == g:
-                break
-            after = set(brute_nash(nxt))
-            if before != after:
-                return _verdict(False, "mode %s round changed the Nash set" % mode)
-            g = nxt
-    return _verdict(True)
+def _stable(domains, parents, rows):
+    """`_unflipped` over every outcome of raw tables."""
+    check_space(math.prod(map(len, domains)), "outcome space")
+    return _unflipped(itertools.product(*domains), domains, parents, rows)
 
 
-def _check_elimination_round_net(net):
+def _check_elimination_round(x):
+    """Each round of either elimination mode keeps the stable outcomes of a
+    CP-net or a PPGame: its optimal outcomes or Nash equilibria."""
+    names, domains, parents, rows = _tables(x)
+    before = set(_stable(domains, parents, rows))
     for mode in ("nbr", "s"):
-        n, before = net, set(brute_optimal_outcomes(net))
+        d, r = domains, rows
         while True:
-            removals = cpnet.removable_values(n.domains, n.rows, mode)
+            removals = cpnet.removable_values(d, r, mode)
             if not any(removals):
                 break
-            nxt = cpnet.eliminate(n, removals)
-            after = set(brute_optimal_outcomes(nxt))
-            if before != after:
-                return _verdict(False, "mode %s round changed the optimal set" % mode)
-            n = nxt
+            d, r = cpnet.restrict(names, parents, r, cpnet.without(d, removals))
+            if set(_stable(d, parents, r)) != before:
+                return _verdict(False, "mode %s round changed the stable outcomes" % mode)
     return _verdict(True)
 
 
-def _check_elimination_fixpoint_game(game):
-    final = pgame.reduce_pp_fixpoint(game, "nbr")
-    if set(brute_nash(game)) != set(brute_nash(final)):
-        return _verdict(False, "fixpoint changed the Nash set")
-    if all(len(s) == 1 for s in final.strategies):
-        only = tuple(s[0] for s in final.strategies)
-        return _verdict(brute_nash(game) == [only], "singleton joint strategy is not the unique Nash")
-    return _verdict(True)
-
-
-def _check_elimination_fixpoint_net(net):
-    final = cpnet.reduce_to_fixpoint(net, "nbr")
-    if set(brute_optimal_outcomes(net)) != set(brute_optimal_outcomes(final)):
-        return _verdict(False, "fixpoint changed the optimal set")
-    if all(len(d) == 1 for d in final.domains):
-        only = tuple(d[0] for d in final.domains)
-        return _verdict(
-            brute_optimal_outcomes(net) == [only],
-            "singleton outcome is not the unique optimum",
-        )
+def _check_elimination_fixpoint(x):
+    """The nbr fixpoint keeps the stable outcomes, and when it leaves one
+    value per index, their outcome is the only stable one."""
+    names, domains, parents, rows = _tables(x)
+    stable = _stable(domains, parents, rows)
+    final, final_rows = cpnet.eliminate_values(names, domains, parents, rows, "nbr")
+    if set(stable) != set(_stable(final, parents, final_rows)):
+        return _verdict(False, "fixpoint changed the stable outcomes")
+    if all(len(d) == 1 for d in final):
+        only = tuple(d[0] for d in final)
+        return _verdict(stable == [only], "the singleton outcome is not the only stable one")
     return _verdict(True)
 
 
@@ -460,10 +451,10 @@ THEOREMS = {
     "net_game_equivalence": (random_cpnet, _check_net_game_equivalence),
     "game_net_equivalence": (random_ppgame, _check_game_net_equivalence),
     "parent_reduction": (random_cpnet, _check_parent_reduction),
-    "elimination_round_game": (lambda cfg: random_ppgame(replace(cfg, graphical=True)), _check_elimination_round_game),
-    "elimination_round_net": (random_cpnet, _check_elimination_round_net),
-    "elimination_fixpoint_game": (lambda cfg: random_ppgame(replace(cfg, graphical=True)), _check_elimination_fixpoint_game),
-    "elimination_fixpoint_net": (random_cpnet, _check_elimination_fixpoint_net),
+    "elimination_round_game": (lambda cfg: random_ppgame(replace(cfg, graphical=True)), _check_elimination_round),
+    "elimination_round_net": (random_cpnet, _check_elimination_round),
+    "elimination_fixpoint_game": (lambda cfg: random_ppgame(replace(cfg, graphical=True)), _check_elimination_fixpoint),
+    "elimination_fixpoint_net": (random_cpnet, _check_elimination_fixpoint),
     "acyclic_sweep": (lambda cfg: random_cpnet(replace(cfg, acyclic=True)), _check_acyclic_sweep),
     "hierarchical_unique": (
         lambda cfg: random_ppgame(replace(cfg, graphical=True, acyclic=True)),

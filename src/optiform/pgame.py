@@ -3,8 +3,8 @@
 A PPGame stores, per player, one strict order over the player's strategies
 for every joint strategy of the player's neighbours (a non-graphical game is
 the special case where every other player is a neighbour).  These are the
-tables of a CP-net under other names, so the PPGame algorithms are the ones
-of `cpnet` applied to (strategies, neigh, prefs).  A PayoffGame
+tables of a CP-net under other names, so the PPGame algorithms call the
+table core of `cpnet` on (players, strategies, neigh, prefs).  A PayoffGame
 stores payoff tables over neigh(i) + {i}; payoffs are either plain rationals
 (carrier None) or elements of a linearly ordered semiring carrier, compared
 by the carrier's preference order.
@@ -40,9 +40,6 @@ class PPGame(Record):
     def joint_strategies(self):
         check_space(self.space_size(), "joint strategy space")
         return itertools.product(*self.strategies)
-
-    def project(self, i, s):
-        return tuple(s[j] for j in self.neigh[i])
 
 
 class PayoffGame(Record):
@@ -103,62 +100,30 @@ def expand_full(game):
     return PPGame(game.players, game.strategies, neigh, prefs)
 
 
-def best_response(game, i, s_neigh):
-    return game.prefs[i][tuple(s_neigh)][0]
-
-
-def is_never_best_response(game, i, s_i):
-    return s_i in cpnet.never_best(game.strategies[i], game.prefs[i])
-
-
-def is_strictly_dominated(game, i, s_i):
-    return s_i in cpnet.dominated(game.strategies[i], game.prefs[i])
-
-
 def nash_equilibria_pp(game):
     """Joint strategies where each player's strategy tops the selected order."""
     return list(cpnet.stable_outcomes(game.strategies, game.neigh, game.prefs))
 
 
-def subgame(game, keep):
-    """Restrict each player's strategy set to `keep[i]` (declaration order),
-    dropping preference rows that mention a removed neighbour strategy."""
-    strategies, prefs = cpnet.restrict(game.players, game.neigh, game.prefs, keep)
-    return PPGame(game.players, strategies, game.neigh, prefs)
-
-
-def removable_strategies(game, mode):
-    return cpnet.removable_values(game.strategies, game.prefs, mode)
-
-
-def reduce_pp(game, mode):
-    """One maximal elimination round; returns the game unchanged at a fixpoint."""
-    removals = removable_strategies(game, mode)
-    return subgame(game, cpnet.without(game.strategies, removals)) if any(removals) else game
-
-
 def reduce_pp_fixpoint(game, mode, trace=None):
+    """`cpnet.eliminate_values` on the game's tables; the game itself when
+    no strategy was removable."""
     strategies, prefs = cpnet.eliminate_values(game.players, game.strategies, game.neigh,
                                                game.prefs, mode, trace)
     return game if prefs is game.prefs else PPGame(game.players, strategies, game.neigh, prefs)
 
 
-def essential_neighbours(game, i):
-    """Neighbours whose strategy actually changes some order of player i,
-    the game analogue of non-redundant CP-net parents."""
-    unused = cpnet.unused_parents(game.strategies, game.neigh[i], game.prefs[i])
-    return tuple(j for j in game.neigh[i] if j not in unused)
-
-
 def is_hierarchical(game):
-    """Whether the minimal dependency digraph is acyclic.
+    """Whether the minimal dependency digraph is acyclic: each player depends
+    on the neighbours whose strategy changes some order of the player, the
+    game analogue of non-redundant CP-net parents.
 
     Returns (flag, levels) where levels maps player index to its level
     (dependencies only on strictly lower levels); levels is None when cyclic.
     Players with constant preferences depend on nobody and sit at level 0.
     """
-    return cpnet.parent_levels([essential_neighbours(game, i)
-                                for i in range(len(game.players))])
+    return cpnet.parent_levels([set(ns) - cpnet.unused_parents(game.strategies, ns, rows)
+                                for ns, rows in zip(game.neigh, game.prefs)])
 
 
 def _payoff_codes(game):

@@ -99,13 +99,20 @@ def _rational(text, where):
 # ------------------------------------------------------------------- headers
 
 def _values(data, where):
-    """A list of names or domain values as a tuple.  All strings or all
+    """A list of domain values as a tuple.  All strings or all
     finite numbers, so that the values hash, sort and equal themselves."""
     if not isinstance(data, list) or not (
             all(isinstance(v, str) for v in data)
             or all(isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
                    for v in data)):
         raise ValidationError("%s must be a list of strings or of finite numbers" % where)
+    return tuple(data)
+
+
+def _names(data, where):
+    """A list of names as a tuple: strings, as names key JSON objects."""
+    if not isinstance(data, list) or not all(isinstance(v, str) for v in data):
+        raise ValidationError("%s must be a list of names, and names must be strings" % where)
     return tuple(data)
 
 
@@ -146,7 +153,7 @@ def _header_to_json(kind, names_key, names, domains_key, domains):
 
 def _header_from_json(data, names_key, domains_key):
     """The names, their index and their domains."""
-    names = _values(data[names_key], names_key)
+    names = _names(data[names_key], names_key)
     domains = tuple(_values(data[domains_key][n], "%s of %s" % (domains_key, n))
                     for n in names)
     return names, {n: i for i, n in enumerate(names)}, domains
@@ -302,7 +309,7 @@ def _graph_from_json(data):
     edges = data["edges"]
     if not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ValidationError("each graph edge must be a pair of nodes")
-    graph = pgame.DirectedGraph(_values(data["nodes"], "nodes"), tuple(map(tuple, edges)))
+    graph = pgame.DirectedGraph(_names(data["nodes"], "nodes"), tuple(map(tuple, edges)))
     levels = data.get("levels")
     if levels is not None and not (
             isinstance(levels, dict) and all(type(lv) is int for lv in levels.values())):

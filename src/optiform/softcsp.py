@@ -16,12 +16,13 @@ from .record import Record, init_field
 
 
 def check_names(names, domains):
-    """The names differ and no domain is empty."""
+    """The names differ, and each domain is nonempty and repeats no value."""
     if len(set(names)) != len(names):
         raise ValidationError("duplicate names in %r" % (names,))
-    if not all(domains):
-        empty = list(map(bool, domains)).index(False)
-        raise ValidationError("empty domain for %s" % names[empty])
+    for name, dom in zip(names, domains):
+        if not dom or len(set(dom)) != len(dom):
+            raise ValidationError(("a value repeats in the domain of %s" if dom
+                                   else "empty domain for %s") % name)
 
 
 def check_table(names, domains, scope, keys, label):

@@ -100,7 +100,7 @@ def test_cpnet_eliminate(capsys):
     assert doc["outcome"] == ["a", "b", "c", "d"]
 
 
-def test_cpnet_dominates_and_budget(capsys):
+def test_cpnet_dominates_and_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "cpnet-dominates", fx("acyclic4.cpnet.json"),
                        "--better", "a,b,c,d", "--worse", "a~,b~,c,d")
     assert code == 0 and json.loads(out)["result"] is True
@@ -110,6 +110,21 @@ def test_cpnet_dominates_and_budget(capsys):
                        "--budget", "1")
     assert code == 3
     assert json.loads(out)["result"] == "budget-exhausted"
+
+    # a field names the value whose text it is, a number's text its JSON text
+    net = tmp_path / "numeric.cpnet.json"
+    net.write_text(json.dumps({
+        "kind": "cpnet", "variables": ["x", "y"], "domains": {"x": [0, 1], "y": [0, 1.5]},
+        "tables": {"x": {"parents": [], "rows": [{"when": [[]], "order": [0, 1]}]},
+                   "y": {"parents": ["x"], "rows": [{"when": [[0]], "order": [0, 1.5]},
+                                                    {"when": [[1]], "order": [1.5, 0]}]}}}))
+    code, out, _ = run(capsys, "cpnet-dominates", str(net), "--better", "0,0", "--worse", "1,1.5")
+    doc = json.loads(out)
+    assert code == 0 and doc["result"] is True
+    assert (doc["better"], doc["worse"]) == ([0, 0], [1, 1.5])
+    # 1 names no value of y, whose values are 0 and 1.5
+    code, _, err = run(capsys, "cpnet-dominates", str(net), "--better", "0,0", "--worse", "1,1")
+    assert code == 2 and err == "error: value '1' not in the domain of y\n"
 
 
 def test_game_commands(capsys):
@@ -314,6 +329,17 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
          '{"x": ["a", "b"]}, "constraints": [{"scope": ["x"], "table": [{"tuple": ["a"], "value": '
          '"1"}, {"tuple": ["b"], "value": "2"}, {"tuple": ["a"], "value": "5"}]}]}',
          "constraint 0 over ['x']: ['a'] is given twice"),
+        # a repeated value would be listed twice in every result
+        ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
+         '{"x": ["a", "a", "b"]}, "constraints": []}', "a value repeats in the domain of x"),
+        ("game-nash", '{"kind": "payoffgame", "carrier": null, "players": ["p"], "strategies": '
+         '{"p": ["a", "a"]}, "neigh": {"p": []}, "payoffs": {"p": [{"when": ["a"], "value": "1"}]}}',
+         "a value repeats in the domain of p"),
+        # names are keys of JSON objects, so a number would name nothing
+        ("well-structured", '{"kind": "graph", "nodes": [1, 2], "edges": [[1, 2]]}',
+         "nodes must be a list of names, and names must be strings"),
+        ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": [0], "domains": '
+         '{"0": ["a"]}, "constraints": []}', "variables must be a list of names, and names must be strings"),
         ("scsp-solve", scsp % '"1e999999"', "at most"),
         ("scsp-solve", scsp % ('"%s"' % ("7" * 1001)), "at most"),
         ("scsp-solve", scsp % ("7" * 5000), "syntax"),
@@ -322,6 +348,10 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         bad.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
         code, _, err = run(capsys, command, str(bad))
         assert code == 2 and says in err and err.count("\n") == 1
+    # a technology game on numbered nodes would write a document no command reads
+    bad.write_text('{"kind": "graph", "nodes": [1, 2], "edges": [[1, 2]]}')
+    code, out, err = run(capsys, "tech-game", str(bad), "--k", "2")
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "names must be strings" in err
     # the payoff-game record refuses what the other records refuse
     for players, strategies, says in ((["p", "p"], ["a"], "duplicate names"),
                                       (["p"], [], "empty domain for p")):

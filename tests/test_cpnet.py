@@ -20,9 +20,7 @@ def two_var_cycle():
 
 
 def test_structure_queries(acyclic4, cyclic4):
-    assert cpnet.is_acyclic(acyclic4)
     assert cpnet.parent_levels(acyclic4.parents) == (True, {0: 0, 1: 0, 2: 1, 3: 2})
-    assert not cpnet.is_acyclic(cyclic4)
     assert cyclic4.parents == ((3,), (0,), (1,), (2,))
     assert cpnet.parent_levels(cyclic4.parents) == (False, None)
 
@@ -34,17 +32,21 @@ def test_flips(acyclic4):
     assert set(cpnet.improving_flips(acyclic4, worst)) == {
         (0, "a"), (1, "b"), (2, "c"), (3, "d~")
     }
-    assert cpnet.worsening_flips(acyclic4, worst) == []
-    assert cpnet.worsening_flips(acyclic4, ("a", "b", "c", "d")) == \
-        [(0, "a~"), (1, "b~"), (2, "c~"), (3, "d~")]
+    # the worsening flips from an outcome are the improving flips into it
+    def worse(o):
+        return {p for p, q in cpnet.flip_edges(acyclic4) if q == o}
+    assert worse(worst) == set()
+    assert worse(("a", "b", "c", "d")) == {
+        ("a~", "b", "c", "d"), ("a", "b~", "c", "d"), ("a", "b", "c~", "d"), ("a", "b", "c", "d~")
+    }
 
 
 def test_optimal_outcomes_match_sweep(acyclic4):
     best = cpnet.sweep_optimal(acyclic4)
     assert best == ("a", "b", "c", "d")
     assert cpnet.optimal_outcomes(acyclic4) == [best]
-    assert cpnet.is_optimal(acyclic4, best)
-    assert not cpnet.is_optimal(acyclic4, ("a~", "b", "c", "d"))
+    assert cpnet.improving_flips(acyclic4, best) == []
+    assert cpnet.improving_flips(acyclic4, ("a~", "b", "c", "d")) == [(0, "a"), (2, "c~")]
 
 
 def test_sweep_rejects_cycles(cyclic4):
@@ -99,9 +101,10 @@ def test_dominance_detects_flip_cycles(cyclic2):
 
 
 def test_redundant_parent_removal(redundant3):
-    assert cpnet.redundant_parents(redundant3, 2) == {0, 1}
+    assert cpnet.unused_parents(redundant3.domains, redundant3.parents[2],
+                                redundant3.rows[2]) == {0, 1}
     reduced = cpnet.reduce(redundant3)
-    assert cpnet.is_reduced(reduced)
+    assert cpnet.reduce(reduced) is reduced
     assert reduced.tables[2].parents == ()
     assert reduced.tables[2].rows == {(): ("c1", "c2")}
     # reduction preserves the flip relation, hence the optima
@@ -110,8 +113,7 @@ def test_redundant_parent_removal(redundant3):
 
 
 def test_reduce_keeps_needed_parents(acyclic4):
-    assert cpnet.is_reduced(acyclic4)
-    assert cpnet.reduce(acyclic4) == acyclic4
+    assert cpnet.reduce(acyclic4) is acyclic4
 
 
 def test_nbr_and_dominated_elements(cyclic4):
@@ -141,8 +143,9 @@ def test_elimination_chain(cyclic4):
 
 def test_eliminate_rejects_emptying():
     net = two_var_cycle()
-    with pytest.raises(ValidationError):
-        cpnet.eliminate(net, [{"a", "a~"}, set()])
+    keep = cpnet.without(net.domains, [{"a", "a~"}, set()])
+    with pytest.raises(ValidationError, match="empties the domain of A"):
+        cpnet.restrict(net.variables, net.parents, net.rows, keep)
 
 
 def test_validation():

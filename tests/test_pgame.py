@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from optiform import pgame, semiring
+from optiform import cpnet, pgame, semiring
 from optiform.errors import CarrierMismatchError, ValidationError
 from optiform.pgame import DirectedGraph, PPGame, PayoffGame
 
@@ -35,13 +35,12 @@ def test_nash_pp_can_be_empty_or_multiple():
 
 
 def test_best_response_and_dominance(pd_pp):
-    assert pgame.best_response(pd_pp, 0, ("C2",)) == "N1"
-    assert pgame.is_never_best_response(pd_pp, 0, "C1")
-    assert pgame.is_strictly_dominated(pd_pp, 0, "C1")
-    assert not pgame.is_never_best_response(pd_pp, 0, "N1")
+    assert pd_pp.prefs[0][("C2",)][0] == "N1"
+    assert cpnet.never_best(pd_pp.strategies[0], pd_pp.prefs[0]) == {"C1"}
+    assert cpnet.dominated(pd_pp.strategies[0], pd_pp.prefs[0]) == {"C1"}
     mp = matching_pennies()
-    assert not pgame.is_never_best_response(mp, 0, "h")
-    assert not pgame.is_strictly_dominated(mp, 0, "h")
+    assert cpnet.never_best(mp.strategies[0], mp.prefs[0]) == set()
+    assert cpnet.dominated(mp.strategies[0], mp.prefs[0]) == set()
 
 
 def test_reduction_rounds(pd_pp):
@@ -49,15 +48,16 @@ def test_reduction_rounds(pd_pp):
     fixed = pgame.reduce_pp_fixpoint(pd_pp, "s", trace)
     assert trace == [[["C1"], ["C2"]]]
     assert fixed.strategies == (("N1",), ("N2",))
-    assert pgame.reduce_pp(fixed, "s") == fixed
+    assert pgame.reduce_pp_fixpoint(fixed, "s") is fixed
     assert pgame.reduce_pp_fixpoint(pd_pp, "nbr").strategies == fixed.strategies
     with pytest.raises(ValidationError):
-        pgame.removable_strategies(pd_pp, "weak")
+        pgame.reduce_pp_fixpoint(pd_pp, "weak")
 
 
 def test_subgame_rejects_empty():
-    with pytest.raises(ValidationError):
-        pgame.subgame(matching_pennies(), ((), ("h", "t")))
+    game = matching_pennies()
+    with pytest.raises(ValidationError, match="empties the domain of p1"):
+        cpnet.restrict(game.players, game.neigh, game.prefs, ((), ("h", "t")))
 
 
 def test_expand_full_round_trips(pd_pp):

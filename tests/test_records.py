@@ -201,6 +201,7 @@ NAMES, DOMAINS = ("p", "q"), (("a", "b"), ("c", "d"))
 DEFECTS = [
     ("repeated names", ("p", "p"), DOMAINS, (1,), set),
     ("empty domain", NAMES, (("a", "b"), ()), (), set),
+    ("repeated domain value", NAMES, (("a", "b"), ("c", "c")), (1,), set),
     ("out-of-range scope index", NAMES, DOMAINS, (2,), set),
     ("negative scope index", NAMES, DOMAINS, (-1,), set),
     ("repeated scope index", NAMES, DOMAINS, (1, 1), set),

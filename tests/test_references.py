@@ -2,17 +2,20 @@
 best replies, the shared layering loop, the Pareto-efficient Nash skyline,
 the oracle's interned payoff table, the memoised dominance search, the
 one-pass parent reduction, the level sweep, the one table generator, the
-one table check and the one cell reader, against the code they replaced,
-kept literally as references: the callback fixpoint and its single round,
-the boxed `regret_constraints` that compares every tuple with every
-deviation, the two layering loops, the `pareto_nash` that joins the cost
-tuples with the no-regret constraints and enumerates every joint strategy,
+one table check, the one cell reader, and the one stable-outcome referee
+with the one check per elimination theorem, against the code they
+replaced, kept literally as references: the callback fixpoint and its
+single round over the record wrappers `eliminate`, `subgame` and
+`reduce_pp`, the boxed `regret_constraints` that compares every tuple with
+every deviation, the two layering loops, the `pareto_nash` that joins the
+cost tuples with the no-regret constraints and enumerates every joint strategy,
 the referees over a table of boxed payoff vectors, the dominance search
 that slices every row it meets, the `reduce` loop that rebuilds the net
 once per dropped parent, Kahn's topological order with the sweep and
 acyclicity test built on it, the two parent generators, the three table
-checks of `cpnet.check_tables`, `PayoffGame` and `SoftCSP`, and the four
-parsers' cell loops.
+checks of `cpnet.check_tables`, `PayoffGame` and `SoftCSP`, the four
+parsers' cell loops, and the oracle's net and game twins of each
+elimination check with its two brute-force referees.
 
 Results and elimination traces must be equal on every seed, lists in the
 same order; the table checks and parsers must accept and refuse the same
@@ -58,10 +61,121 @@ def net_removable(net, mode):
     return cpnet.removable_values(net.domains, net.rows, mode)
 
 
+def reference_eliminate(net, removals):
+    domains, rows = cpnet.restrict(net.variables, net.parents, net.rows,
+                                   cpnet.without(net.domains, removals))
+    return cpnet.from_tables(net.variables, domains, net.parents, rows)
+
+
+def reference_subgame(game, keep):
+    strategies, prefs = cpnet.restrict(game.players, game.neigh, game.prefs, keep)
+    return pgame.PPGame(game.players, strategies, game.neigh, prefs)
+
+
+def reference_removable_strategies(game, mode):
+    return cpnet.removable_values(game.strategies, game.prefs, mode)
+
+
+def reference_reduce_pp(game, mode):
+    removals = reference_removable_strategies(game, mode)
+    return (reference_subgame(game, cpnet.without(game.strategies, removals))
+            if any(removals) else game)
+
+
 def drop(game, removals):
-    return pgame.subgame(game, [
+    return reference_subgame(game, [
         [v for v in s if v not in r] for s, r in zip(game.strategies, removals)
     ])
+
+
+def reference_essential_neighbours(game, i):
+    unused = cpnet.unused_parents(game.strategies, game.neigh[i], game.prefs[i])
+    return tuple(j for j in game.neigh[i] if j not in unused)
+
+
+def reference_redundant_parents(net, i):
+    return cpnet.unused_parents(net.domains, net.parents[i], net.rows[i])
+
+
+def reference_improving_values(order, current, values):
+    rank = order.index(current)
+    return (v for v in values if v != current and order.index(v) < rank)
+
+
+def reference_brute_optimal_outcomes(net):
+    def better_flips(o):
+        for i in range(len(net.variables)):
+            yield from reference_improving_values(net.row_for(i, o), o[i], net.domains[i])
+    return oracle._unbeaten(net.outcomes(), better_flips)
+
+
+def reference_brute_nash_pp(game):
+    def better_replies(s):
+        for i in range(len(game.players)):
+            order = game.prefs[i][tuple(s[j] for j in game.neigh[i])]
+            yield from reference_improving_values(order, s[i], game.strategies[i])
+    return oracle._unbeaten(game.joint_strategies(), better_replies)
+
+
+def reference_check_elimination_round_game(game):
+    for mode in ("nbr", "s"):
+        g, before = game, set(reference_brute_nash_pp(game))
+        while True:
+            nxt = reference_reduce_pp(g, mode)
+            if nxt == g:
+                break
+            after = set(reference_brute_nash_pp(nxt))
+            if before != after:
+                return oracle._verdict(False, "mode %s round changed the Nash set" % mode)
+            g = nxt
+    return oracle._verdict(True)
+
+
+def reference_check_elimination_round_net(net):
+    for mode in ("nbr", "s"):
+        n, before = net, set(reference_brute_optimal_outcomes(net))
+        while True:
+            removals = cpnet.removable_values(n.domains, n.rows, mode)
+            if not any(removals):
+                break
+            nxt = reference_eliminate(n, removals)
+            after = set(reference_brute_optimal_outcomes(nxt))
+            if before != after:
+                return oracle._verdict(False, "mode %s round changed the optimal set" % mode)
+            n = nxt
+    return oracle._verdict(True)
+
+
+def reference_check_elimination_fixpoint_game(game):
+    final = pgame.reduce_pp_fixpoint(game, "nbr")
+    if set(reference_brute_nash_pp(game)) != set(reference_brute_nash_pp(final)):
+        return oracle._verdict(False, "fixpoint changed the Nash set")
+    if all(len(s) == 1 for s in final.strategies):
+        only = tuple(s[0] for s in final.strategies)
+        return oracle._verdict(reference_brute_nash_pp(game) == [only],
+                               "singleton joint strategy is not the unique Nash")
+    return oracle._verdict(True)
+
+
+def reference_check_elimination_fixpoint_net(net):
+    final = cpnet.reduce_to_fixpoint(net, "nbr")
+    if set(reference_brute_optimal_outcomes(net)) != set(reference_brute_optimal_outcomes(final)):
+        return oracle._verdict(False, "fixpoint changed the optimal set")
+    if all(len(d) == 1 for d in final.domains):
+        only = tuple(d[0] for d in final.domains)
+        return oracle._verdict(
+            reference_brute_optimal_outcomes(net) == [only],
+            "singleton outcome is not the unique optimum",
+        )
+    return oracle._verdict(True)
+
+
+REFERENCE_ELIMINATION_CHECKS = {
+    "elimination_round_net": reference_check_elimination_round_net,
+    "elimination_round_game": reference_check_elimination_round_game,
+    "elimination_fixpoint_net": reference_check_elimination_fixpoint_net,
+    "elimination_fixpoint_game": reference_check_elimination_fixpoint_game,
+}
 
 
 def reference_regret_constraints(game):
@@ -84,7 +198,7 @@ def reference_regret_constraints(game):
 
 def reference_is_hierarchical(game):
     n = len(game.players)
-    deps = [pgame.essential_neighbours(game, i) for i in range(n)]
+    deps = [reference_essential_neighbours(game, i) for i in range(n)]
     levels = {}
     remaining = set(range(n))
     level = 0
@@ -211,7 +325,7 @@ def reference_reduce(net):
     while changed:
         changed = False
         for i in range(len(net.variables)):
-            red = cpnet.redundant_parents(net, i)
+            red = reference_redundant_parents(net, i)
             for y in sorted(red):
                 net = reference_drop_parent(net, i, y)
                 changed = True
@@ -515,7 +629,7 @@ def test_net_fixpoint_matches_callback_fixpoint():
             for mode in MODES:
                 got, want = [], []
                 final = cpnet.reduce_to_fixpoint(net, mode, got)
-                expected = elimination_fixpoint(net, mode, net_removable, cpnet.eliminate, want)
+                expected = elimination_fixpoint(net, mode, net_removable, reference_eliminate, want)
                 assert (final, got) == (expected, want), (seed, acyclic, mode)
                 assert (final is net) == (expected is net)
 
@@ -525,12 +639,17 @@ def test_game_rounds_match_callback_round_and_fixpoint():
         for graphical in (False, True):
             game = oracle.random_ppgame(replace(CFG, seed=seed, graphical=graphical))
             for mode in MODES:
-                step = pgame.reduce_pp(game, mode)
-                assert step == elimination_round(game, mode, pgame.removable_strategies, drop)[1]
-                assert (step is game) == (not any(pgame.removable_strategies(game, mode)))
+                # one round of the core, as the elimination checks take it
+                removals = cpnet.removable_values(game.strategies, game.prefs, mode)
+                step = elimination_round(game, mode, reference_removable_strategies, drop)[1]
+                assert (step is game) == (not any(removals))
+                if any(removals):
+                    assert cpnet.restrict(game.players, game.neigh, game.prefs, cpnet.without(
+                        game.strategies, removals)) == (step.strategies, step.prefs)
                 got, want = [], []
                 final = pgame.reduce_pp_fixpoint(game, mode, got)
-                expected = elimination_fixpoint(game, mode, pgame.removable_strategies, drop, want)
+                expected = elimination_fixpoint(game, mode, reference_removable_strategies, drop,
+                                                want)
                 assert (final, got) == (expected, want), (seed, graphical, mode)
                 assert (final is game) == (expected is game)
 
@@ -642,15 +761,55 @@ def test_reduce_matches_drop_parent_loop():
 def test_sweep_and_acyclicity_match_topological_order():
     verdicts = set()
     for net in structure_nets():
-        acyclic = cpnet.is_acyclic(net)
+        acyclic, levels = cpnet.parent_levels(net.parents)
         assert acyclic == reference_is_acyclic(net)
         assert outcome(cpnet.sweep_optimal, net) == outcome(reference_sweep_optimal, net)
-        flag, levels = cpnet.parent_levels(net.parents)
-        assert flag == acyclic
-        if flag:
+        if acyclic:
             assert all(levels[p] < levels[i] for i, ps in enumerate(net.parents) for p in ps)
         verdicts.add(acyclic)
     assert verdicts == {False, True}
+
+
+def test_referee_matches_both_brute_branches():
+    for seed in range(1, 401):
+        for acyclic in (False, True):
+            net = oracle.random_cpnet(replace(CFG, seed=seed, acyclic=acyclic))
+            assert oracle.brute_optimal_outcomes(net) == reference_brute_optimal_outcomes(net)
+            for graphical in (False, True):
+                game = oracle.random_ppgame(
+                    replace(CFG, seed=seed, graphical=graphical, acyclic=acyclic))
+                assert oracle.brute_nash(game) == reference_brute_nash_pp(game), seed
+
+
+def elimination_verdicts(seeds):
+    """Per elimination suite and seed, whether the instance passed the one
+    check now and the twin check before.  Only pass or fail is compared:
+    the twins' failure details name the optimal set or the Nash set, the
+    one check's the stable outcomes."""
+    out = {}
+    for theorem, reference in REFERENCE_ELIMINATION_CHECKS.items():
+        for seed in seeds:
+            instance = oracle.generate_instance(theorem, replace(CFG, seed=seed))
+            verdicts = oracle.check_theorem(theorem, instance), reference(instance)
+            assert not any(v.skipped for v in verdicts)
+            out[theorem, seed] = tuple(v.ok for v in verdicts)
+    return out
+
+
+def test_elimination_checks_match_the_twin_checks(monkeypatch):
+    assert set(elimination_verdicts(range(1, 401)).values()) == {(True, True)}
+    # a restriction that reverses every surviving row breaks the theorems:
+    # both checks must then fail on the same instances
+    restrict = cpnet.restrict
+
+    def reversing(names, parents, rows, keep):
+        kept, new_rows = restrict(names, parents, rows, keep)
+        return kept, tuple({pa: order[::-1] for pa, order in r.items()} for r in new_rows)
+    monkeypatch.setattr(cpnet, "restrict", reversing)
+    verdicts = elimination_verdicts(range(1, 201))
+    assert all(now == before for now, before in verdicts.values())
+    failed = {theorem for (theorem, _), (now, _) in verdicts.items() if not now}
+    assert failed == set(REFERENCE_ELIMINATION_CHECKS)
 
 
 def test_generators_match_parent_draws():
