@@ -1,8 +1,10 @@
-"""Command-line interface: one subcommand per solver or translation.
+"""Command-line interface: one subcommand per solver or translation, each
+one row of `COMMANDS`.  `main` loads the row's document, calls its handler
+and writes the result: a record as a document, or a dict as a report.
 
 Reports are JSON with sorted keys, so identical inputs give byte-identical
-output.  Exit codes: 0 success, 2 validation failure, 3 budget or
-enumeration bound exhausted.
+output.  Exit codes: 0 success, 1 a failed check, 2 validation failure, 3
+budget or enumeration bound exhausted.
 
 A run builds the parser of its own subcommand only, and only `check` loads
 the oracle.
@@ -21,16 +23,11 @@ EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
 
 
-def _emit(report):
-    sys.stdout.write(serialize.text_of(report))
-
-
-def _load(path, *kinds):
+def _load(path, kinds):
     kind, obj = serialize.load_path(path)
-    if kinds and kind not in kinds:
-        raise ValidationError(
-            "%s holds a %s document, expected %s" % (path, kind, " or ".join(kinds))
-        )
+    if kind not in kinds:
+        raise ValidationError("%s holds a %s document, expected %s"
+                              % (path, kind, " or ".join(kinds)))
     return kind, obj
 
 
@@ -41,9 +38,8 @@ def _payoffs(game, s):
     }
 
 
-def _elimination_report(command, mode, names, trace, domains_key, domains):
+def _elimination_report(mode, names, trace, domains_key, domains):
     return {
-        "command": command,
         "mode": mode,
         "rounds": [
             {names[i]: r for i, r in enumerate(round_) if r} for round_ in trace
@@ -53,67 +49,46 @@ def _elimination_report(command, mode, names, trace, domains_key, domains):
     }
 
 
-# ------------------------------------------------------------------ handlers
-
-def cmd_translate(kind, translate, args):
-    """Load a `kind` document and write `translate` of it as a document."""
-    _, obj = _load(args.file, kind)
-    sys.stdout.write(serialize.dumps(translate(obj)))
-    return EXIT_OK
+def translation(module, name):
+    """The handler of a subcommand that writes `module.name` of its document.
+    The function is looked up at each call, like every library call here, so
+    a wrapper put on the module later (bench/spans.py) is the one called."""
+    return lambda args, kind, obj: getattr(module, name)(obj)
 
 
-def cmd_scsp_solve(args):
-    _, problem = _load(args.file, "scsp")
-    _emit({
-        "command": "scsp-solve",
+def cmd_scsp_solve(args, kind, problem):
+    return {
         "optimal": [
             {"assignment": list(s),
              "preference": serialize.payload_to_json(p.spec, p.payload)}
             for s, p in softcsp.optimal_solutions(problem)
         ],
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_scsp_join(args):
-    _, p1 = _load(args.file, "scsp")
-    _, p2 = _load(args.other, "scsp")
-    sys.stdout.write(serialize.dumps(softcsp.join(p1, p2)))
-    return EXIT_OK
+def cmd_scsp_join(args, kind, problem):
+    return softcsp.join(problem, args.other)
 
 
-def cmd_cpnet_optimal(args):
-    _, net = _load(args.file, "cpnet")
+def cmd_cpnet_optimal(args, kind, net):
     optimal = cpnet.optimal_outcomes(net)
-    _emit({
-        "command": "cpnet-optimal",
-        "eligible": bool(optimal),
-        "optimal": [list(o) for o in optimal],
-    })
-    return EXIT_OK
+    return {"eligible": bool(optimal), "optimal": [list(o) for o in optimal]}
 
 
-def cmd_cpnet_sweep(args):
-    _, net = _load(args.file, "cpnet")
-    _emit({"command": "cpnet-sweep", "outcome": list(cpnet.sweep_optimal(net))})
-    return EXIT_OK
+def cmd_cpnet_sweep(args, kind, net):
+    return {"outcome": list(cpnet.sweep_optimal(net))}
 
 
-def cmd_cpnet_eligible(args):
-    _, net = _load(args.file, "cpnet")
-    _emit({"command": "cpnet-eligible", "eligible": cpnet.is_eligible(net)})
-    return EXIT_OK
+def cmd_cpnet_eligible(args, kind, net):
+    return {"eligible": cpnet.is_eligible(net)}
 
 
-def cmd_cpnet_eliminate(args):
-    _, net = _load(args.file, "cpnet")
+def cmd_cpnet_eliminate(args, kind, net):
     trace = []
     final = cpnet.reduce_to_fixpoint(net, args.mode, trace)
-    report = _elimination_report("cpnet-eliminate", args.mode, net.variables, trace,
-                                 "domains", final.domains)
+    report = _elimination_report(args.mode, net.variables, trace, "domains", final.domains)
     report["outcome"] = [d[0] for d in final.domains] if report["solved"] else None
-    _emit(report)
-    return EXIT_OK
+    return report
 
 
 def _outcome(net, text):
@@ -125,21 +100,15 @@ def _outcome(net, text):
     return tuple(named[k].get(f, f) if k < len(named) else f for k, f in enumerate(fields))
 
 
-def cmd_cpnet_dominates(args):
-    _, net = _load(args.file, "cpnet")
+def cmd_cpnet_dominates(args, kind, net):
     alpha, beta = _outcome(net, args.better), _outcome(net, args.worse)
     result = cpnet.dominates(net, alpha, beta, args.budget)
-    _emit({
-        "command": "cpnet-dominates",
-        "better": list(alpha),
-        "worse": list(beta),
-        "result": result if isinstance(result, str) else bool(result),
-    })
-    return EXIT_EXHAUSTED if result == cpnet.BUDGET_EXHAUSTED else EXIT_OK
+    report = {"better": list(alpha), "worse": list(beta),
+              "result": result if isinstance(result, str) else bool(result)}
+    return (report, EXIT_EXHAUSTED) if result == cpnet.BUDGET_EXHAUSTED else report
 
 
-def cmd_game_nash(args):
-    kind, game = _load(args.file, "ppgame", "payoffgame")
+def cmd_game_nash(args, kind, game):
     if kind == "ppgame":
         # at a parametrized Nash equilibrium every strategy tops the row it
         # selects, so each player's best response is its own strategy
@@ -148,41 +117,28 @@ def cmd_game_nash(args):
     else:
         report = [{"joint_strategy": list(s), "payoffs": _payoffs(game, s)}
                   for s in pgame.nash_equilibria_payoff(game)]
-    _emit({"command": "game-nash", "game_kind": kind, "nash": report})
-    return EXIT_OK
+    return {"game_kind": kind, "nash": report}
 
 
-def cmd_game_pareto(args):
-    _, game = _load(args.file, "payoffgame")
-    _emit({
-        "command": "game-pareto",
+def cmd_game_pareto(args, kind, game):
+    return {
         "pareto": [
             {"joint_strategy": list(s), "payoffs": _payoffs(game, s)}
             for s in pgame.pareto_efficient(game)
         ],
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_game_eliminate(args):
-    _, game = _load(args.file, "ppgame")
+def cmd_game_eliminate(args, kind, game):
     trace = []
     final = pgame.reduce_pp_fixpoint(game, args.mode, trace)
-    _emit(_elimination_report("game-eliminate", args.mode, game.players, trace,
-                              "strategies", final.strategies))
-    return EXIT_OK
+    return _elimination_report(args.mode, game.players, trace, "strategies", final.strategies)
 
 
-def cmd_game_hierarchical(args):
-    _, game = _load(args.file, "ppgame")
+def cmd_game_hierarchical(args, kind, game):
     flag, levels = pgame.is_hierarchical(game)
-    _emit({
-        "command": "game-hierarchical",
-        "hierarchical": flag,
-        "levels": None if levels is None
-        else {game.players[i]: lv for i, lv in levels.items()},
-    })
-    return EXIT_OK
+    return {"hierarchical": flag,
+            "levels": None if levels is None else {game.players[i]: lv for i, lv in levels.items()}}
 
 
 def _offset(args):
@@ -192,40 +148,27 @@ def _offset(args):
     return serialize.payload_from_json(None, args.offset, "--offset")
 
 
-def cmd_map_to_scsp(args):
-    _, game = _load(args.file, "payoffgame")
-    sys.stdout.write(serialize.dumps(bridge.scsp_of_game(game, _offset(args))))
-    return EXIT_OK
+def cmd_map_to_scsp(args, kind, game):
+    return bridge.scsp_of_game(game, _offset(args))
 
 
-def cmd_pareto_nash(args):
-    _, game = _load(args.file, "payoffgame")
-    _emit({
-        "command": "pareto-nash",
+def cmd_pareto_nash(args, kind, game):
+    return {
         "equilibria": [
             {"joint_strategy": list(s),
              "preference": serialize.payload_to_json(p.spec, p.payload)}
             for s, p in bridge.pareto_nash(game, _offset(args))
         ],
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_tech_game(args):
-    _, (graph, _) = _load(args.file, "graph")
-    sys.stdout.write(serialize.dumps(pgame.tech_game(graph, args.k)))
-    return EXIT_OK
+def cmd_tech_game(args, kind, graph_levels):
+    return pgame.tech_game(graph_levels[0], args.k)
 
 
-def cmd_well_structured(args):
-    _, (graph, levels) = _load(args.file, "graph")
-    flag, witness = pgame.is_well_structured(graph, levels)
-    _emit({
-        "command": "well-structured",
-        "well_structured": flag,
-        "levels": witness,
-    })
-    return EXIT_OK
+def cmd_well_structured(args, kind, graph_levels):
+    flag, witness = pgame.is_well_structured(*graph_levels)
+    return {"well_structured": flag, "levels": witness}
 
 
 def _parse_seed_range(text):
@@ -240,25 +183,59 @@ def _parse_seed_range(text):
     return seeds
 
 
-def cmd_check(args):
+def cmd_check(args, kind, obj):
     from . import oracle
 
-    seeds = _parse_seed_range(args.seeds)
-    results = oracle.run_suite(args.theorem, seeds)
-    failures = {
-        seed: v.detail for seed, v in results.items() if not v.ok
-    }
-    _emit({
-        "command": "check",
+    results = oracle.run_suite(args.theorem, _parse_seed_range(args.seeds))
+    failures = {seed: v.detail for seed, v in results.items() if not v.ok}
+    report = {
         "theorem": args.theorem,
         "passed": sum(1 for v in results.values() if v.ok and not v.skipped),
         "skipped": sum(1 for v in results.values() if v.skipped),
         "failed": failures,
-    })
-    return EXIT_OK if not failures else 1
+    }
+    return (report, 1) if failures else report
 
 
-# --------------------------------------------------------------------- wiring
+_MODE = (("--mode",), {"choices": ("nbr", "s"), "default": "nbr"})
+_OFFSET = (("--offset",), {"type": str, "default": None})
+
+#: name -> (the document kinds it reads, its handler, its other arguments as
+#: (flags, add_argument options) pairs), in the usage's order.  `main` calls
+#: `handler(args, kind, obj)`, which returns a result or (result, exit code).
+#: `check` reads no document; `build_parser` adds its --theorem.
+COMMANDS = {
+    "scsp-solve": (("scsp",), cmd_scsp_solve, ()),
+    "scsp-join": (("scsp",), cmd_scsp_join, ((("other",), {"help": "second instance document"}),)),
+    "cpnet-optimal": (("cpnet",), cmd_cpnet_optimal, ()),
+    "cpnet-sweep": (("cpnet",), cmd_cpnet_sweep, ()),
+    "cpnet-eligible": (("cpnet",), cmd_cpnet_eligible, ()),
+    "cpnet-opt-constraints": (("cpnet",), translation(cpnet, "optimality_constraints"), ()),
+    "cpnet-reduce": (("cpnet",), translation(cpnet, "reduce"), ()),
+    "cpnet-eliminate": (("cpnet",), cmd_cpnet_eliminate, (_MODE,)),
+    "cpnet-dominates": (("cpnet",), cmd_cpnet_dominates, (
+        (("--budget",), {"type": int, "default": cpnet.DEFAULT_DOMINANCE_BUDGET}),
+        (("--better",), {"required": True, "help": "comma-separated outcome, e.g. a,b,c,d"}),
+        (("--worse",), {"required": True}),
+    )),
+    "game-nash": (("ppgame", "payoffgame"), cmd_game_nash, ()),
+    "game-pareto": (("payoffgame",), cmd_game_pareto, ()),
+    "game-eliminate": (("ppgame",), cmd_game_eliminate, (_MODE,)),
+    "game-hierarchical": (("ppgame",), cmd_game_hierarchical, ()),
+    "to-game": (("cpnet",), translation(bridge, "game_of_cpnet"), ()),
+    "to-cpnet": (("ppgame",), translation(bridge, "cpnet_of_game"), ()),
+    "map-local": (("scsp",), translation(bridge, "local_map"), ()),
+    "map-global": (("scsp",), translation(bridge, "global_map"), ()),
+    "map-to-scsp": (("payoffgame",), cmd_map_to_scsp, (_OFFSET,)),
+    "regret-constraints": (("payoffgame",), translation(bridge, "regret_constraints"), ()),
+    "pareto-nash": (("payoffgame",), cmd_pareto_nash, (_OFFSET,)),
+    "tech-game": (("graph",), cmd_tech_game, ((("--k",), {"type": int, "required": True}),)),
+    "well-structured": (("graph",), cmd_well_structured, ()),
+    "check": ((), cmd_check, (
+        (("--seeds",), {"default": "1..100", "help": "single seed or inclusive range A..B"}),
+    )),
+}
+
 
 @functools.lru_cache(maxsize=32)  # all 23 subcommands and None, bounded against junk names
 def build_parser(subcommand=None):
@@ -271,66 +248,17 @@ def build_parser(subcommand=None):
         "constraints, with the translations between them.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, handler, *, other=False, mode=False, budget=False,
-            offset=False, k=False, outcomes=False, check=False):
-        if subcommand not in (None, name):
-            return
+    for name in (subcommand,) if subcommand in COMMANDS else COMMANDS:
+        kinds, _, arguments = COMMANDS[name]
         p = sub.add_parser(name)
-        if not check:
+        if kinds:
             p.add_argument("file", help="instance document")
-        if other:
-            p.add_argument("other", help="second instance document")
-        if mode:
-            p.add_argument("--mode", choices=("nbr", "s"), default="nbr")
-        if budget:
-            p.add_argument("--budget", type=int,
-                           default=cpnet.DEFAULT_DOMINANCE_BUDGET)
-        if offset:
-            p.add_argument("--offset", type=str, default=None)
-        if k:
-            p.add_argument("--k", type=int, required=True)
-        if outcomes:
-            p.add_argument("--better", required=True,
-                           help="comma-separated outcome, e.g. a,b,c,d")
-            p.add_argument("--worse", required=True)
-        if check:
+        if name == "check":
             from . import oracle
 
-            p.add_argument("--theorem", required=True,
-                           choices=sorted(oracle.THEOREMS))
-            p.add_argument("--seeds", default="1..100",
-                           help="single seed or inclusive range A..B")
-        p.set_defaults(handler=handler)
-
-    def translation(kind, translate):
-        return functools.partial(cmd_translate, kind, translate)
-
-    add("scsp-solve", cmd_scsp_solve)
-    add("scsp-join", cmd_scsp_join, other=True)
-    add("cpnet-optimal", cmd_cpnet_optimal)
-    add("cpnet-sweep", cmd_cpnet_sweep)
-    add("cpnet-eligible", cmd_cpnet_eligible)
-    add("cpnet-opt-constraints", translation("cpnet", cpnet.optimality_constraints))
-    add("cpnet-reduce", translation("cpnet", cpnet.reduce))
-    add("cpnet-eliminate", cmd_cpnet_eliminate, mode=True)
-    add("cpnet-dominates", cmd_cpnet_dominates, budget=True, outcomes=True)
-    add("game-nash", cmd_game_nash)
-    add("game-pareto", cmd_game_pareto)
-    add("game-eliminate", cmd_game_eliminate, mode=True)
-    add("game-hierarchical", cmd_game_hierarchical)
-    add("to-game", translation("cpnet", bridge.game_of_cpnet))
-    add("to-cpnet", translation("ppgame", bridge.cpnet_of_game))
-    add("map-local", translation("scsp", bridge.local_map))
-    add("map-global", translation("scsp", bridge.global_map))
-    add("map-to-scsp", cmd_map_to_scsp, offset=True)
-    add("regret-constraints", translation("payoffgame", bridge.regret_constraints))
-    add("pareto-nash", cmd_pareto_nash, offset=True)
-    add("tech-game", cmd_tech_game, k=True)
-    add("well-structured", cmd_well_structured)
-    add("check", cmd_check, check=True)
-    if not sub.choices:
-        return build_parser()
+            p.add_argument("--theorem", required=True, choices=sorted(oracle.THEOREMS))
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -339,8 +267,19 @@ def main(argv=None):
     args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
     if extra:  # the full parser reports them, its usage listing every subcommand
         args = build_parser().parse_args(argv)
+    kinds, handler, _ = COMMANDS[args.subcommand]
     try:
-        return args.handler(args)
+        kind, obj = _load(args.file, kinds) if kinds else (None, None)
+        if "other" in args:  # the second document of scsp-join
+            args.other = _load(args.other, kinds)[1]
+        result = handler(args, kind, obj)
+        result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+        if isinstance(result, dict):
+            result["command"] = args.subcommand
+            sys.stdout.write(serialize.text_of(result))
+        else:
+            sys.stdout.write(serialize.dumps(result))
+        return code
     except EnumerationLimitError as exc:
         print("bound exhausted: %s" % exc, file=sys.stderr)
         return EXIT_EXHAUSTED

@@ -100,11 +100,11 @@ def _rational(text, where):
 
 def _values(data, where):
     """A list of domain values as a tuple.  All strings or all
-    finite numbers, so that the values hash, sort and equal themselves."""
+    finite numbers, so that the values hash, sort and equal themselves; a
+    bool is no number here, as `true` would equal and hash as 1."""
     if not isinstance(data, list) or not (
             all(isinstance(v, str) for v in data)
-            or all(isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
-                   for v in data)):
+            or all(type(v) is int or type(v) is float and math.isfinite(v) for v in data)):
         raise ValidationError("%s must be a list of strings or of finite numbers" % where)
     return tuple(data)
 

@@ -38,7 +38,10 @@ def check_table(names, domains, scope, keys, label):
     if len(set(scope)) != len(scope):
         twice = [i for i in scope if scope.count(i) > 1][0]
         raise ValidationError("%s names %s twice" % (label(), names[twice]))
-    expected = set(itertools.product(*map(domains.__getitem__, scope)))
+    # one tuple past the table's size is enough to tell the product from the
+    # keys, so a table far smaller than its product fails without building it
+    expected = set(itertools.islice(
+        itertools.product(*map(domains.__getitem__, scope)), len(keys) + 1))
     if keys != expected:
         for t in itertools.product(*map(domains.__getitem__, scope)):
             if t not in keys:

@@ -340,6 +340,16 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
          "nodes must be a list of names, and names must be strings"),
         ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": [0], "domains": '
          '{"0": ["a"]}, "constraints": []}', "variables must be a list of names, and names must be strings"),
+        # true would equal and hash as 1, so the tuple [1] would name it
+        ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
+         '{"x": [true, 2]}, "constraints": [{"scope": ["x"], "table": [{"tuple": [1], "value": '
+         '"1"}, {"tuple": [2], "value": "2"}]}]}', "must be a list of strings or of finite numbers"),
+        # one cell of a 10^8-tuple product fails without building the product
+        ("scsp-solve", json.dumps({
+            "kind": "scsp", "semiring": "weighted", "variables": list("abcdefgh"),
+            "domains": {v: list(range(10)) for v in "abcdefgh"}, "constraints": [
+                {"scope": list("abcdefgh"), "table": [{"tuple": [0] * 7 + [9], "value": "1"}]}]}),
+         "misses the tuple (0, 0, 0, 0, 0, 0, 0, 0)"),
         ("scsp-solve", scsp % '"1e999999"', "at most"),
         ("scsp-solve", scsp % ('"%s"' % ("7" * 1001)), "at most"),
         ("scsp-solve", scsp % ("7" * 5000), "syntax"),

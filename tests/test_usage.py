@@ -77,6 +77,10 @@ def record_usage():
     return {key: run(argv) for key, argv in usage_cases()}
 
 
+def test_usage_cases_cover_every_subcommand():
+    assert SUBCOMMANDS == tuple(cli.COMMANDS)
+
+
 def test_usage_outputs():
     expected = json.loads(GOLDEN.read_text())
     got = record_usage()
