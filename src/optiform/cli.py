@@ -162,12 +162,12 @@ def cmd_pareto_nash(args, kind, game):
     }
 
 
-def cmd_tech_game(args, kind, graph_levels):
-    return pgame.tech_game(graph_levels[0], args.k)
+def cmd_tech_game(args, kind, graph):
+    return pgame.tech_game(graph, args.k)
 
 
-def cmd_well_structured(args, kind, graph_levels):
-    flag, witness = pgame.is_well_structured(*graph_levels)
+def cmd_well_structured(args, kind, graph):
+    flag, witness = pgame.is_well_structured(graph)
     return {"well_structured": flag, "levels": witness}
 
 

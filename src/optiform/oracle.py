@@ -199,14 +199,6 @@ def random_cpnet(cfg):
                              *_random_tables(rng, cfg, domains, True))
 
 
-def _carrier_spec(cfg):
-    return {
-        "boolean": semiring.BOOLEAN,
-        "fuzzy": semiring.FUZZY,
-        "weighted": semiring.WEIGHTED,
-    }[cfg.carrier]
-
-
 def _random_value(rng, spec):
     if spec.kind == "boolean":
         return semiring.value(spec, rng.random() < 0.5)
@@ -217,7 +209,7 @@ def _random_value(rng, spec):
 
 def random_scsp(cfg):
     rng = random.Random(cfg.seed)
-    spec = _carrier_spec(cfg)
+    spec = semiring.SemiringSpec(cfg.carrier)
     n = rng.randint(1, cfg.max_vars)
     domains = _domains(rng, cfg, n)
     names = tuple("x%d" % i for i in range(n))

@@ -174,20 +174,29 @@ def pareto_efficient(game):
 
 
 class DirectedGraph(Record):
-    __slots__ = _fields = ("nodes", "edges")
+    __slots__ = _fields = ("nodes", "edges", "levels")
 
-    def __init__(self, nodes, edges):
+    def __init__(self, nodes, edges, levels=None):
         init_field(self, "nodes", nodes)
-        init_field(self, "edges", edges)  # pairs of node names
+        init_field(self, "edges", edges)  # pairs of node names, none repeated
+        init_field(self, "levels", levels)  # None, or a tuple of ints aligned with nodes
         self.__post_init__()
 
     def __post_init__(self):
         known = set(self.nodes)
         if len(known) != len(self.nodes):
             raise ValidationError("duplicate node names")
+        seen = set()
         for u, v in self.edges:
             if u not in known or v not in known:
                 raise ValidationError("edge (%s, %s) mentions unknown node" % (u, v))
+            if (u, v) in seen:
+                raise ValidationError("edge (%s, %s) is given twice" % (u, v))
+            seen.add((u, v))
+        if self.levels is not None and not (
+                isinstance(self.levels, tuple) and len(self.levels) == len(self.nodes)
+                and all(type(lv) is int for lv in self.levels)):
+            raise ValidationError("graph levels must map nodes to integers")
 
     def predecessors(self, node):
         return tuple(u for u, v in self.edges if v == node)
@@ -226,19 +235,18 @@ def _well_placed(graph, node, lower):
     return done >= len(preds) - done
 
 
-def is_well_structured(graph, levels=None):
+def is_well_structured(graph):
     """Whether levels exist so that each node has at least as many in-edges
     from strictly lower levels as from the rest.
 
-    With `levels` supplied, verifies them.  Otherwise levels are built
+    A graph with `levels` has them verified.  Otherwise levels are built
     greedily: a node is placeable once at least half of its in-edges come
     from already placed nodes; if a valid assignment exists at all, every
     placeable-by-it node is also greedily placeable, so the greedy fixpoint
-    is a complete decision procedure.  Returns (flag, levels-or-None).
+    is a complete decision procedure.  Returns (flag, node -> level or None).
     """
-    if levels is not None:
-        if set(levels) != set(graph.nodes):
-            raise ValidationError("level assignment must cover exactly the nodes")
+    if graph.levels is not None:
+        levels = dict(zip(graph.nodes, graph.levels))
         ok = all(_well_placed(graph, v, lambda u: levels[u] < levels[v]) for v in graph.nodes)
-        return ok, dict(levels)
+        return ok, levels
     return cpnet.layers(graph.nodes, lambda v, placed: _well_placed(graph, v, placed.__contains__))

@@ -256,18 +256,14 @@ def _leaf_codes(spec, columns):
             parts.append(coded)
             folds += fs
         return [[sum(cs, ()) for cs in zip(*cols)] for cols in zip(*parts)], folds
-    if kind == "boolean":
-        return [[int(q) for q in col] for col in columns], [lambda codes: min(codes, default=1)]
+    # a bool's numerator and denominator are those of 0 or 1
     scale = math.lcm(*(q.denominator for col in columns for q in col if q is not INF))
     scaled = [[None if q is INF else q.numerator * (scale // q.denominator) for q in col]
               for col in columns]
     if kind == "rational":
         return scaled, [sum]
-    if kind == "fuzzy":
-        rank = {v: r for r, v in enumerate(sorted({scale}.union(*scaled)))}
-        top = rank[scale]
-        return ([[rank[v] for v in col] for col in scaled],
-                [lambda codes: min(codes, default=top)])
+    if kind in ("boolean", "fuzzy"):  # the code of 1 is `scale`
+        return scaled, [lambda codes: min(codes, default=scale)]
     # costs: a lower cost is better, so a code is the negated scaled cost;
     # infinity is one sentinel below the dearest total of one value per
     # table, and every total at or below it is clamped to it

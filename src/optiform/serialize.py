@@ -2,8 +2,10 @@
 
 One JSON envelope with a `kind` discriminator covers all five instance
 kinds (cpnet, scsp, ppgame, payoffgame, graph), so a translation can read
-one kind and write another.  Serialization is canonical: keys sorted,
-fractions printed as "p/q", infinity as "inf"; parse(serialize(x)) == x.
+one kind and write another.  Each kind is one row of `_KINDS` (its record
+class, writer and reader), and every kind loads as its record, graphs
+included.  Serialization is canonical: keys sorted, fractions printed as
+"p/q", infinity as "inf"; parse(serialize(x)) == x.
 
 CP-net rows may carry disjunctive conditions ("when" holding several parent
 assignments with one shared order); they are expanded to one row per
@@ -18,9 +20,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import cpnet, pgame, semiring, softcsp
 from .errors import ValidationError
 
-KINDS = ("cpnet", "scsp", "ppgame", "payoffgame", "graph")
-
-
 # ------------------------------------------------------------- semiring specs
 
 def spec_to_json(spec):
@@ -31,8 +30,6 @@ def spec_to_json(spec):
 
 def spec_from_json(data):
     if isinstance(data, str):
-        if data not in ("boolean", "fuzzy", "weighted"):
-            raise ValidationError("unknown semiring %r" % (data,))
         return semiring.SemiringSpec(data)
     if isinstance(data, dict) and set(data) == {"product"}:
         return semiring.product(*(spec_from_json(f) for f in data["product"]))
@@ -64,9 +61,9 @@ def payload_from_json(spec, data, where):
                                   % (where, len(spec.factors)))
         return tuple(payload_from_json(f, d, where) for f, d in zip(spec.factors, data))
     if kind == "boolean":
-        if data not in (0, 1):
+        if type(data) is not int or data not in (0, 1):
             raise ValidationError("%s: boolean value must be 0 or 1" % where)
-        return semiring.value(spec, data).payload
+        return data == 1
     q = semiring.INF if data == "inf" else _rational(str(data), where)
     if spec is None:
         if q is semiring.INF:
@@ -143,12 +140,8 @@ def _table(cells, where, field, keys, read):
     return table
 
 
-def _header_to_json(kind, names_key, names, domains_key, domains):
-    return {
-        "kind": kind,
-        names_key: names,
-        domains_key: dict(zip(names, domains)),
-    }
+def _header_to_json(names_key, names, domains_key, domains):
+    return {names_key: names, domains_key: dict(zip(names, domains))}
 
 
 def _header_from_json(data, names_key, domains_key):
@@ -159,8 +152,8 @@ def _header_from_json(data, names_key, domains_key):
     return names, {n: i for i, n in enumerate(names)}, domains
 
 
-def _game_to_json(kind, game):
-    doc = _header_to_json(kind, "players", game.players, "strategies", game.strategies)
+def _game_to_json(game):
+    doc = _header_to_json("players", game.players, "strategies", game.strategies)
     doc["neigh"] = {
         p: [game.players[j] for j in ns] for p, ns in zip(game.players, game.neigh)
     }
@@ -178,7 +171,7 @@ def _game_from_json(data):
 # --------------------------------------------------------------------- cpnet
 
 def _cpnet_to_json(net):
-    doc = _header_to_json("cpnet", "variables", net.variables, "domains", net.domains)
+    doc = _header_to_json("variables", net.variables, "domains", net.domains)
     doc["tables"] = tables = {}
     for v, ps, rows in zip(net.variables, net.parents, net.rows):
         tables[v] = {
@@ -212,7 +205,7 @@ def _cpnet_from_json(data):
 
 def _scsp_to_json(problem):
     spec = problem.semiring
-    doc = _header_to_json("scsp", "variables", problem.variables, "domains", problem.domains)
+    doc = _header_to_json("variables", problem.variables, "domains", problem.domains)
     doc["semiring"] = spec_to_json(spec)
     doc["constraints"] = [
         {
@@ -244,7 +237,7 @@ def _scsp_from_json(data):
 # -------------------------------------------------------------------- ppgame
 
 def _ppgame_to_json(game):
-    doc = _game_to_json("ppgame", game)
+    doc = _game_to_json(game)
     doc["prefs"] = {
         p: [{"when": k, "order": order} for k, order in sorted(rows.items())]
         for p, rows in zip(game.players, game.prefs)
@@ -271,7 +264,7 @@ def payoff_to_json(game, v):
 
 
 def _payoffgame_to_json(game):
-    doc = _game_to_json("payoffgame", game)
+    doc = _game_to_json(game)
     doc["carrier"] = None if game.carrier is None else spec_to_json(game.carrier)
     doc["payoffs"] = {
         p: [{"when": k, "value": payoff_to_json(game, v)} for k, v in sorted(t.items())]
@@ -294,57 +287,60 @@ def _payoffgame_from_json(data):
 
 # --------------------------------------------------------------------- graph
 
-def _graph_to_json(graph, levels=None):
-    doc = {
-        "kind": "graph",
-        "nodes": graph.nodes,
-        "edges": graph.edges,
-    }
-    if levels is not None:
-        doc["levels"] = dict(levels)
+def _graph_to_json(graph):
+    doc = {"nodes": graph.nodes, "edges": graph.edges}
+    if graph.levels is not None:
+        doc["levels"] = dict(zip(graph.nodes, graph.levels))
     return doc
 
 
 def _graph_from_json(data):
+    """The graph; its levels, an object keyed by exactly its nodes, become
+    the tuple aligned with them, whose ints `DirectedGraph` checks."""
+    nodes = _names(data["nodes"], "nodes")
     edges = data["edges"]
     if not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ValidationError("each graph edge must be a pair of nodes")
-    graph = pgame.DirectedGraph(_names(data["nodes"], "nodes"), tuple(map(tuple, edges)))
     levels = data.get("levels")
-    if levels is not None and not (
-            isinstance(levels, dict) and all(type(lv) is int for lv in levels.values())):
-        raise ValidationError("graph levels must map nodes to integers")
-    return graph, levels
+    if isinstance(levels, dict):
+        if set(levels) != set(nodes):
+            raise ValidationError("level assignment must cover exactly the nodes")
+        levels = tuple(map(levels.__getitem__, nodes))
+    return pgame.DirectedGraph(nodes, tuple(map(tuple, edges)), levels)
 
 
 # ------------------------------------------------------------------ envelope
 
-def document_of(obj, levels=None):
-    if isinstance(obj, cpnet.CPNet):
-        return _cpnet_to_json(obj)
-    if isinstance(obj, softcsp.SoftCSP):
-        return _scsp_to_json(obj)
-    if isinstance(obj, pgame.PPGame):
-        return _ppgame_to_json(obj)
-    if isinstance(obj, pgame.PayoffGame):
-        return _payoffgame_to_json(obj)
-    if isinstance(obj, pgame.DirectedGraph):
-        return _graph_to_json(obj, levels)
+#: The document kinds: kind -> (its record class, writer, reader).  A writer
+#: returns the document without its "kind", which `document_of` adds.
+_KINDS = {
+    "cpnet": (cpnet.CPNet, _cpnet_to_json, _cpnet_from_json),
+    "scsp": (softcsp.SoftCSP, _scsp_to_json, _scsp_from_json),
+    "ppgame": (pgame.PPGame, _ppgame_to_json, _ppgame_from_json),
+    "payoffgame": (pgame.PayoffGame, _payoffgame_to_json, _payoffgame_from_json),
+    "graph": (pgame.DirectedGraph, _graph_to_json, _graph_from_json),
+}
+KINDS = tuple(_KINDS)
+
+
+def document_of(obj):
+    for kind, (cls, write, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            doc = write(obj)
+            doc["kind"] = kind
+            return doc
     raise ValidationError("cannot serialize %r" % (type(obj),))
 
 
 def parse_document(data):
-    """Returns (kind, object); graphs come back as (graph, levels)."""
+    """Returns (kind, record)."""
     if not isinstance(data, dict):
         raise ValidationError("a document must be a JSON object")
     kind = data.get("kind")
-    if kind not in KINDS:
+    if kind not in KINDS:  # a tuple, as an unhashable kind cannot key a dict
         raise ValidationError("unknown or missing document kind %r" % (kind,))
-    parse = {"cpnet": _cpnet_from_json, "scsp": _scsp_from_json,
-             "ppgame": _ppgame_from_json, "payoffgame": _payoffgame_from_json,
-             "graph": _graph_from_json}[kind]
     try:
-        return kind, parse(data)
+        return kind, _KINDS[kind][2](data)
     except KeyError as exc:
         raise ValidationError("%s document: missing key or unknown name %s" % (kind, exc))
     except TypeError as exc:
@@ -416,8 +412,8 @@ def _write(o, nl, put):
         put(_scalar_text(o))
 
 
-def dumps(obj, levels=None):
-    return text_of(document_of(obj, levels))
+def dumps(obj):
+    return text_of(document_of(obj))
 
 
 def loads(text):

@@ -69,9 +69,9 @@ def pd_payoff():
 
 @pytest.fixture
 def cycle3():
-    return load("cycle3.graph.json")[0]
+    return load("cycle3.graph.json")
 
 
 @pytest.fixture
 def diamond():
-    return load("diamond.graph.json")[0]
+    return load("diamond.graph.json")

@@ -172,7 +172,7 @@ def test_criterion_8_technology_diffusion():
             k = 1 + seed % 3
             final = pgame.reduce_pp_fixpoint(pgame.tech_game(graph, k), "nbr")
             assert all(s == ("t1",) for s in final.strategies), seed
-        ok, levels = pgame.is_well_structured(load("cycle3.graph.json")[0])
+        ok, levels = pgame.is_well_structured(load("cycle3.graph.json"))
         assert not ok and levels is None
 
 

@@ -206,6 +206,27 @@ def test_tech_game_and_well_structured(capsys):
     assert doc["well_structured"] is False and doc["levels"] is None
 
 
+def test_graph_contract(capsys, tmp_path):
+    """Every graph command reads the same record: stray levels and a
+    repeated edge are refused by both, in one line."""
+    bad = tmp_path / "bad.graph.json"
+    edges = [["a", "b"], ["c", "b"], ["b", "c"]]
+    for extra, says in (({"levels": {"zz": 1}}, "level assignment must cover exactly the nodes"),
+                        ({"levels": {"a": 0, "b": 1, "c": "2"}}, "graph levels must map nodes"),
+                        ({"levels": [0, 1, 2]}, "graph levels must map nodes"),
+                        ({"edges": edges + [["c", "b"]]}, "edge (c, b) is given twice")):
+        bad.write_text(json.dumps({"kind": "graph", "nodes": ["a", "b", "c"], "edges": edges,
+                                   **extra}))
+        for argv in (["tech-game", "--k", "2"], ["well-structured"]):
+            code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+            assert (code, out) == (2, "") and says in err and err.count("\n") == 1, argv
+    bad.write_text(json.dumps({"kind": "graph", "nodes": ["a", "b", "c"], "edges": edges,
+                               "levels": {"a": 0, "b": 1, "c": 2}}))
+    code, out, _ = run(capsys, "well-structured", str(bad))
+    assert code == 0 and json.loads(out)["well_structured"] is True
+    assert json.loads(out)["levels"] == {"a": 0, "b": 1, "c": 2}
+
+
 def test_check_command(capsys):
     code, out, _ = run(capsys, "check", "--theorem", "regrets",
                        "--seeds", "1..5")
@@ -344,6 +365,12 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
          '{"x": [true, 2]}, "constraints": [{"scope": ["x"], "table": [{"tuple": [1], "value": '
          '"1"}, {"tuple": [2], "value": "2"}]}]}', "must be a list of strings or of finite numbers"),
+        # a boolean value is the int 0 or 1, not a JSON bool or a float
+        ("scsp-solve", scsp.replace("weighted", "boolean") % "true", "boolean value must be 0 or 1"),
+        ("scsp-solve", scsp.replace("weighted", "boolean") % "1.0", "boolean value must be 0 or 1"),
+        ("game-nash", '{"kind": "payoffgame", "carrier": "boolean", "players": ["p"], "strategies": '
+         '{"p": ["a"]}, "neigh": {"p": []}, "payoffs": {"p": [{"when": ["a"], "value": true}]}}',
+         "boolean value must be 0 or 1"),
         # one cell of a 10^8-tuple product fails without building the product
         ("scsp-solve", json.dumps({
             "kind": "scsp", "semiring": "weighted", "variables": list("abcdefgh"),

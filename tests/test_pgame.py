@@ -159,18 +159,24 @@ def test_tech_game_tie_break(diamond):
     assert g.prefs[i][("t2", "t2")] == ("t2", "t1")
 
 
+def with_levels(graph, levels):
+    """The graph with the levels of a node -> level dict."""
+    return DirectedGraph(graph.nodes, graph.edges, tuple(map(levels.get, graph.nodes)))
+
+
 def test_well_structured(cycle3, diamond):
     ok, levels = pgame.is_well_structured(diamond)
     assert ok
-    assert pgame.is_well_structured(diamond, levels) == (True, levels)
+    assert pgame.is_well_structured(with_levels(diamond, levels)) == (True, levels)
     assert levels["n0"] < levels["n1"] and levels["n1"] < levels["n3"]
 
     ok, levels = pgame.is_well_structured(cycle3)
     assert not ok and levels is None
     flat = {n: 0 for n in cycle3.nodes}
-    assert pgame.is_well_structured(cycle3, flat) == (False, flat)
-    with pytest.raises(ValidationError):
-        pgame.is_well_structured(cycle3, {"n0": 0})
+    assert pgame.is_well_structured(with_levels(cycle3, flat)) == (False, flat)
+    for levels in ((0,), (0, 0, "0"), [0, 0, 0]):
+        with pytest.raises(ValidationError):
+            DirectedGraph(cycle3.nodes, cycle3.edges, levels)
 
 
 def test_two_cycle_is_not_well_structured():
@@ -184,3 +190,5 @@ def test_ppgame_validation():
         PPGame(("p1",), (("u", "v"),), ((),), ({(): ("u",)},))
     with pytest.raises(ValidationError):
         DirectedGraph(("a", "a"), ())
+    with pytest.raises(ValidationError, match=r"edge \(c, b\) is given twice"):
+        DirectedGraph(("a", "b", "c"), (("a", "b"), ("c", "b"), ("c", "b"), ("b", "c")))

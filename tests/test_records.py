@@ -56,7 +56,9 @@ def examples():
          "PayoffGame(players=('p',), strategies=(('x',),), neigh=((),), "
          "payoffs=({('x',): SemiringValue(3)},), carrier=SemiringSpec(kind='weighted', factors=()))"),
         (DirectedGraph(("a", "b"), (("a", "b"),)),
-         "DirectedGraph(nodes=('a', 'b'), edges=(('a', 'b'),))"),
+         "DirectedGraph(nodes=('a', 'b'), edges=(('a', 'b'),), levels=None)"),
+        (DirectedGraph(("a", "b"), (("a", "b"),), (0, 1)),
+         "DirectedGraph(nodes=('a', 'b'), edges=(('a', 'b'),), levels=(0, 1))"),
     ]
 
 
@@ -70,7 +72,7 @@ FIELDS = {
     CPNet: ("variables", "domains", "tables"),
     PPGame: ("players", "strategies", "neigh", "prefs"),
     PayoffGame: ("players", "strategies", "neigh", "payoffs", "carrier"),
-    DirectedGraph: ("nodes", "edges"),
+    DirectedGraph: ("nodes", "edges", "levels"),
 }
 
 #: The records whose fields hold no dict, the only hashable ones.

@@ -682,7 +682,9 @@ def test_layers_match_both_loops():
             for levels in (pgame.is_well_structured(dag)[1],
                            {v: rng.randint(0, 2) for v in graph.nodes}):
                 want = reference_levels_ok(graph, levels)
-                assert pgame.is_well_structured(graph, levels) == (want, levels), seed
+                given = pgame.DirectedGraph(graph.nodes, graph.edges,
+                                            tuple(map(levels.get, graph.nodes)))
+                assert pgame.is_well_structured(given) == (want, levels), seed
 
 
 def outcome(f, *args):

@@ -25,16 +25,9 @@ def test_fixture_corpus_is_present():
 def test_round_trip_is_identity(name):
     text = (FIXTURES / name).read_text()
     kind, obj = serialize.loads(text)
-    if kind == "graph":
-        graph, levels = obj
-        assert serialize.dumps(graph, levels) == text
-        kind2, (graph2, levels2) = serialize.loads(serialize.dumps(graph, levels))
-        assert (graph2, levels2) == (graph, levels)
-    else:
-        assert serialize.dumps(obj) == text
-        kind2, obj2 = serialize.loads(serialize.dumps(obj))
-        assert obj2 == obj
-    assert kind2 == kind
+    assert serialize.dumps(obj) == text
+    kind2, obj2 = serialize.loads(serialize.dumps(obj))
+    assert (kind2, obj2) == (kind, obj)
 
 
 def test_output_is_canonical(fuzzy_chain):
@@ -54,9 +47,18 @@ def test_values_use_exact_text_forms():
 
 def test_graph_levels_survive(diamond):
     ok, levels = pgame.is_well_structured(diamond)
-    text = serialize.dumps(diamond, levels)
-    _, (graph2, levels2) = serialize.loads(text)
-    assert graph2 == diamond and levels2 == levels
+    graph = pgame.DirectedGraph(diamond.nodes, diamond.edges,
+                                tuple(map(levels.get, diamond.nodes)))
+    text = serialize.dumps(graph)
+    assert json.loads(text)["levels"] == levels
+    assert serialize.loads(text) == ("graph", graph)
+    assert serialize.dumps(serialize.loads(text)[1]) == text
+
+
+def test_every_command_kind_is_a_document_kind():
+    from optiform import cli
+
+    assert {k for kinds, _, _ in cli.COMMANDS.values() for k in kinds} <= set(serialize.KINDS)
 
 
 def test_malformed_documents_rejected():
@@ -148,7 +150,7 @@ def assert_writes_as_stdlib(x):
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_writer_matches_stdlib_on_fixture_documents(name):
     kind, obj = serialize.load_path(str(FIXTURES / name))
-    doc = serialize.document_of(*obj) if kind == "graph" else serialize.document_of(obj)
+    doc = serialize.document_of(obj)
     assert_writes_as_stdlib(doc)
 
 
