@@ -1,6 +1,6 @@
 """CP-nets: flips, optimality, optimality constraints, eligibility, sweep,
 redundancy reduction, elimination of never-best-response / dominated values,
-and bounded dominance search.
+and dominance: the ordering query on acyclic nets, then bounded search.
 
 The preference-table core below works on raw per-index domains, parents and
 rows.  A PPGame holds the same tables as a CPNet under other names, so the
@@ -309,16 +309,42 @@ def sweep_optimal(net):
     return tuple(assignment)
 
 
+def ordering_query(net, alpha, beta):
+    """Whether the ordering query of Boutilier, Brafman, Domshlak, Hoos and
+    Poole ("CP-nets", JAIR 2004) shows that alpha does not dominate beta.
+    It applies to acyclic nets only.  These have no flip cycle, so no
+    outcome dominates itself; and where alpha and beta differ on a variable
+    but agree on all its ancestors, no worsening chain leads from alpha to a
+    beta whose value of it comes before alpha's in the row their shared
+    parent values select."""
+    acyclic, levels = parent_levels(net.parents)
+    if not acyclic:
+        return False
+    agreed = set()  # the variables alpha and beta agree on, with all their ancestors
+    for i in sorted(levels, key=levels.get):
+        if all(p in agreed for p in net.parents[i]):
+            if alpha[i] == beta[i]:
+                agreed.add(i)
+            else:
+                order = net.row_for(i, alpha)
+                if order.index(beta[i]) < order.index(alpha[i]):
+                    return True
+    return alpha == beta
+
+
 def dominates(net, alpha, beta, budget=DEFAULT_DOMINANCE_BUDGET):
     """Whether a chain of worsening flips leads from alpha to beta.
 
-    Breadth-first with a visited set; returns True / False, or
-    BUDGET_EXHAUSTED when `budget` nodes were expanded without an answer.
-    The chain must be nonempty, so dominates(o, o) is False unless a
+    False when the `ordering_query` says so; otherwise breadth-first with a
+    visited set, returning True / False, or BUDGET_EXHAUSTED when `budget`
+    nodes were expanded without an answer.  The budget bounds the search
+    only.  The chain must be nonempty, so dominates(o, o) is False unless a
     genuine flip cycle returns to o.
     """
     for o in (alpha, beta):
         softcsp.check_assignment(net.variables, net.domains, o)
+    if ordering_query(net, alpha, beta):
+        return False
     # worsening flips, variable by variable and each in row order, over the
     # raw tables: every node is reached from alpha by flips inside the
     # domains, so none needs a check.

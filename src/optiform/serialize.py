@@ -32,7 +32,7 @@ def spec_from_json(data):
     if isinstance(data, str):
         return semiring.SemiringSpec(data)
     if isinstance(data, dict) and set(data) == {"product"}:
-        return semiring.product(*(spec_from_json(f) for f in data["product"]))
+        return semiring.product(*(spec_from_json(f) for f in _list(data["product"], '"product"')))
     raise ValidationError("bad semiring spec %r" % (data,))
 
 

@@ -110,6 +110,12 @@ def test_cpnet_dominates_and_budget(capsys, tmp_path):
                        "--budget", "1")
     assert code == 3
     assert json.loads(out)["result"] == "budget-exhausted"
+    # the ordering query answers before the search, whatever its budget: an
+    # acyclic net has no flip cycle, and a~ comes after a in A's one row
+    for better in ("a,b,c,d", "a~,b,c,d"):
+        code, out, _ = run(capsys, "cpnet-dominates", fx("acyclic4.cpnet.json"),
+                           "--better", better, "--worse", "a,b,c,d", "--budget", "1")
+        assert code == 0 and json.loads(out)["result"] is False
 
     # a field names the value whose text it is, a number's text its JSON text
     net = tmp_path / "numeric.cpnet.json"
@@ -371,6 +377,9 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ("game-nash", '{"kind": "payoffgame", "carrier": "boolean", "players": ["p"], "strategies": '
          '{"p": ["a"]}, "neigh": {"p": []}, "payoffs": {"p": [{"when": ["a"], "value": true}]}}',
          "boolean value must be 0 or 1"),
+        # a string where the factor list belongs would split into its characters
+        ("scsp-solve", scsp.replace('"weighted"', '{"product": "fuzzy"}') % '["1"]',
+         '"product" must be a list, not str'),
         # one cell of a 10^8-tuple product fails without building the product
         ("scsp-solve", json.dumps({
             "kind": "scsp", "semiring": "weighted", "variables": list("abcdefgh"),

@@ -721,7 +721,9 @@ def test_referees_match_boxed_payoff_table():
         assert oracle.brute_pareto(game) == reference_brute_pareto(game)
 
 
-def test_dominates_matches_row_slicing_search():
+def dominance_queries():
+    """Seeded `random_cpnet` nets, cyclic and acyclic, each with four random
+    outcome pairs and one equal pair."""
     for seed in SEEDS:
         for acyclic in (False, True):
             net = oracle.random_cpnet(replace(CFG, seed=seed, acyclic=acyclic))
@@ -730,9 +732,28 @@ def test_dominates_matches_row_slicing_search():
             pairs = [(rng.choice(outcomes), rng.choice(outcomes)) for _ in range(4)]
             pairs.append((outcomes[0], outcomes[0]))
             for alpha, beta in pairs:
-                for budget in (1, 3, 10, 10 ** 5):
-                    assert cpnet.dominates(net, alpha, beta, budget) == \
-                        reference_dominates_search(net, alpha, beta, budget), (seed, acyclic)
+                yield (seed, acyclic), net, alpha, beta
+
+
+def test_dominates_matches_row_slicing_search():
+    # the search's answers within the budget stand; where it runs out, the
+    # ordering query may answer False, which the search confirms given room
+    for case, net, alpha, beta in dominance_queries():
+        for budget in (1, 3, 10, 10 ** 5):
+            got = cpnet.dominates(net, alpha, beta, budget)
+            want = reference_dominates_search(net, alpha, beta, budget)
+            if want == cpnet.BUDGET_EXHAUSTED and got is False:
+                want = reference_dominates_search(net, alpha, beta, 10 ** 6)
+            assert got == want, case
+
+
+def test_ordering_query_never_contradicts_search():
+    fired = {False: 0, True: 0}
+    for case, net, alpha, beta in dominance_queries():
+        if cpnet.ordering_query(net, alpha, beta):
+            assert reference_dominates_search(net, alpha, beta, 10 ** 6) is False, case
+            fired[cpnet.parent_levels(net.parents)[0]] += 1
+    assert fired[False] == 0 and fired[True] > 0
 
 
 def structure_nets():
