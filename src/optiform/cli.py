@@ -101,6 +101,8 @@ def _outcome(net, text):
 
 
 def cmd_cpnet_dominates(args, kind, net):
+    if args.budget < 0:
+        raise ValidationError("--budget must be at least 0, not %d" % args.budget)
     alpha, beta = _outcome(net, args.better), _outcome(net, args.worse)
     result = cpnet.dominates(net, alpha, beta, args.budget)
     report = {"better": list(alpha), "worse": list(beta),

@@ -183,12 +183,15 @@ def full_tables(names, domains, parents, rows):
     for i, ps in enumerate(parents):
         check_space(math.prod(len(domains[j]) for j in wide[i]),
                     "full table of %s" % names[i])
-        table = {}
-        for opp in itertools.product(*map(domains.__getitem__, wide[i])):
-            full = list(opp)
-            full.insert(i, None)
-            table[opp] = rows[i][tuple(map(full.__getitem__, ps))]
-        new_rows.append(table)
+        keys = list(itertools.product(*map(domains.__getitem__, wide[i])))
+        if not ps:
+            new_rows.append(dict.fromkeys(keys, rows[i][()]))
+            continue
+        # parent p sits at p - (p > i) among the other indices; one index
+        # projects to a bare value, so its rows are keyed by that value
+        row = (rows[i] if len(ps) > 1 else {pa[0]: o for pa, o in rows[i].items()}).__getitem__
+        project = operator.itemgetter(*(p - (p > i) for p in ps))
+        new_rows.append(dict(zip(keys, map(row, map(project, keys)))))
     return wide, tuple(new_rows)
 
 

@@ -7,13 +7,19 @@ class, writer and reader), and every kind loads as its record, graphs
 included.  Serialization is canonical: keys sorted, fractions printed as
 "p/q", infinity as "inf"; parse(serialize(x)) == x.
 
+A writer takes, besides its record, how to hold each of the record's
+tables: `document_of` gives it the row dicts, and `dumps` a `_Rows`, which
+writes the rows' text straight from the table; both give the same text.
+
 CP-net rows may carry disjunctive conditions ("when" holding several parent
 assignments with one shared order); they are expanded to one row per
 assignment at parse time.
 """
 
+import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -170,14 +176,14 @@ def _game_from_json(data):
 
 # --------------------------------------------------------------------- cpnet
 
-def _cpnet_to_json(net):
+def _cpnet_to_json(net, table):
     doc = _header_to_json("variables", net.variables, "domains", net.domains)
-    doc["tables"] = tables = {}
-    for v, ps, rows in zip(net.variables, net.parents, net.rows):
-        tables[v] = {
-            "parents": [net.variables[p] for p in ps],
-            "rows": [{"when": [pa], "order": order} for pa, order in sorted(rows.items())],
-        }
+    at = _scope_texts(net.domains)
+    doc["tables"] = {
+        v: {"parents": [net.variables[p] for p in ps],
+            "rows": table(rows, at(ps), _same, "when", "order", True)}
+        for v, ps, rows in zip(net.variables, net.parents, net.rows)
+    }
     return doc
 
 
@@ -203,18 +209,15 @@ def _cpnet_from_json(data):
 
 # ---------------------------------------------------------------------- scsp
 
-def _scsp_to_json(problem):
+def _scsp_to_json(problem, table):
     spec = problem.semiring
     doc = _header_to_json("variables", problem.variables, "domains", problem.domains)
     doc["semiring"] = spec_to_json(spec)
+    at = _scope_texts(problem.domains)
+    cell = lambda v: payload_to_json(spec, v.payload)
     doc["constraints"] = [
-        {
-            "scope": [problem.variables[i] for i in c.scope],
-            "table": [
-                {"tuple": t, "value": payload_to_json(spec, v.payload)}
-                for t, v in sorted(c.table.items())
-            ],
-        }
+        {"scope": [problem.variables[i] for i in c.scope],
+         "table": table(c.table, at(c.scope), cell, "tuple", "value")}
         for c in problem.constraints
     ]
     return doc
@@ -236,12 +239,11 @@ def _scsp_from_json(data):
 
 # -------------------------------------------------------------------- ppgame
 
-def _ppgame_to_json(game):
+def _ppgame_to_json(game, table):
     doc = _game_to_json(game)
-    doc["prefs"] = {
-        p: [{"when": k, "order": order} for k, order in sorted(rows.items())]
-        for p, rows in zip(game.players, game.prefs)
-    }
+    at = _scope_texts(game.strategies)
+    doc["prefs"] = {p: table(rows, at(ns), _same, "when", "order")
+                    for p, ns, rows in zip(game.players, game.neigh, game.prefs)}
     return doc
 
 
@@ -263,13 +265,13 @@ def payoff_to_json(game, v):
     return payload_to_json(game.carrier, v if game.carrier is None else v.payload)
 
 
-def _payoffgame_to_json(game):
+def _payoffgame_to_json(game, table):
     doc = _game_to_json(game)
     doc["carrier"] = None if game.carrier is None else spec_to_json(game.carrier)
-    doc["payoffs"] = {
-        p: [{"when": k, "value": payoff_to_json(game, v)} for k, v in sorted(t.items())]
-        for p, t in zip(game.players, game.payoffs)
-    }
+    at = _scope_texts(game.strategies)
+    cell = lambda v: payoff_to_json(game, v)
+    doc["payoffs"] = {p: table(t, at(game.local_scope(i)), cell, "when", "value")
+                      for i, (p, t) in enumerate(zip(game.players, game.payoffs))}
     return doc
 
 
@@ -287,7 +289,7 @@ def _payoffgame_from_json(data):
 
 # --------------------------------------------------------------------- graph
 
-def _graph_to_json(graph):
+def _graph_to_json(graph, table):
     doc = {"nodes": graph.nodes, "edges": graph.edges}
     if graph.levels is not None:
         doc["levels"] = dict(zip(graph.nodes, graph.levels))
@@ -312,7 +314,8 @@ def _graph_from_json(data):
 # ------------------------------------------------------------------ envelope
 
 #: The document kinds: kind -> (its record class, writer, reader).  A writer
-#: returns the document without its "kind", which `document_of` adds.
+#: returns the document without its "kind", which `_document` adds, each
+#: table held as its `table` argument makes it (see `_row_dicts`).
 _KINDS = {
     "cpnet": (cpnet.CPNet, _cpnet_to_json, _cpnet_from_json),
     "scsp": (softcsp.SoftCSP, _scsp_to_json, _scsp_from_json),
@@ -323,13 +326,18 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
-def document_of(obj):
+def _document(obj, table):
     for kind, (cls, write, _) in _KINDS.items():
         if isinstance(obj, cls):
-            doc = write(obj)
+            doc = write(obj, table)
             doc["kind"] = kind
             return doc
     raise ValidationError("cannot serialize %r" % (type(obj),))
+
+
+def document_of(obj):
+    """The document of a record as plain JSON data."""
+    return _document(obj, _row_dicts)
 
 
 def parse_document(data):
@@ -351,9 +359,10 @@ def parse_document(data):
 
 def text_of(obj):
     """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte: the
-    one writer of documents and reports.  It collects chunks and joins them
-    once, and writes a list of strings with one join over the C string
-    encoder, where the stdlib makes a chunk per item and separator."""
+    one writer of documents and reports, which writes a `_Rows` as the rows
+    it holds.  It collects chunks and joins them once, and writes a list of
+    strings with one join over the C string encoder, where the stdlib makes
+    a chunk per item and separator."""
     chunks = []
     _write(obj, "\n", chunks.append)
     chunks.append("\n")
@@ -408,12 +417,95 @@ def _write(o, nl, put):
             _write(value, inner, put)
             sep = "," + inner
         put(nl + "}")
+    elif isinstance(o, _Rows):
+        o.render(nl, put)
     else:
         put(_scalar_text(o))
 
 
+def _text(o, nl):
+    """The text `_write` gives `o` on a line indented as `nl` says."""
+    chunks = []
+    _write(o, nl, chunks.append)
+    return "".join(chunks)
+
+
+# ---------------------------------------------------------------- table rows
+
+def _same(x):
+    return x
+
+
+def _scope_texts(domains):
+    """A function of a scope: per scope index, its domain's values sorted
+    and their JSON texts.  It gives None unless every value is a string, as
+    equal numbers can differ in text (1, 1.0 and True)."""
+    if not all(isinstance(v, str) for dom in domains for v in dom):
+        return lambda scope: None
+    values = [sorted(dom) for dom in domains]
+    texts = [list(map(_quote, vs)) for vs in values]
+    return lambda scope: [(values[j], texts[j]) for j in scope]
+
+
+def _row_dicts(rows, scope_texts, cell, key_field, cell_field, wrap=False):
+    """The row list of a table (key -> cell) as plain data: sorted by key,
+    row k is {key_field: k, cell_field: cell(rows[k])}, with k in a list
+    of its own when `wrap` (a CP-net row's "when")."""
+    return [{key_field: [k] if wrap else k, cell_field: cell(x)}
+            for k, x in sorted(rows.items())]
+
+
+class _Rows:
+    """A table where its document holds its row list; `_write` writes it
+    with `render`, as it writes the `_row_dicts` of the same arguments."""
+
+    __slots__ = ("rows", "scope_texts", "cell", "key_field", "cell_field", "wrap")
+
+    def __init__(self, rows, scope_texts, cell, key_field, cell_field, wrap=False):
+        self.rows, self.scope_texts, self.cell = rows, scope_texts, cell
+        self.key_field, self.cell_field, self.wrap = key_field, cell_field, wrap
+
+    def render(self, nl, put):
+        """The rows' text.  A table's keys are the tuples over its scope
+        (`softcsp.check_table`), so sorted they are the product of the
+        scope's sorted domains, and each key's text is made from its
+        values' texts by the same product, one addition per key.  Each
+        distinct cell's text is made once, and each row is two texts added."""
+        if self.scope_texts is None:  # a value that is not a string
+            _write(_row_dicts(self.rows, None, self.cell, self.key_field, self.cell_field,
+                              self.wrap), nl, put)
+            return
+        row_nl = nl + "  "
+        field_nl = row_nl + "  "
+        key_nl = field_nl + "  " if self.wrap else field_nl  # where the key's list opens
+        value_nl = key_nl + "  "
+        key_first = self.key_field < self.cell_field
+        first, second = sorted((self.key_field, self.cell_field))
+        # what goes around the first field's text of a row, and the second's
+        around = (("{" + field_nl + _quote(first) + ": ", "," + field_nl + _quote(second) + ": "),
+                  ("", row_nl + "}"))
+        (pre, post), (head, tail) = around if key_first else around[::-1]
+        if self.wrap:  # the key in a list of its own
+            pre, post = pre + "[" + key_nl, field_nl + "]" + post
+        scope = self.scope_texts
+        # the key texts, built from the last scope index to the first
+        keys = [key_nl + "]" + post] if scope else [pre + "[]" + post]
+        for i in reversed(range(len(scope))):
+            sep = pre + "[" + value_nl if i == 0 else "," + value_nl
+            heads = [sep + text for text in scope[i][1]]
+            keys = [h + k for h in heads for k in keys]
+        cells = list(map(self.rows.__getitem__,
+                         itertools.product(*(values for values, _ in scope))))
+        memo = {c: head + _text(self.cell(c), field_nl) + tail for c in set(cells)}
+        texts = map(memo.__getitem__, cells)
+        rows = map(operator.add, keys, texts) if key_first else map(operator.add, texts, keys)
+        put("[" + row_nl + ("," + row_nl).join(rows) + nl + "]")
+
+
 def dumps(obj):
-    return text_of(document_of(obj))
+    """`text_of(document_of(obj))`, byte for byte, with each table written
+    by `_Rows.render` straight from the record."""
+    return text_of(_document(obj, _Rows))
 
 
 def loads(text):

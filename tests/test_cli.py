@@ -117,6 +117,17 @@ def test_cpnet_dominates_and_budget(capsys, tmp_path):
                            "--better", better, "--worse", "a,b,c,d", "--budget", "1")
         assert code == 0 and json.loads(out)["result"] is False
 
+    # a negative budget is refused before any query, exhausted or answered;
+    # a budget of 0 still runs
+    for better, worse in (("a,b,c,d", "a~,b~,c,d"), ("a,b,c,d", "a,b,c,d")):
+        code, out, err = run(capsys, "cpnet-dominates", fx("acyclic4.cpnet.json"),
+                             "--better", better, "--worse", worse, "--budget", "-1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "--budget must be at least 0, not -1" in err
+    code, out, _ = run(capsys, "cpnet-dominates", fx("acyclic4.cpnet.json"),
+                       "--better", "a,b,c,d", "--worse", "a~,b~,c,d", "--budget", "0")
+    assert code == 3 and json.loads(out)["result"] == "budget-exhausted"
+
     # a field names the value whose text it is, a number's text its JSON text
     net = tmp_path / "numeric.cpnet.json"
     net.write_text(json.dumps({

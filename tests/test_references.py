@@ -2,20 +2,22 @@
 best replies, the shared layering loop, the Pareto-efficient Nash skyline,
 the oracle's interned payoff table, the memoised dominance search, the
 one-pass parent reduction, the level sweep, the one table generator, the
-one table check, the one cell reader, and the one stable-outcome referee
-with the one check per elimination theorem, against the code they
-replaced, kept literally as references: the callback fixpoint and its
-single round over the record wrappers `eliminate`, `subgame` and
-`reduce_pp`, the boxed `regret_constraints` that compares every tuple with
-every deviation, the two layering loops, the `pareto_nash` that joins the
+one table check, the one cell reader, the one stable-outcome referee
+with the one check per elimination theorem, and the projection of
+`cpnet.full_tables`, against the code they replaced, kept literally as
+references: the callback fixpoint and its single round over the record
+wrappers `eliminate`, `subgame` and `reduce_pp`, the boxed
+`regret_constraints` that compares every tuple with every deviation, the
+two layering loops, the `pareto_nash` that joins the
 cost tuples with the no-regret constraints and enumerates every joint strategy,
 the referees over a table of boxed payoff vectors, the dominance search
 that slices every row it meets, the `reduce` loop that rebuilds the net
 once per dropped parent, Kahn's topological order with the sweep and
 acyclicity test built on it, the two parent generators, the three table
 checks of `cpnet.check_tables`, `PayoffGame` and `SoftCSP`, the four
-parsers' cell loops, and the oracle's net and game twins of each
-elimination check with its two brute-force referees.
+parsers' cell loops, the oracle's net and game twins of each
+elimination check with its two brute-force referees, and the loop of
+`cpnet.full_tables` that rebuilt every outcome with a gap at its own index.
 
 Results and elimination traces must be equal on every seed, lists in the
 same order; the table checks and parsers must accept and refuse the same
@@ -27,13 +29,14 @@ varies with the per-process hash seed.
 import copy
 import itertools
 import json
+import math
 import random
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
 from optiform import bridge, cpnet, oracle, pgame, semiring, serialize, softcsp
-from optiform.errors import CarrierMismatchError, ValidationError
+from optiform.errors import CarrierMismatchError, ValidationError, check_space
 from tests.conftest import FIXTURES
 
 CFG = oracle.GeneratorConfig()
@@ -421,6 +424,21 @@ def reference_random_ppgame(cfg):
     return pgame.PPGame(
         tuple("p%d" % i for i in range(n)), strategies, neigh, tuple(prefs)
     )
+
+
+def reference_full_tables(names, domains, parents, rows):
+    wide = cpnet.full_parents(len(domains))
+    new_rows = []
+    for i, ps in enumerate(parents):
+        check_space(math.prod(len(domains[j]) for j in wide[i]),
+                    "full table of %s" % names[i])
+        table = {}
+        for opp in itertools.product(*map(domains.__getitem__, wide[i])):
+            full = list(opp)
+            full.insert(i, None)
+            table[opp] = rows[i][tuple(map(full.__getitem__, ps))]
+        new_rows.append(table)
+    return wide, tuple(new_rows)
 
 
 class ProductPayoffGame(pgame.PayoffGame):
@@ -833,6 +851,27 @@ def test_elimination_checks_match_the_twin_checks(monkeypatch):
     assert all(now == before for now, before in verdicts.values())
     failed = {theorem for (theorem, _), (now, _) in verdicts.items() if not now}
     assert failed == set(REFERENCE_ELIMINATION_CHECKS)
+
+
+def test_full_tables_match_insert_loop():
+    """The projection by `itemgetter` against the loop that rebuilt each
+    outcome with a gap at the table's own index: equal parents, equal
+    tables with equal key order, over tables with no, one and several
+    parents."""
+    arities = set()
+    for seed in SEEDS:
+        for x in (oracle.random_cpnet(replace(CFG, seed=seed, max_vars=5)),
+                  oracle.random_ppgame(replace(CFG, seed=seed, max_vars=5, graphical=True)),
+                  oracle.random_ppgame(replace(CFG, seed=seed, max_vars=4))):
+            names, domains, parents, rows = (
+                (x.variables, x.domains, x.parents, x.rows) if isinstance(x, cpnet.CPNet)
+                else (x.players, x.strategies, x.neigh, x.prefs))
+            arities.update(map(len, parents))
+            got = cpnet.full_tables(names, domains, parents, rows)
+            want = reference_full_tables(names, domains, parents, rows)
+            assert got == want
+            assert [list(t) for t in got[1]] == [list(t) for t in want[1]]
+    assert {0, 1, 2, 3} <= arities
 
 
 def test_generators_match_parent_draws():

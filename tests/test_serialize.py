@@ -1,13 +1,14 @@
 import importlib.util
 import json
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optiform import pgame, semiring, serialize
+from optiform import bridge, cpnet, oracle, pgame, semiring, serialize, softcsp
 from optiform.errors import ValidationError
 from tests.conftest import FIXTURES, load
 from tests.test_cli import GOLDEN
@@ -185,3 +186,74 @@ def _containers(children):
 @given(st.recursive(_scalars, _containers, max_leaves=20))
 def test_writer_matches_stdlib_on_generated_values(x):
     assert_writes_as_stdlib(x)
+
+
+# ------------------------------------------- the row renderer against the rows
+
+def assert_dumps_its_document(obj):
+    """`dumps` writes the text of `document_of`, and reads back as `obj`;
+    returns the kind read."""
+    text = serialize.dumps(obj)
+    assert text == json.dumps(serialize.document_of(obj), sort_keys=True, indent=2) + "\n"
+    kind, back = serialize.loads(text)
+    assert back == obj
+    return kind
+
+
+def generated_records(seed):
+    """Records from every `oracle.random_*` generator and from the
+    translations, among them full-table nets and product carriers."""
+    cfg = oracle.GeneratorConfig(seed=seed)
+    net = oracle.random_cpnet(replace(cfg, max_vars=5))
+    game = oracle.random_payoff_game(cfg)
+    yield from (net, oracle.random_cpnet(replace(cfg, acyclic=True)), bridge.game_of_cpnet(net),
+                game, bridge.scsp_of_game(game), bridge.regret_constraints(game),
+                oracle.random_dag(cfg))
+    for carrier in ("weighted", "fuzzy", "boolean"):
+        problem = oracle.random_scsp(replace(cfg, carrier=carrier))
+        yield from (problem, bridge.local_map(problem))
+    for graphical in (True, False):
+        pp = oracle.random_ppgame(replace(cfg, graphical=graphical))
+        yield from (pp, bridge.cpnet_of_game(pp))
+
+
+def test_dumps_matches_document_of_on_generated_records():
+    kinds = set()
+    for seed in range(150):
+        for obj in generated_records(seed):
+            kinds.add(assert_dumps_its_document(obj))
+    assert kinds == set(serialize.KINDS)
+
+
+def edge_records():
+    odd = ("\u00e9t\u00e9", 'say "hi"', "back\\slash", "\u2603\n")
+    yield cpnet.from_tables(  # a parentless table, and names and values to escape
+        odd[:2], (odd, odd[2:]), ((), (0,)),
+        ({(): odd}, {(v,): odd[2:] if k % 2 else odd[:1:-1] for k, v in enumerate(odd)}))
+    yield cpnet.from_tables(  # int and float values, numbers and strings mixed
+        ("x", "y", "z"), ((0, 1), (0, 1.5, -2), ("a", "b")), ((), (0,), (0, 1)),
+        ({(): (1, 0)}, {(0,): (0, 1.5, -2), (1,): (-2, 1.5, 0)},
+         {(a, b): ("a", "b") if b == 0 else ("b", "a") for a in (0, 1) for b in (0, 1.5, -2)}))
+    yield cpnet.from_tables(  # keys and orders whose numbers equal, but are not, the domain's
+        ("x", "y"), ((1, 2), (0, 1)), ((), (0,)),
+        ({(): (2.0, 1)}, {(1.0,): (True, 0), (2,): (0.0, 1)}))
+    yield pgame.PPGame(  # an empty neighbour list
+        odd[2:], (odd[:2], ("a", "b", "c")), ((), (0,)),
+        ({(): odd[1::-1]}, {(odd[0],): ("c", "b", "a"), (odd[1],): ("a", "c", "b")}))
+    pairs = [(a, b) for a in odd[2:] for b in (1, 2.5)]
+    yield pgame.PayoffGame(  # an empty neighbour list, plain payoffs
+        odd[:2], (odd[2:], (1, 2.5)), ((), (0,)),
+        ({(v,): Fraction(k, 3) for k, v in enumerate(odd[2:])},
+         {t: Fraction(-k) for k, t in enumerate(pairs)}))
+    spec = semiring.product(semiring.FUZZY, semiring.WEIGHTED, semiring.BOOLEAN)
+    cells = [semiring.value(spec, (Fraction(1, 2), semiring.INF, True)),
+             semiring.value(spec, (Fraction(0), Fraction(7, 3), False))]
+    yield softcsp.SoftCSP(  # product-semiring value cells, and a constraint over no variable
+        odd[1:3], (odd, ("u",)), (
+            softcsp.SoftConstraint((0, 1), {(v, "u"): cells[k % 2] for k, v in enumerate(odd)}),
+            softcsp.SoftConstraint((), {(): cells[0]})), spec)
+
+
+@pytest.mark.parametrize("obj", list(edge_records()), ids=lambda obj: type(obj).__name__)
+def test_dumps_matches_document_of_on_edge_records(obj):
+    assert_dumps_its_document(obj)
