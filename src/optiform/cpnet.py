@@ -34,14 +34,15 @@ def check_strict_orders(orders, domain):
             )
 
 
-def check_tables(names, domains, parents, rows):
+def check_tables(names, domains, parents, rows, own_parent="%s is its own parent"):
     """The names differ, each domain is nonempty, no index is its own
-    parent, each table is total over its parents (`softcsp.check_table`),
-    and each of its rows is a strict total order of its index's domain."""
+    parent (refused with `own_parent` % its name), each table is total over
+    its parents (`softcsp.check_table`), and each of its rows is a strict
+    total order of its index's domain."""
     softcsp.check_names(names, domains)
     for i, (name, dom, ps, r) in enumerate(zip(names, domains, parents, rows)):
         if i in ps:
-            raise ValidationError("%s is its own parent" % name)
+            raise ValidationError(own_parent % name)
         softcsp.check_table(names, domains, ps, r.keys(), lambda: "table of %s" % name)
         check_strict_orders(dict.fromkeys(r.values()), dom)
 
@@ -66,38 +67,56 @@ def never_best(domain, rows):
 
 def dominated(domain, rows):
     """The values below one fixed other value in every row."""
+    orders = dict.fromkeys(rows.values())
     out = set()
     for worse in domain:
         for better in domain:
             if better != worse and all(
-                order.index(better) < order.index(worse) for order in rows.values()
+                order.index(better) < order.index(worse) for order in orders
             ):
                 out.add(worse)
                 break
     return out
 
 
+def removable_test(mode):
+    """`never_best` for mode 'nbr', `dominated` for mode 's'."""
+    if mode not in ("nbr", "s"):
+        raise ValidationError("mode must be 'nbr' or 's'")
+    return never_best if mode == "nbr" else dominated
+
+
 def removable_values(domains, rows, mode):
     """Per-index sets of never-best-response (mode 'nbr') or dominated
     (mode 's') values."""
-    if mode not in ("nbr", "s"):
-        raise ValidationError("mode must be 'nbr' or 's'")
-    return list(map(never_best if mode == "nbr" else dominated, domains, rows))
+    return list(map(removable_test(mode), domains, rows))
 
 
-def restrict(names, parents, rows, keep):
-    """The tables cut down to the per-index values in `keep`: rows whose
-    parent assignment mentions a dropped value go, and the surviving orders
-    lose the dropped values.  Returns the kept domains and the new rows."""
+def restrict(names, parents, rows, keep, changed):
+    """The tables cut down to the per-index values in `keep`, where
+    `changed` holds the indices whose values `keep` cuts.  The table of a
+    changed index or of a child of one loses the rows whose parent
+    assignment mentions a dropped value, and a changed index's orders lose
+    the dropped values, each distinct order once; every other table is
+    returned as it is, the same dict.  Returns the kept domains and the new
+    rows."""
     kept = tuple(map(tuple, keep))
     for name, k in zip(names, kept):
         if not k:
             raise ValidationError("removal empties the domain of %s" % name)
+    changed = set(changed)
     new_rows = []
-    for i, ps in enumerate(parents):
-        table = {}
-        for pa in itertools.product(*map(kept.__getitem__, ps)):
-            table[pa] = tuple(v for v in rows[i][pa] if v in kept[i])
+    for i, (ps, table) in enumerate(zip(parents, rows)):
+        own = i in changed
+        if own or not changed.isdisjoint(ps):
+            keys = itertools.product(*map(kept.__getitem__, ps))
+            if own:
+                keeps = kept[i].__contains__
+                cut = {order: tuple(filter(keeps, order))
+                       for order in dict.fromkeys(table.values())}
+                table = {pa: cut[table[pa]] for pa in keys}
+            else:
+                table = {pa: table[pa] for pa in keys}
         new_rows.append(table)
     return kept, tuple(new_rows)
 
@@ -105,15 +124,21 @@ def restrict(names, parents, rows, keep):
 def eliminate_values(names, domains, parents, rows, mode, trace=None):
     """Elimination rounds over raw tables until nothing is removable: each
     round `restrict`s the tables to the values `removable_values` leaves.
-    `trace`, if a list, collects the per-round removals.  Returns the final
-    domains and rows, the inputs themselves when nothing was removable."""
-    while True:
-        removals = removable_values(domains, rows, mode)
-        if not any(removals):
-            return domains, rows
-        domains, rows = restrict(names, parents, rows, without(domains, removals))
+    A round after the first tests only the tables the previous one rebuilt
+    (the worklist of AC-3, Mackworth 1977): any other table is one a round
+    found nothing removable in.  `trace`, if a list, collects the per-round
+    removals.  Returns the final domains and rows, the inputs themselves
+    when nothing was removable."""
+    test = removable_test(mode)
+    removals = list(map(test, domains, rows))
+    while any(removals):
+        changed = [i for i, r in enumerate(removals) if r]
+        before = rows
+        domains, rows = restrict(names, parents, rows, without(domains, removals), changed)
         if trace is not None:
             trace.append([sorted(r) for r in removals])
+        removals = [set() if r is b else test(d, r) for d, r, b in zip(domains, rows, before)]
+    return domains, rows
 
 
 def without(domains, removals):

@@ -32,7 +32,8 @@ class PPGame(Record):
         n = len(self.players)
         if not (n == len(self.strategies) == len(self.neigh) == len(self.prefs)):
             raise ValidationError("player-indexed fields differ in length")
-        cpnet.check_tables(self.players, self.strategies, self.neigh, self.prefs)
+        cpnet.check_tables(self.players, self.strategies, self.neigh, self.prefs,
+                           "player %s is its own neighbour")
 
     def space_size(self):
         return math.prod(map(len, self.strategies))
@@ -174,7 +175,10 @@ def pareto_efficient(game):
 
 
 class DirectedGraph(Record):
-    __slots__ = _fields = ("nodes", "edges", "levels")
+    # `_preds` maps each node to its in-neighbours in edge order; it is
+    # derived, so not a field
+    __slots__ = ("nodes", "edges", "levels", "_preds")
+    _fields = ("nodes", "edges", "levels")
 
     def __init__(self, nodes, edges, levels=None):
         init_field(self, "nodes", nodes)
@@ -187,19 +191,22 @@ class DirectedGraph(Record):
         if len(known) != len(self.nodes):
             raise ValidationError("duplicate node names")
         seen = set()
+        preds = {node: [] for node in self.nodes}
         for u, v in self.edges:
             if u not in known or v not in known:
                 raise ValidationError("edge (%s, %s) mentions unknown node" % (u, v))
             if (u, v) in seen:
                 raise ValidationError("edge (%s, %s) is given twice" % (u, v))
             seen.add((u, v))
+            preds[v].append(u)
         if self.levels is not None and not (
                 isinstance(self.levels, tuple) and len(self.levels) == len(self.nodes)
                 and all(type(lv) is int for lv in self.levels)):
             raise ValidationError("graph levels must map nodes to integers")
+        init_field(self, "_preds", {node: tuple(us) for node, us in preds.items()})
 
     def predecessors(self, node):
-        return tuple(u for u, v in self.edges if v == node)
+        return self._preds[node]
 
 
 def tech_game(graph, k):
@@ -217,12 +224,18 @@ def tech_game(graph, k):
         for name in graph.nodes
     )
     prefs = []
+    orders = {}  # the order of each count profile, as the sorted joint strategy
     for i in range(n):
         check_space(k ** len(neigh[i]), "preference table of %s" % graph.nodes[i])
         rows = {}
         for s in itertools.product(*(techs for _ in neigh[i])):
-            counts = {t: s.count(t) for t in techs}
-            rows[s] = tuple(sorted(techs, key=lambda t: (-counts[t], index[t])))
+            profile = tuple(sorted(s))
+            order = orders.get(profile)
+            if order is None:
+                counts = {t: s.count(t) for t in techs}
+                order = orders[profile] = tuple(
+                    sorted(techs, key=lambda t: (-counts[t], index[t])))
+            rows[s] = order
         prefs.append(rows)
     return PPGame(graph.nodes, tuple(techs for _ in range(n)), neigh, tuple(prefs))
 

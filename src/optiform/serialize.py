@@ -127,11 +127,17 @@ def _list(data, where):
     return tuple(data)
 
 
-def _table(cells, where, field, keys, read):
+def _table(cells, where, field, keys, read, bulk=None):
     """The table a list of cells holds: `keys(cell)` lists the tuples a cell
     sets, each a JSON list that `field` names, and `read(cell)` their shared
     value.  A tuple given twice is refused; errors name `where`.  The tuples
-    are checked here, not by `_list`, so that no label is built per cell."""
+    are checked here, not by `_list`, so that no label is built per cell.
+    `bulk(cells)`, if given, builds the same table at C level, or gives
+    None when a check fails; then this loop names the first fault."""
+    if bulk is not None:
+        table = bulk(cells)
+        if table is not None:
+            return table
     table = {}
     for cell in cells:
         value = read(cell)
@@ -144,6 +150,31 @@ def _table(cells, where, field, keys, read):
                 raise ValidationError("%s: %r is given twice" % (where, list(key)))
             table[key] = value
     return table
+
+
+_WHEN, _ORDER, _FIRST = map(operator.itemgetter, ("when", "order", 0))
+
+
+def _order_rows(cells, wrapped):
+    """`_table`'s bulk reader of {"when", "order"} rows: CP-net rows when
+    `wrapped`, whose "when" lists parent assignments, else preferences.  It
+    reads only rows whose every "when" is a list (a list of one list when
+    `wrapped`) and every "order" a list, with no key given twice."""
+    if type(cells) is not list or set(map(type, cells)) - {dict}:
+        return None
+    try:
+        keys = list(map(_WHEN, cells))
+        orders = list(map(_ORDER, cells))
+        if wrapped:
+            if set(map(type, keys)) - {list} or set(map(len, keys)) - {1}:
+                return None
+            keys = list(map(_FIRST, keys))
+        if set(map(type, keys)) - {list} or set(map(type, orders)) - {list}:
+            return None
+        table = dict(zip(map(tuple, keys), map(tuple, orders)))
+    except (KeyError, TypeError):  # a missing field, or an unhashable key
+        return None
+    return table if len(table) == len(cells) else None
 
 
 def _header_to_json(names_key, names, domains_key, domains):
@@ -200,7 +231,8 @@ def _cpnet_from_json(data):
         at_when, at_order = where + ': "when"', where + ': "order"'
         table_rows.append(_table(entry["rows"], where, 'each "when" entry',
                                  lambda row: _list(row["when"], at_when),
-                                 lambda row: _list(row["order"], at_order)))
+                                 lambda row: _list(row["order"], at_order),
+                                 lambda rows: _order_rows(rows, True)))
     try:
         return cpnet.from_tables(variables, domains, parents, table_rows)
     except ValidationError as exc:
@@ -254,7 +286,8 @@ def _ppgame_from_json(data):
         where = "prefs of %s" % p
         at_order = where + ': "order"'
         prefs.append(_table(data["prefs"][p], where, '"when"', lambda row: (row["when"],),
-                            lambda row: _list(row["order"], at_order)))
+                            lambda row: _list(row["order"], at_order),
+                            lambda rows: _order_rows(rows, False)))
     return pgame.PPGame(players, strategies, neigh, tuple(prefs))
 
 

@@ -308,6 +308,10 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
          '"q": ["x"]}, "neigh": {"p": [], "q": ["p", "p"]}, "prefs": {"p": [{"when": [], '
          '"order": ["x"]}], "q": [{"when": ["x", "x"], "order": ["x"]}]}}',
          "table of q names p twice"),
+        # a player that is its own neighbour is named as a player, not a variable
+        ("game-nash", '{"kind": "ppgame", "players": ["p1"], "strategies": {"p1": ["x"]}, '
+         '"neigh": {"p1": ["p1"]}, "prefs": {"p1": [{"when": ["x"], "order": ["x"]}]}}',
+         "error: player p1 is its own neighbour"),
         ("game-nash", '{"kind": "payoffgame", "carrier": null, "players": ["p", "q"], "strategies": '
          '{"p": ["x"], "q": ["x"]}, "neigh": {"p": [], "q": ["p", "p"]}, "payoffs": {"p": [{"when": '
          '["x"], "value": "1"}], "q": [{"when": ["x", "x", "x"], "value": "1"}]}}',

@@ -16,8 +16,12 @@ once per dropped parent, Kahn's topological order with the sweep and
 acyclicity test built on it, the two parent generators, the three table
 checks of `cpnet.check_tables`, `PayoffGame` and `SoftCSP`, the four
 parsers' cell loops, the oracle's net and game twins of each
-elimination check with its two brute-force referees, and the loop of
-`cpnet.full_tables` that rebuilt every outcome with a gap at its own index.
+elimination check with its two brute-force referees, the loop of
+`cpnet.full_tables` that rebuilt every outcome with a gap at its own index,
+and the elimination loop that tested and rebuilt every table in every
+round, with the `restrict` that filtered every row's order and the
+`dominated` that compared over every row, and the technology game that
+sorted every row over in-neighbours found by scanning every edge.
 
 Results and elimination traces must be equal on every seed, lists in the
 same order; the table checks and parsers must accept and refuse the same
@@ -30,6 +34,7 @@ import copy
 import itertools
 import json
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import replace
@@ -64,14 +69,73 @@ def net_removable(net, mode):
     return cpnet.removable_values(net.domains, net.rows, mode)
 
 
+def reference_dominated(domain, rows):
+    out = set()
+    for worse in domain:
+        for better in domain:
+            if better != worse and all(
+                order.index(better) < order.index(worse) for order in rows.values()
+            ):
+                out.add(worse)
+                break
+    return out
+
+
+def reference_restrict(names, parents, rows, keep):
+    kept = tuple(map(tuple, keep))
+    for name, k in zip(names, kept):
+        if not k:
+            raise ValidationError("removal empties the domain of %s" % name)
+    new_rows = []
+    for i, ps in enumerate(parents):
+        table = {}
+        for pa in itertools.product(*map(kept.__getitem__, ps)):
+            table[pa] = tuple(v for v in rows[i][pa] if v in kept[i])
+        new_rows.append(table)
+    return kept, tuple(new_rows)
+
+
+def reference_eliminate_values(names, domains, parents, rows, mode, trace):
+    """The full-round loop: every table tested, then every table rebuilt."""
+    test = cpnet.never_best if mode == "nbr" else reference_dominated
+    while True:
+        removals = list(map(test, domains, rows))
+        if not any(removals):
+            return domains, rows
+        domains, rows = reference_restrict(names, parents, rows,
+                                           cpnet.without(domains, removals))
+        trace.append([sorted(r) for r in removals])
+
+
+def reference_predecessors(graph, node):
+    return tuple(u for u, v in graph.edges if v == node)
+
+
+def reference_tech_game(graph, k):
+    techs = tuple("t%d" % (K + 1) for K in range(k))
+    index = {t: K for K, t in enumerate(techs)}
+    pos = {name: i for i, name in enumerate(graph.nodes)}
+    neigh = tuple(tuple(sorted(pos[u] for u in reference_predecessors(graph, name)))
+                  for name in graph.nodes)
+    prefs = []
+    for ns in neigh:
+        rows = {}
+        for s in itertools.product(*(techs for _ in ns)):
+            counts = {t: s.count(t) for t in techs}
+            rows[s] = tuple(sorted(techs, key=lambda t: (-counts[t], index[t])))
+        prefs.append(rows)
+    return pgame.PPGame(graph.nodes, tuple(techs for _ in graph.nodes), neigh, tuple(prefs))
+
+
 def reference_eliminate(net, removals):
     domains, rows = cpnet.restrict(net.variables, net.parents, net.rows,
-                                   cpnet.without(net.domains, removals))
+                                   cpnet.without(net.domains, removals), range(len(removals)))
     return cpnet.from_tables(net.variables, domains, net.parents, rows)
 
 
 def reference_subgame(game, keep):
-    strategies, prefs = cpnet.restrict(game.players, game.neigh, game.prefs, keep)
+    strategies, prefs = cpnet.restrict(game.players, game.neigh, game.prefs, keep,
+                                       range(len(keep)))
     return pgame.PPGame(game.players, strategies, game.neigh, prefs)
 
 
@@ -663,13 +727,82 @@ def test_game_rounds_match_callback_round_and_fixpoint():
                 assert (step is game) == (not any(removals))
                 if any(removals):
                     assert cpnet.restrict(game.players, game.neigh, game.prefs, cpnet.without(
-                        game.strategies, removals)) == (step.strategies, step.prefs)
+                        game.strategies, removals), range(len(removals))) == (
+                            step.strategies, step.prefs)
                 got, want = [], []
                 final = pgame.reduce_pp_fixpoint(game, mode, got)
                 expected = elimination_fixpoint(game, mode, reference_removable_strategies, drop,
                                                 want)
                 assert (final, got) == (expected, want), (seed, graphical, mode)
                 assert (final is game) == (expected is game)
+
+
+def elimination_instances():
+    """Cyclic and acyclic nets, full and graphical games and technology
+    games."""
+    for seed in range(1, 401):
+        yield from (oracle.random_cpnet(replace(CFG, seed=seed, acyclic=acyclic))
+                    for acyclic in (False, True))
+        yield from (oracle.random_ppgame(replace(CFG, seed=seed, graphical=graphical))
+                    for graphical in (False, True))
+        dag = oracle.random_dag(replace(CFG, seed=seed))
+        yield from (pgame.tech_game(dag, k) for k in range(1, 5))
+
+
+def test_worklist_elimination_matches_full_rounds():
+    """`eliminate_values`, which tests and rebuilds only the tables a round
+    touched, against the loop that tests and rebuilds every table: equal
+    domains, equal rows with equal key order, equal traces, and the inputs
+    themselves when nothing was removable."""
+    rounds = untouched = 0
+    for x in elimination_instances():
+        names, domains, parents, rows = oracle._tables(x)
+        for mode in MODES:
+            got, want = [], []
+            final = cpnet.eliminate_values(names, domains, parents, rows, mode, got)
+            expected = reference_eliminate_values(names, domains, parents, rows, mode, want)
+            assert (final, got) == (expected, want), (x, mode)
+            assert [list(t) for t in final[1]] == [list(t) for t in expected[1]]
+            assert (final[1] is rows) == (expected[1] is rows) == (not want)
+            rounds += len(want) > 1
+            untouched += bool(want) and any(map(operator.is_, final[1], rows))
+    # later rounds occur, and eliminations leave some tables untouched
+    assert rounds > 1000 and untouched > 200, (rounds, untouched)
+
+
+def test_tech_game_matches_per_row_sort():
+    """In-neighbours read once per graph and orders sorted once per count
+    profile, against the edge scan per node and the sort per row: equal
+    in-neighbours in edge order, equal games with equal key order."""
+    for seed in range(1, 101):
+        dag = oracle.random_dag(replace(CFG, seed=seed, max_vars=6))
+        rng = random.Random(seed)
+        back = tuple((v, u) for u, v in dag.edges if rng.random() < 0.3)
+        for graph in (dag, pgame.DirectedGraph(dag.nodes, dag.edges + back)):
+            for node in graph.nodes:
+                assert graph.predecessors(node) == reference_predecessors(graph, node)
+            for k in range(1, 5):
+                got, want = pgame.tech_game(graph, k), reference_tech_game(graph, k)
+                assert got == want, (seed, k)
+                assert [list(t) for t in got.prefs] == [list(t) for t in want.prefs]
+
+
+def test_restrict_rebuilds_only_changed_tables():
+    """`restrict` rebuilds the tables of the changed indices and of their
+    children, as the full rebuild does, and returns every other table as
+    the same dict."""
+    for seed in range(1, 201):
+        for x in (oracle.random_cpnet(replace(CFG, seed=seed)),
+                  oracle.random_ppgame(replace(CFG, seed=seed, graphical=True))):
+            names, domains, parents, rows = oracle._tables(x)
+            rng = random.Random(seed)
+            changed = {i for i, d in enumerate(domains) if len(d) > 1 and rng.random() < 0.5}
+            keep = [d[1:] if i in changed else d for i, d in enumerate(domains)]
+            got = cpnet.restrict(names, parents, rows, keep, changed)
+            assert got == reference_restrict(names, parents, rows, keep)
+            for i, (ps, table) in enumerate(zip(parents, rows)):
+                touched = i in changed or not changed.isdisjoint(ps)
+                assert (got[1][i] is table) == (not touched), (seed, i)
 
 
 def test_regret_constraints_match_deviation_scan():
@@ -843,8 +976,8 @@ def test_elimination_checks_match_the_twin_checks(monkeypatch):
     # both checks must then fail on the same instances
     restrict = cpnet.restrict
 
-    def reversing(names, parents, rows, keep):
-        kept, new_rows = restrict(names, parents, rows, keep)
+    def reversing(names, parents, rows, keep, changed):
+        kept, new_rows = restrict(names, parents, rows, keep, changed)
         return kept, tuple({pa: order[::-1] for pa, order in r.items()} for r in new_rows)
     monkeypatch.setattr(cpnet, "restrict", reversing)
     verdicts = elimination_verdicts(range(1, 201))

@@ -1,6 +1,8 @@
+import copy
 import importlib.util
 import json
 import pathlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -257,3 +259,99 @@ def edge_records():
 @pytest.mark.parametrize("obj", list(edge_records()), ids=lambda obj: type(obj).__name__)
 def test_dumps_matches_document_of_on_edge_records(obj):
     assert_dumps_its_document(obj)
+
+
+def read(doc):
+    """The record a document holds with its tables' key orders, or the
+    message it is refused with."""
+    try:
+        kind, obj = serialize.parse_document(doc)
+    except ValidationError as exc:
+        return "refused", str(exc)
+    tables = obj.rows if kind == "cpnet" else obj.prefs if kind == "ppgame" else ()
+    return obj, [list(t) for t in tables]
+
+
+def read_cell_by_cell(doc):
+    """`read` with the bulk row reader off, so that `_table`'s loop reads
+    every table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_order_rows", lambda cells, wrapped: None)
+        return read(doc)
+
+
+def row_lists(doc):
+    """Each list of {"when", "order"} rows in a CP-net or game document."""
+    if doc["kind"] == "cpnet":
+        return [(doc["tables"][v], "rows") for v in doc["variables"]]
+    if doc["kind"] == "ppgame":
+        return [(doc["prefs"], p) for p in doc["players"]]
+    return []
+
+
+def row_mutations(cpnet_rows):
+    """Faults planted in rows a and b of a row list (the same row when the
+    list has one), named."""
+    def merge(cells, a, b):  # one row holding the parent assignments of two
+        cells[a]["when"] = cells[a]["when"] + cells[b]["when"]
+        del cells[b]
+    def faults(*plants):
+        def plant(cells, a, b):
+            for fault, at in zip(plants, (a, b)):
+                fault(cells, at)
+        return plant
+    def nonobject(row):
+        return lambda cells, a: cells.__setitem__(a, row)
+    def missing(field):
+        return lambda cells, a: cells[a].pop(field)
+    def setting(field, value):
+        return lambda cells, a: cells[a].__setitem__(field, value(cells[a][field]))
+    string_key = setting("when", (lambda w: ["x"]) if cpnet_rows else (lambda w: "x"))
+    yield "a list row", faults(nonobject(["when", "order"]))
+    yield "a string row", faults(nonobject("xy"))
+    yield "a number row", faults(nonobject(3))
+    yield "no when", faults(missing("when"))
+    yield "no order", faults(missing("order"))
+    yield "a string key", faults(string_key)
+    yield "a string when", faults(setting("when", lambda w: "x"))
+    yield "an object order", faults(setting("order", lambda o: {"x": 1}))
+    yield "a nested order", faults(setting("order", lambda o: [o]))
+    yield "a nested key", faults(setting("when", lambda w: [[w]]))
+    yield "a duplicate when", lambda cells, a, b: cells.append(copy.deepcopy(cells[a]))
+    if cpnet_rows:
+        yield "a disjunctive when", merge
+        yield "an empty when", faults(setting("when", lambda w: []))
+    yield "no order, then a string key", faults(missing("order"), string_key)
+    yield "a string key, then no order", faults(string_key, missing("order"))
+    yield "an object order, then no when", faults(setting("order", lambda o: {}),
+                                                  missing("when"))
+
+
+def test_bulk_row_reader_matches_the_cell_loop():
+    """The bulk readers of CP-net rows and preferences give the table, with
+    its key order, that `_table`'s loop gives, or the loop's first fault:
+    on every fixture, on generated nets and games, and with faults planted
+    in one or two rows of each table."""
+    docs = [json.loads((FIXTURES / name).read_text()) for name in ALL_FIXTURES]
+    for seed in range(1, 31):
+        docs += [json.loads(serialize.dumps(x)) for x in (
+            oracle.random_cpnet(replace(oracle.GeneratorConfig(), seed=seed)),
+            oracle.random_ppgame(replace(oracle.GeneratorConfig(), seed=seed, graphical=True)))]
+    outcomes = set()
+    for seed, doc in enumerate(docs):
+        assert read(doc) == read_cell_by_cell(doc)
+        for k, (holder, key) in enumerate(row_lists(doc)):
+            cells = holder[key]
+            assert serialize._order_rows(cells, doc["kind"] == "cpnet") is not None
+            rng = random.Random(seed * 100 + k)
+            a, b = sorted(rng.sample(range(len(cells)), 2) if len(cells) > 1 else [0, 0])
+            for name, plant in row_mutations(doc["kind"] == "cpnet"):
+                for first, second in ((a, b), (b, a)):
+                    mutated = copy.deepcopy(doc)
+                    plant(row_lists(mutated)[k][0][key], first, second)
+                    got = read(mutated)
+                    assert got == read_cell_by_cell(mutated), (seed, k, name)
+                    outcomes.add((name, got[0] == "refused"))
+    assert {name for name, refused in outcomes if not refused} >= {"a disjunctive when"}
+    assert {name for name, refused in outcomes if refused} >= {
+        name for name, _ in row_mutations(True)} - {"a disjunctive when"}
