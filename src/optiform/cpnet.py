@@ -92,19 +92,20 @@ def removable_values(domains, rows, mode):
     return list(map(removable_test(mode), domains, rows))
 
 
-def restrict(names, parents, rows, keep, changed):
-    """The tables cut down to the per-index values in `keep`, where
-    `changed` holds the indices whose values `keep` cuts.  The table of a
-    changed index or of a child of one loses the rows whose parent
-    assignment mentions a dropped value, and a changed index's orders lose
-    the dropped values, each distinct order once; every other table is
+def restrict(names, parents, rows, keep):
+    """The tables cut down to the per-index values in `keep`.  An index
+    whose values `keep` cuts is one kept shorter than its table's orders.
+    The table of such an index or of a child of one loses the rows whose
+    parent assignment mentions a dropped value, and a cut index's orders
+    lose the dropped values, each distinct order once; every other table is
     returned as it is, the same dict.  Returns the kept domains and the new
     rows."""
     kept = tuple(map(tuple, keep))
     for name, k in zip(names, kept):
         if not k:
             raise ValidationError("removal empties the domain of %s" % name)
-    changed = set(changed)
+    changed = {i for i, (k, table) in enumerate(zip(kept, rows))
+               if len(k) < len(next(iter(table.values())))}
     new_rows = []
     for i, (ps, table) in enumerate(zip(parents, rows)):
         own = i in changed
@@ -132,9 +133,8 @@ def eliminate_values(names, domains, parents, rows, mode, trace=None):
     test = removable_test(mode)
     removals = list(map(test, domains, rows))
     while any(removals):
-        changed = [i for i, r in enumerate(removals) if r]
         before = rows
-        domains, rows = restrict(names, parents, rows, without(domains, removals), changed)
+        domains, rows = restrict(names, parents, rows, without(domains, removals))
         if trace is not None:
             trace.append([sorted(r) for r in removals])
         removals = [set() if r is b else test(d, r) for d, r, b in zip(domains, rows, before)]

@@ -319,8 +319,7 @@ def _check_elimination_round(x):
             removals = cpnet.removable_values(d, r, mode)
             if not any(removals):
                 break
-            d, r = cpnet.restrict(names, parents, r, cpnet.without(d, removals),
-                                  range(len(d)))
+            d, r = cpnet.restrict(names, parents, r, cpnet.without(d, removals))
             if set(_stable(d, parents, r)) != before:
                 return _verdict(False, "mode %s round changed the stable outcomes" % mode)
     return _verdict(True)

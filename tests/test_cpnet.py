@@ -145,7 +145,7 @@ def test_eliminate_rejects_emptying():
     net = two_var_cycle()
     keep = cpnet.without(net.domains, [{"a", "a~"}, set()])
     with pytest.raises(ValidationError, match="empties the domain of A"):
-        cpnet.restrict(net.variables, net.parents, net.rows, keep, {0})
+        cpnet.restrict(net.variables, net.parents, net.rows, keep)
 
 
 def test_validation():

@@ -57,7 +57,7 @@ def test_reduction_rounds(pd_pp):
 def test_subgame_rejects_empty():
     game = matching_pennies()
     with pytest.raises(ValidationError, match="empties the domain of p1"):
-        cpnet.restrict(game.players, game.neigh, game.prefs, ((), ("h", "t")), {0})
+        cpnet.restrict(game.players, game.neigh, game.prefs, ((), ("h", "t")))
 
 
 def test_expand_full_round_trips(pd_pp):

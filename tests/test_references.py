@@ -129,13 +129,12 @@ def reference_tech_game(graph, k):
 
 def reference_eliminate(net, removals):
     domains, rows = cpnet.restrict(net.variables, net.parents, net.rows,
-                                   cpnet.without(net.domains, removals), range(len(removals)))
+                                   cpnet.without(net.domains, removals))
     return cpnet.from_tables(net.variables, domains, net.parents, rows)
 
 
 def reference_subgame(game, keep):
-    strategies, prefs = cpnet.restrict(game.players, game.neigh, game.prefs, keep,
-                                       range(len(keep)))
+    strategies, prefs = cpnet.restrict(game.players, game.neigh, game.prefs, keep)
     return pgame.PPGame(game.players, strategies, game.neigh, prefs)
 
 
@@ -727,7 +726,7 @@ def test_game_rounds_match_callback_round_and_fixpoint():
                 assert (step is game) == (not any(removals))
                 if any(removals):
                     assert cpnet.restrict(game.players, game.neigh, game.prefs, cpnet.without(
-                        game.strategies, removals), range(len(removals))) == (
+                        game.strategies, removals)) == (
                             step.strategies, step.prefs)
                 got, want = [], []
                 final = pgame.reduce_pp_fixpoint(game, mode, got)
@@ -798,7 +797,7 @@ def test_restrict_rebuilds_only_changed_tables():
             rng = random.Random(seed)
             changed = {i for i, d in enumerate(domains) if len(d) > 1 and rng.random() < 0.5}
             keep = [d[1:] if i in changed else d for i, d in enumerate(domains)]
-            got = cpnet.restrict(names, parents, rows, keep, changed)
+            got = cpnet.restrict(names, parents, rows, keep)
             assert got == reference_restrict(names, parents, rows, keep)
             for i, (ps, table) in enumerate(zip(parents, rows)):
                 touched = i in changed or not changed.isdisjoint(ps)
@@ -976,8 +975,8 @@ def test_elimination_checks_match_the_twin_checks(monkeypatch):
     # both checks must then fail on the same instances
     restrict = cpnet.restrict
 
-    def reversing(names, parents, rows, keep, changed):
-        kept, new_rows = restrict(names, parents, rows, keep, changed)
+    def reversing(names, parents, rows, keep):
+        kept, new_rows = restrict(names, parents, rows, keep)
         return kept, tuple({pa: order[::-1] for pa, order in r.items()} for r in new_rows)
     monkeypatch.setattr(cpnet, "restrict", reversing)
     verdicts = elimination_verdicts(range(1, 201))
