@@ -16,30 +16,36 @@ skyline `semiring.maximal` or the Nash and Pareto solvers of `pgame`.
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import bridge, cpnet, pgame, semiring, softcsp
 from .errors import ValidationError, check_space
+from .record import Record, init_field, replace
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    seed: int = 0
-    max_vars: int = 4
-    max_domain: int = 3
-    density: float = 0.5
-    carrier: str = "weighted"
-    acyclic: bool = False
-    graphical: bool = False
-    force_consistent: bool = False
+class GeneratorConfig(Record):
+    __slots__ = _fields = ("seed", "max_vars", "max_domain", "density", "carrier",
+                           "acyclic", "graphical", "force_consistent")
+
+    def __init__(self, seed=0, max_vars=4, max_domain=3, density=0.5, carrier="weighted",
+                 acyclic=False, graphical=False, force_consistent=False):
+        init_field(self, "seed", seed)
+        init_field(self, "max_vars", max_vars)
+        init_field(self, "max_domain", max_domain)
+        init_field(self, "density", density)
+        init_field(self, "carrier", carrier)
+        init_field(self, "acyclic", acyclic)
+        init_field(self, "graphical", graphical)
+        init_field(self, "force_consistent", force_consistent)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    skipped: bool = False
-    detail: str = ""
+class Verdict(Record):
+    __slots__ = _fields = ("ok", "skipped", "detail")
+
+    def __init__(self, ok, skipped=False, detail=""):
+        init_field(self, "ok", ok)
+        init_field(self, "skipped", skipped)
+        init_field(self, "detail", detail)
 
 
 # ---------------------------------------------------------------- brute force

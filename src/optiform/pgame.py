@@ -226,7 +226,8 @@ def tech_game(graph, k):
     prefs = []
     orders = {}  # the order of each count profile, as the sorted joint strategy
     for i in range(n):
-        check_space(k ** len(neigh[i]), "preference table of %s" % graph.nodes[i])
+        # one row per in-neighbour profile, each an order of all k technologies
+        check_space(k ** (len(neigh[i]) + 1), "preference table of %s" % graph.nodes[i])
         rows = {}
         for s in itertools.product(*(techs for _ in neigh[i])):
             profile = tuple(sorted(s))

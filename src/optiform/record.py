@@ -1,13 +1,15 @@
-"""Frozen records, the base of the model classes.
+"""Frozen records, the base of the model classes and of the oracle's
+generator config and verdict.
 
 A record class names its fields in `_fields`, holds them in `__slots__`
 and sets them in its own `__init__` through `init_field`, which passes the
 frozen `__setattr__` by.  The base gives it what a frozen dataclass has:
 equality and hashing over the fields within one class, the
-`Class(field=value, ...)` repr, and an AttributeError on setting or
-deleting an attribute.  It does without `dataclasses`, whose import and
-class decoration cost every process, and the base has no constructor of its
-own, so a record is built at the cost of its own few assignments.
+`Class(field=value, ...)` repr, an AttributeError on setting or deleting
+an attribute, and `replace` for a copy with some fields changed.  It does
+without `dataclasses`, whose import (with `inspect` and more) and class
+decoration cost every process, and the base has no constructor of its own,
+so a record is built at the cost of its own few assignments.
 """
 
 import operator
@@ -43,3 +45,13 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self._values(self)
+
+
+def replace(record, **changes):
+    """A new record of the same class, with the fields named in `changes`
+    changed, as `dataclasses.replace` makes: the class's constructor gets
+    every field by name, so it validates the copy and raises TypeError on a
+    name that is not a field."""
+    fields = {f: getattr(record, f) for f in record._fields}
+    fields.update(changes)
+    return record.__class__(**fields)

@@ -6,7 +6,7 @@ wall-clock budget asserted by the final rollup test.
 """
 
 import time
-from dataclasses import replace
+from optiform.record import replace
 from fractions import Fraction
 
 import pytest

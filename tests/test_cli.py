@@ -442,6 +442,11 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
                         for p, k in ((2, 3300), (3, 2090), (7, 1180), (11, 958), (13, 896))]}))
     code, _, err = run(capsys, "scsp-solve", str(bad))
     assert code == 3 and "digits" in err and err.count("\n") == 1
+    # a technology table is bounded by its cells, k orders of k technologies
+    # for a node with one in-neighbour, not by its k rows alone
+    code, out, err = run(capsys, "tech-game", fx("diamond.graph.json"), "--k", "100000")
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert "preference table of n1 has 10000000000 elements" in err
     monkeypatch.setenv("OPTIFORM_MAX_SPACE", "abc")
     code, _, err = run(capsys, "scsp-solve", fx("fuzzy_chain.scsp.json"))
     assert code == 2 and "OPTIFORM_MAX_SPACE" in err

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from optiform.record import replace
 
 import pytest
 

@@ -10,7 +10,7 @@ the same order.
 
 import itertools
 import random
-from dataclasses import replace
+from optiform.record import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st

@@ -1,6 +1,7 @@
-"""The model classes are frozen records: construction, repr, equality,
-hashing and immutability behave as they did when they were frozen
-dataclasses.  The repr strings below were written by the dataclasses."""
+"""The model classes, and the oracle's generator config and verdict, are
+frozen records: construction, repr, equality, hashing, immutability and
+`replace` behave as they did when they were frozen dataclasses.  The repr
+strings below were written by the dataclasses."""
 
 import copy
 import itertools
@@ -12,7 +13,9 @@ import pytest
 from optiform import cpnet, semiring
 from optiform.cpnet import CPNet, CPTable
 from optiform.errors import ValidationError
+from optiform.oracle import GeneratorConfig, Verdict
 from optiform.pgame import DirectedGraph, PayoffGame, PPGame
+from optiform.record import replace
 from optiform.semiring import SemiringSpec, SemiringValue
 from optiform.softcsp import SoftConstraint, SoftCSP
 
@@ -59,6 +62,16 @@ def examples():
          "DirectedGraph(nodes=('a', 'b'), edges=(('a', 'b'),), levels=None)"),
         (DirectedGraph(("a", "b"), (("a", "b"),), (0, 1)),
          "DirectedGraph(nodes=('a', 'b'), edges=(('a', 'b'),), levels=(0, 1))"),
+        (GeneratorConfig(),
+         "GeneratorConfig(seed=0, max_vars=4, max_domain=3, density=0.5, carrier='weighted', "
+         "acyclic=False, graphical=False, force_consistent=False)"),
+        (GeneratorConfig(7, density=0.25, carrier="fuzzy", acyclic=True),
+         "GeneratorConfig(seed=7, max_vars=4, max_domain=3, density=0.25, carrier='fuzzy', "
+         "acyclic=True, graphical=False, force_consistent=False)"),
+        (Verdict(True), "Verdict(ok=True, skipped=False, detail='')"),
+        (Verdict(False, detail="x 'y'"), "Verdict(ok=False, skipped=False, detail=\"x 'y'\")"),
+        (Verdict(True, skipped=True, detail="instance not hierarchical"),
+         "Verdict(ok=True, skipped=True, detail='instance not hierarchical')"),
     ]
 
 
@@ -73,10 +86,13 @@ FIELDS = {
     PPGame: ("players", "strategies", "neigh", "prefs"),
     PayoffGame: ("players", "strategies", "neigh", "payoffs", "carrier"),
     DirectedGraph: ("nodes", "edges", "levels"),
+    GeneratorConfig: ("seed", "max_vars", "max_domain", "density", "carrier", "acyclic",
+                      "graphical", "force_consistent"),
+    Verdict: ("ok", "skipped", "detail"),
 }
 
 #: The records whose fields hold no dict, the only hashable ones.
-HASHABLE = (SemiringSpec, SemiringValue, DirectedGraph)
+HASHABLE = (SemiringSpec, SemiringValue, DirectedGraph, GeneratorConfig, Verdict)
 
 
 def test_every_record_class_is_covered():
@@ -100,6 +116,11 @@ def test_equal_records_compare_and_hash_equal():
     assert SemiringValue(W, 1) != SemiringValue(W, 2)
     assert SemiringValue(W, 1) != SemiringValue(F, 1)
     assert DirectedGraph(("a",), ()) != DirectedGraph(("b",), ())
+    for a, b in ((GeneratorConfig(seed=1), GeneratorConfig(seed=2)),
+                 (GeneratorConfig(), GeneratorConfig(force_consistent=True)),
+                 (Verdict(True), Verdict(True, skipped=True)),
+                 (Verdict(False, detail="a"), Verdict(False, detail="b"))):
+        assert a != b and not a == b and len({a, b}) == 2
 
 
 def test_records_of_different_classes_with_equal_fields_differ():
@@ -140,6 +161,11 @@ def test_keyword_construction_and_defaults():
         CPNet(("A",), (("a",),), (CPTable(0, (), {(): ("a",)}),), ())
     with pytest.raises(TypeError):
         SemiringValue(W)
+    assert GeneratorConfig() == GeneratorConfig(0, 4, 3, 0.5, "weighted", False, False, False)
+    assert GeneratorConfig(5, graphical=True) == GeneratorConfig(seed=5, graphical=True)
+    assert Verdict(False) == Verdict(ok=False, skipped=False, detail="")
+    with pytest.raises(TypeError):
+        Verdict()
 
 
 def test_validation_runs_on_construction():
@@ -168,6 +194,23 @@ def test_records_copy_and_pickle():
             assert type(twin) is type(record) and twin == record
     net, _ = examples()[7]
     assert pickle.loads(pickle.dumps(net)).rows == net.rows
+
+
+def test_replace_changes_the_named_fields():
+    cfg = GeneratorConfig(seed=3)
+    assert replace(cfg, acyclic=True, carrier="boolean") == GeneratorConfig(
+        3, carrier="boolean", acyclic=True)
+    assert cfg == GeneratorConfig(seed=3)
+    assert replace(Verdict(False, detail="x"), ok=True) == Verdict(True, detail="x")
+    for record, _ in examples():
+        twin = replace(record)
+        assert twin == record and twin is not record
+    for record, field in ((cfg, "sed"), (Verdict(True), "reason"), (W, "spec")):
+        with pytest.raises(TypeError):
+            replace(record, **{field: None})
+    # the copy is built by its class's constructor, so it is validated
+    with pytest.raises(ValidationError):
+        replace(DirectedGraph(("a", "b"), ()), edges=(("a", "z"),))
 
 
 # ---------------------------------------------------------- one table check

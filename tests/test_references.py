@@ -37,7 +37,7 @@ import math
 import operator
 import random
 from collections import deque
-from dataclasses import replace
+from optiform.record import replace
 from fractions import Fraction
 
 from optiform import bridge, cpnet, oracle, pgame, semiring, serialize, softcsp

@@ -5,7 +5,7 @@ Every comparison requires equal lists in the same order.
 """
 
 import itertools
-from dataclasses import replace
+from optiform.record import replace
 
 from hypothesis import example, given, settings, strategies as st
 

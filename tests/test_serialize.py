@@ -3,7 +3,7 @@ import importlib.util
 import json
 import pathlib
 import random
-from dataclasses import replace
+from optiform.record import replace
 from fractions import Fraction
 
 import pytest
