@@ -8,10 +8,18 @@ budget or enumeration bound exhausted.
 
 A run builds the parser of its own subcommand only, and only `check` loads
 the oracle.
+
+`main` runs a command (load, handler and write) with the cyclic garbage
+collector paused and gives the caller back its state afterwards.  Every
+record, table, row, JSON tree and report a command builds is acyclic and
+freed by reference counting, so the collector finds nothing there; but a
+command that reads, builds or writes tables of thousands of rows triggers
+it over and over, and each time it scans every object still alive.
 """
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -270,6 +278,8 @@ def main(argv=None):
     if extra:  # the full parser reports them, its usage listing every subcommand
         args = build_parser().parse_args(argv)
     kinds, handler, _ = COMMANDS[args.subcommand]
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         kind, obj = _load(args.file, kinds) if kinds else (None, None)
         if "other" in args:  # the second document of scsp-join
@@ -291,6 +301,9 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

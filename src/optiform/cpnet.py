@@ -204,10 +204,10 @@ def full_tables(names, domains, parents, rows):
     """The same tables with every other index made a parent; the added
     parents are ignored.  Returns the new parents and rows."""
     wide = full_parents(len(domains))
+    for name, others in zip(names, wide):  # every table before any is built
+        check_space(math.prod(len(domains[j]) for j in others), "full table of %s" % name)
     new_rows = []
     for i, ps in enumerate(parents):
-        check_space(math.prod(len(domains[j]) for j in wide[i]),
-                    "full table of %s" % names[i])
         keys = list(itertools.product(*map(domains.__getitem__, wide[i])))
         if not ps:
             new_rows.append(dict.fromkeys(keys, rows[i][()]))

@@ -223,11 +223,13 @@ def tech_game(graph, k):
         tuple(sorted(pos[u] for u in graph.predecessors(name)))
         for name in graph.nodes
     )
+    # one row per in-neighbour profile, each an order of all k technologies;
+    # every table is checked before any is built
+    for name, ns in zip(graph.nodes, neigh):
+        check_space(k ** (len(ns) + 1), "preference table of %s" % name)
     prefs = []
     orders = {}  # the order of each count profile, as the sorted joint strategy
     for i in range(n):
-        # one row per in-neighbour profile, each an order of all k technologies
-        check_space(k ** (len(neigh[i]) + 1), "preference table of %s" % graph.nodes[i])
         rows = {}
         for s in itertools.product(*(techs for _ in neigh[i])):
             profile = tuple(sorted(s))

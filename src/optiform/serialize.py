@@ -503,7 +503,9 @@ class _Rows:
         (`softcsp.check_table`), so sorted they are the product of the
         scope's sorted domains, and each key's text is made from its
         values' texts by the same product, one addition per key.  Each
-        distinct cell's text is made once, and each row is two texts added."""
+        distinct cell's text is made once, and the table's text is one join
+        over its opening, each row's key and cell with the separators
+        between them, and its closing."""
         if self.scope_texts is None:  # a value that is not a string
             _write(_row_dicts(self.rows, None, self.cell, self.key_field, self.cell_field,
                               self.wrap), nl, put)
@@ -531,8 +533,10 @@ class _Rows:
                          itertools.product(*(values for values, _ in scope))))
         memo = {c: head + _text(self.cell(c), field_nl) + tail for c in set(cells)}
         texts = map(memo.__getitem__, cells)
-        rows = map(operator.add, keys, texts) if key_first else map(operator.add, texts, keys)
-        put("[" + row_nl + ("," + row_nl).join(rows) + nl + "]")
+        parts = ["," + row_nl] * (3 * len(keys)) + [nl + "]"]
+        parts[0] = "[" + row_nl
+        parts[1::3], parts[2::3] = (keys, texts) if key_first else (texts, keys)
+        put("".join(parts))
 
 
 def dumps(obj):

@@ -1,11 +1,14 @@
 import copy
+import gc
+import itertools
 import json
 import pathlib
 import random
+import types
 
 import pytest
 
-from optiform import bridge, cli, oracle, serialize
+from optiform import bridge, cli, cpnet, oracle, pgame, serialize
 from tests.conftest import FIXTURES
 
 #: The stdout, stderr and exit code of every case in `golden_cases`, as
@@ -472,6 +475,108 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     ):
         assert run(capsys, *argv) == (
             3, "", "bound exhausted: %s elements, exceeding the bound 2\n" % space)
+
+
+def test_bounds_are_checked_before_any_table_is_built(capsys, tmp_path, monkeypatch):
+    """A command whose tables would outgrow the bound fails before it builds
+    the first of them, with the message of the first table too large."""
+    calls = []
+
+    def product(*iterables, **kw):
+        calls.append(iterables)
+        return itertools.product(*iterables, **kw)
+
+    counting = types.SimpleNamespace(**vars(itertools))
+    counting.product = product
+    # players without neighbours: the full table of a holds 2 * 2 cells,
+    # those of b and c 10 * 2 each
+    strategies = {"a": ["x%d" % j for j in range(10)], "b": ["y0", "y1"], "c": ["z0", "z1"]}
+    game = tmp_path / "wide.ppgame.json"
+    game.write_text(json.dumps({
+        "kind": "ppgame", "players": ["a", "b", "c"], "strategies": strategies,
+        "neigh": {p: [] for p in strategies},
+        "prefs": {p: [{"when": [], "order": s}] for p, s in strategies.items()}}))
+    monkeypatch.setenv("OPTIFORM_MAX_SPACE", "10")
+    for argv, says in (
+        (["tech-game", fx("diamond.graph.json"), "--k", "3"],
+         "preference table of n3 has 27 elements"),
+        (["to-cpnet", str(game)], "full table of b has 20 elements"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(pgame, "itertools", counting)
+            m.setattr(cpnet, "itertools", counting)
+            code, out, err = run(capsys, *argv)
+        assert (code, out, calls) == (3, "", []), argv
+        assert err == "bound exhausted: %s, exceeding the bound 10\n" % says
+
+
+@pytest.fixture
+def collecting():
+    """Gives back the collector's state after the test, whatever it set."""
+    before = gc.isenabled()
+    yield
+    (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_run_with_the_collector_paused(capsys, tmp_path, monkeypatch, collecting,
+                                                enabled):
+    """`main` runs each command with the cyclic collector off and leaves it
+    as it found it, on success, on a refused document, on an exhausted
+    bound and on an unreadable file."""
+    seen = []
+    is_eligible = cpnet.is_eligible
+
+    def spy(net):
+        seen.append(gc.isenabled())
+        return is_eligible(net)
+
+    monkeypatch.setattr(cpnet, "is_eligible", spy)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "mystery"}')
+    (gc.enable if enabled else gc.disable)()
+    for argv, expected in (
+        (["cpnet-eligible", fx("acyclic4.cpnet.json")], 0),
+        (["cpnet-eligible", str(bad)], 2),
+        (["cpnet-eligible", str(tmp_path / "missing.json")], 2),
+        (["cpnet-eligible", str(tmp_path)], 2),
+    ):
+        assert run(capsys, *argv)[0] == expected, argv
+        assert gc.isenabled() is enabled, argv
+    monkeypatch.setenv("OPTIFORM_MAX_SPACE", "2")
+    assert run(capsys, "cpnet-eligible", fx("acyclic4.cpnet.json"))[0] == 3
+    assert gc.isenabled() is enabled
+    assert seen == [False, False]
+
+
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, collecting):
+    """What a command builds is freed by reference counting alone, so the
+    collector it runs without would find nothing: after every fixture
+    command, a few `check` suites and some refused runs, a collection finds
+    no dict and no optiform object unreachable."""
+    cases = [argv for key, argv in golden_cases(tmp_path) if argv[0] != "check"]
+    cases += [["check", "--theorem", t, "--seeds", "1..5"]
+              for t in ("net_game_equivalence", "elimination_fixpoint_net", "global_map",
+                        "pareto_nash", "tech_adoption")]
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "cpnet", "variables": ["A", "A"]}')
+    cases += [["cpnet-optimal", str(bad)], ["to-game", str(tmp_path / "missing.json")],
+              ["tech-game", fx("diamond.graph.json"), "--k", "100000"]]
+    for argv in cases:  # building a parser leaves argparse objects in cycles
+        cli.build_parser(argv[0])
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in cases:
+            run(capsys, *argv)
+        gc.collect()
+        garbage = [type(o) for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert dict not in garbage
+    assert [t for t in garbage if t.__module__.startswith("optiform")] == []
 
 
 #: The runs of each document kind for `test_mutated_documents`; "@" stands
