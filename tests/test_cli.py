@@ -2,8 +2,12 @@ import copy
 import gc
 import itertools
 import json
+import os
 import pathlib
 import random
+import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -14,6 +18,7 @@ from tests.conftest import FIXTURES
 #: The stdout, stderr and exit code of every case in `golden_cases`, as
 #: `record_golden` wrote them; rewrite it only for an intended output change.
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
+ROOT = GOLDEN.parent.parent
 
 
 def run(capsys, *argv):
@@ -523,7 +528,8 @@ def test_commands_run_with_the_collector_paused(capsys, tmp_path, monkeypatch, c
                                                 enabled):
     """`main` runs each command with the cyclic collector off and leaves it
     as it found it, on success, on a refused document, on an exhausted
-    bound and on an unreadable file."""
+    bound and on an unreadable file.  It freezes nothing: only the process
+    entry does, or a caller would keep every object it made for life."""
     seen = []
     is_eligible = cpnet.is_eligible
 
@@ -534,6 +540,7 @@ def test_commands_run_with_the_collector_paused(capsys, tmp_path, monkeypatch, c
     monkeypatch.setattr(cpnet, "is_eligible", spy)
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "mystery"}')
+    frozen = gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     for argv, expected in (
         (["cpnet-eligible", fx("acyclic4.cpnet.json")], 0),
@@ -543,10 +550,51 @@ def test_commands_run_with_the_collector_paused(capsys, tmp_path, monkeypatch, c
     ):
         assert run(capsys, *argv)[0] == expected, argv
         assert gc.isenabled() is enabled, argv
+        assert gc.get_freeze_count() == frozen, argv
     monkeypatch.setenv("OPTIFORM_MAX_SPACE", "2")
     assert run(capsys, "cpnet-eligible", fx("acyclic4.cpnet.json"))[0] == 3
     assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
     assert seen == [False, False]
+
+
+def process(*args):
+    """The exit code, stdout and stderr of `python args...`, run in a fresh
+    interpreter at the root of the checkout with ./src first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_process_entry(capsys, tmp_path):
+    """`python -m optiform.cli` ends as `main` does in process, byte for
+    byte, on each exit code; and both it and the installed script's entry
+    freeze what is left alive before the exit handlers run."""
+    cases = dict(golden_cases(tmp_path))
+    runs = [cases[key] for key in (
+        "cpnet-optimal cyclic4.cpnet.json",
+        "cpnet-sweep cyclic2.cpnet.json",
+        "cpnet-dominates acyclic4.cpnet.json --better a,b,c,d --worse a~,b~,c~,d~ --budget 1",
+    )]
+    runs.append(["check", "--theorem", "strict_monotone_inclusion", "--seeds", "77"])
+    codes = []
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert process("-m", "optiform.cli", *argv) == (code, out.encode(), err.encode()), argv
+        codes.append(code)
+    assert sorted(codes) == [0, 1, 2, 3]
+
+    script = re.search(r'^optiform = "(.+):(.+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    argv = ["cpnet-eligible", fx("acyclic4.cpnet.json")]
+    code, out, _ = run(capsys, *argv)
+    for call in ("runpy.run_module('optiform.cli', run_name='__main__')",
+                 "importlib.import_module(%r).%s()" % script.groups()):
+        assert process("-c", """if True:
+            import atexit, gc, importlib, runpy, sys
+            atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+            %s
+        """ % call, *argv) == (code, out.encode(), b"frozen True\n"), call
 
 
 def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, collecting):
