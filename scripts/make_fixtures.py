@@ -93,7 +93,7 @@ def cyclic4():
         {(b,): (c, c_), (b_,): (c_, c)},
         {(c,): (d, d_), (c_,): (d_, d)},
     )
-    return cpnet.from_tables(tuple("ABCD"), doms, ((3,), (0,), (1,), (2,)), rows)
+    return cpnet.CPNet(tuple("ABCD"), doms, ((3,), (0,), (1,), (2,)), rows)
 
 
 def acyclic4():
@@ -108,7 +108,7 @@ def acyclic4():
         {(c,): (d, d_), (c_,): (d_, d)},
     )
     doms = ((a, a_), (b, b_), (c, c_), (d, d_))
-    return cpnet.from_tables(tuple("ABCD"), doms, ((), (), (0, 1), (2,)), rows)
+    return cpnet.CPNet(tuple("ABCD"), doms, ((), (), (0, 1), (2,)), rows)
 
 
 def cyclic2():
@@ -117,7 +117,7 @@ def cyclic2():
         {(b,): (a_, a), (b_,): (a, a_)},
         {(a,): (b, b_), (a_,): (b_, b)},
     )
-    return cpnet.from_tables(("A", "B"), ((a, a_), (b, b_)), ((1,), (0,)), rows)
+    return cpnet.CPNet(("A", "B"), ((a, a_), (b, b_)), ((1,), (0,)), rows)
 
 
 def redundant3():
@@ -128,7 +128,7 @@ def redundant3():
         {(): ("b1", "b2")},
         {pa: order_z for pa in itertools.product(("a1", "a2"), ("b1", "b2"))},
     )
-    return cpnet.from_tables(
+    return cpnet.CPNet(
         ("X", "Y", "Z"), (("a1", "a2"), ("b1", "b2"), ("c1", "c2")),
         ((), (), (0, 1)), rows,
     )

@@ -17,15 +17,14 @@ from .errors import ValidationError, check_space
 def game_of_cpnet(net):
     """Variables become players, CPT rows become parametrized preferences;
     the neighbour function is the parent relation."""
-    return pgame.PPGame(net.variables, net.domains, net.parents,
-                        tuple(map(dict, net.rows)))
+    return pgame.PPGame(net.variables, net.domains, net.parents, net.rows)
 
 
 def cpnet_of_game(game):
     """Players become variables with full parent sets; graphical preferences
     are expanded by ignoring the non-neighbour coordinates."""
     parents, rows = cpnet.full_tables(game.players, game.strategies, game.neigh, game.prefs)
-    return cpnet.from_tables(game.players, game.strategies, parents, rows)
+    return cpnet.CPNet(game.players, game.strategies, parents, rows)
 
 
 def _shared_constraint_neighbourhoods(problem):

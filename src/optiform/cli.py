@@ -3,8 +3,8 @@ one row of `COMMANDS`.  `main` loads the row's document, calls its handler
 and writes the result: a record as a document, or a dict as a report.
 
 Reports are JSON with sorted keys, so identical inputs give byte-identical
-output.  Exit codes: 0 success, 1 a failed check, 2 validation failure, 3
-budget or enumeration bound exhausted.
+output.  Exit codes: 0 success, 1 a failed check, 2 validation failure or
+unwritable output, 3 budget or enumeration bound exhausted.
 
 A run builds the parser of its own subcommand only, and only `check` loads
 the oracle.
@@ -33,6 +33,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 
 from . import bridge, cpnet, pgame, serialize, softcsp
@@ -303,14 +304,12 @@ def main(argv=None):
             sys.stdout.write(serialize.text_of(result))
         else:
             sys.stdout.write(serialize.dumps(result))
+        sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
         return code
     except EnumerationLimitError as exc:
         print("bound exhausted: %s" % exc, file=sys.stderr)
         return EXIT_EXHAUSTED
-    except OptiformError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (OptiformError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     finally:
@@ -322,11 +321,18 @@ def entry():
     """The process entry of `python -m optiform.cli` and of the installed
     `optiform` script: `main`, then the exit with its code.  Whatever way
     `main` ends, it freezes every object left alive first, so the
-    collections the interpreter runs at exit skip them."""
+    collections the interpreter runs at exit skip them.  Output that `main`
+    could not write (a full disk, a closed pipe), and has reported, stays
+    in stdout's buffer; it is dropped here, so the flush at exit does not
+    fail on it again and turn the exit code into 120."""
     try:
         code = main()
     finally:
         gc.freeze()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

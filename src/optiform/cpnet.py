@@ -3,7 +3,8 @@ redundancy reduction, elimination of never-best-response / dominated values,
 and dominance: the ordering query on acyclic nets, then bounded search.
 
 The preference-table core below works on raw per-index domains, parents and
-rows.  A PPGame holds the same tables as a CPNet under other names, so the
+rows.  A CPNet holds (variables, domains, parents, rows) and a PPGame the
+same data in the same order as (players, strategies, neigh, prefs), so the
 game algorithms of `pgame` call the same core.
 """
 
@@ -11,6 +12,7 @@ import itertools
 import math
 import operator
 from collections import deque
+from types import SimpleNamespace
 
 from . import semiring, softcsp
 from .errors import ValidationError, check_space
@@ -222,37 +224,27 @@ def full_tables(names, domains, parents, rows):
 
 # -------------------------------------------------------------------- CP-nets
 
-class CPTable(Record):
-    __slots__ = _fields = ("owner", "parents", "rows")
-
-    def __init__(self, owner, parents, rows):
-        init_field(self, "owner", owner)
-        init_field(self, "parents", parents)  # variable indices, ordered
-        init_field(self, "rows", rows)  # parent assignment tuple -> order tuple (best first)
-
-
 class CPNet(Record):
-    # `parents` and `rows` hold the tables' per-index parents and rows, as
-    # the table core takes them, and every algorithm reads them, not the
-    # tables; they are derived, so not fields
-    __slots__ = ("variables", "domains", "tables", "parents", "rows")
-    _fields = ("variables", "domains", "tables")
+    __slots__ = _fields = ("variables", "domains", "parents", "rows")
 
-    def __init__(self, variables, domains, tables):
+    def __init__(self, variables, domains, parents, rows):
         init_field(self, "variables", variables)
         init_field(self, "domains", domains)
-        init_field(self, "tables", tables)  # one CPTable per variable, positionally aligned
+        init_field(self, "parents", parents)  # per-variable tuples of indices, ordered
+        init_field(self, "rows", rows)  # per-variable dict: parent assignment -> order (best first)
         self.__post_init__()
 
     def __post_init__(self):
-        if not (len(self.variables) == len(self.domains) == len(self.tables)):
-            raise ValidationError("variables, domains and tables differ in length")
-        for i, t in enumerate(self.tables):
-            if t.owner != i:
-                raise ValidationError("table %d owned by variable %d" % (i, t.owner))
-        init_field(self, "parents", tuple([t.parents for t in self.tables]))
-        init_field(self, "rows", tuple([t.rows for t in self.tables]))
+        if not (len(self.variables) == len(self.domains) == len(self.parents) == len(self.rows)):
+            raise ValidationError("variable-indexed fields differ in length")
         check_tables(self.variables, self.domains, self.parents, self.rows)
+
+    @property
+    def tables(self):
+        """One object per variable with its `parents` and `rows`, built on
+        each read.  Its only reader is the benchmark's `bench/spans.py::_cells`;
+        it goes when that reads `rows` instead."""
+        return tuple(SimpleNamespace(parents=ps, rows=r) for ps, r in zip(self.parents, self.rows))
 
     def space_size(self):
         return math.prod(map(len, self.domains))
@@ -264,12 +256,6 @@ class CPNet(Record):
     def row_for(self, i, outcome):
         """The unique order for variable i selected by the outcome's parents."""
         return self.rows[i][tuple(outcome[p] for p in self.parents[i])]
-
-
-def from_tables(variables, domains, parents, rows):
-    """The CP-net with one table per (parents, rows) pair."""
-    tables = [CPTable(i, ps, r) for i, (ps, r) in enumerate(zip(parents, rows))]
-    return CPNet(variables, domains, tuple(tables))
 
 
 def improving_flips(net, outcome):
@@ -419,7 +405,7 @@ def reduce(net):
         drop_parents(net.domains, ps, r, drop) if drop else (ps, r)
         for ps, r, drop in zip(net.parents, net.rows, unused)
     ))
-    return from_tables(net.variables, net.domains, parents, rows)
+    return CPNet(net.variables, net.domains, parents, rows)
 
 
 def reduce_to_fixpoint(net, mode, trace=None):
@@ -428,4 +414,4 @@ def reduce_to_fixpoint(net, mode, trace=None):
     per-round removals."""
     domains, rows = eliminate_values(net.variables, net.domains, net.parents, net.rows,
                                      mode, trace)
-    return net if rows is net.rows else from_tables(net.variables, domains, net.parents, rows)
+    return net if rows is net.rows else CPNet(net.variables, domains, net.parents, rows)

@@ -201,8 +201,8 @@ def random_cpnet(cfg):
     rng = random.Random(cfg.seed)
     n = rng.randint(1, cfg.max_vars)
     domains = _domains(rng, cfg, n)
-    return cpnet.from_tables(tuple("X%d" % i for i in range(n)), domains,
-                             *_random_tables(rng, cfg, domains, True))
+    return cpnet.CPNet(tuple("X%d" % i for i in range(n)), domains,
+                       *_random_tables(rng, cfg, domains, True))
 
 
 def _random_value(rng, spec):
@@ -261,9 +261,9 @@ def random_ppgame(cfg):
                         *_random_tables(rng, cfg, strategies, cfg.graphical))
 
 
-def random_dag(cfg, max_nodes=10):
+def random_dag(cfg):
     rng = random.Random(cfg.seed)
-    n = rng.randint(1, max_nodes)
+    n = rng.randint(1, 10)
     nodes = tuple("n%d" % i for i in range(n))
     edges = []
     for j in range(1, n):

@@ -234,7 +234,7 @@ def _cpnet_from_json(data):
                                  lambda row: _list(row["order"], at_order),
                                  lambda rows: _order_rows(rows, True)))
     try:
-        return cpnet.from_tables(variables, domains, parents, table_rows)
+        return cpnet.CPNet(variables, domains, tuple(parents), tuple(table_rows))
     except ValidationError as exc:
         raise ValidationError("cpnet: %s" % exc)
 

@@ -168,7 +168,7 @@ def test_criterion_8_technology_diffusion():
     with timed(10.0):
         cfg = GeneratorConfig()
         for seed in SEEDS:
-            graph = oracle.random_dag(replace(cfg, seed=seed), max_nodes=10)
+            graph = oracle.random_dag(replace(cfg, seed=seed))
             k = 1 + seed % 3
             final = pgame.reduce_pp_fixpoint(pgame.tech_game(graph, k), "nbr")
             assert all(s == ("t1",) for s in final.strategies), seed

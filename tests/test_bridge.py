@@ -4,19 +4,20 @@ import pytest
 
 from optiform import bridge, cpnet, pgame, semiring, softcsp
 from optiform.errors import ValidationError
+from tests.conftest import load
 
 
 def test_game_of_cpnet_shares_stable_points(acyclic4, cyclic4, cyclic2):
     for net in (acyclic4, cyclic4, cyclic2):
         game = bridge.game_of_cpnet(net)
         assert game.players == net.variables
-        assert game.neigh == tuple(t.parents for t in net.tables)
+        assert game.neigh == net.parents
         assert pgame.nash_equilibria_pp(game) == cpnet.optimal_outcomes(net)
 
 
 def test_cpnet_of_game_shares_stable_points(pd_pp):
     net = bridge.cpnet_of_game(pd_pp)
-    assert net.tables[0].parents == (1,)
+    assert net.parents[0] == (1,)
     assert cpnet.optimal_outcomes(net) == pgame.nash_equilibria_pp(pd_pp)
 
 
@@ -126,3 +127,29 @@ def test_pareto_nash_empty_when_no_equilibrium():
     )
     assert pgame.nash_equilibria_payoff(g) == []
     assert bridge.pareto_nash(g) == []
+
+
+def test_benchmark_counts_the_cells_of_every_translation():
+    """The benchmark's traced runs count the table cells of each of the
+    seven translations' results with `bench/spans.py::_cells`, which reads a
+    CP-net's cells through `CPNet.tables`: each count must equal the one
+    taken from the record's own tables."""
+    from bench import spans
+
+    results = []
+    for name in ("acyclic4", "cyclic4", "cyclic2", "redundant3"):
+        game = bridge.game_of_cpnet(load(name + ".cpnet.json"))
+        results.append((game, sum(map(len, game.prefs))))
+    net = bridge.cpnet_of_game(load("pd.ppgame.json"))
+    results.append((net, sum(map(len, net.rows))))
+    for name in ("fuzzy_chain", "weighted_mixed"):
+        problem = load(name + ".scsp.json")
+        for game in (bridge.local_map(problem), bridge.global_map(problem)):
+            results.append((game, sum(map(len, game.payoffs))))
+    payoff = load("pd.payoffgame.json")
+    for problem in (bridge.scsp_of_game(payoff), bridge.regret_constraints(payoff)):
+        results.append((problem, sum(len(c.table) for c in problem.constraints)))
+    front = bridge.pareto_nash(payoff)
+    results.append((front, len(front)))
+    for result, cells in results:
+        assert cells > 0 and spans._cells(result) == cells, result

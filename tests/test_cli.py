@@ -77,7 +77,7 @@ def test_cpnet_commands(capsys):
 
     code, out, _ = run(capsys, "cpnet-reduce", fx("redundant3.cpnet.json"))
     kind, net = serialize.loads(out)
-    assert net.tables[2].parents == ()
+    assert net.parents[2] == ()
 
 
 def test_deep_chain_searches_without_recursion(capsys, tmp_path):
@@ -192,7 +192,7 @@ def test_translation_round_trip(capsys, tmp_path):
     kind, net = serialize.loads(out)
     assert kind == "cpnet"
     # full parent sets after the round trip
-    assert all(len(t.parents) == 3 for t in net.tables)
+    assert all(len(ps) == 3 for ps in net.parents)
 
 
 def test_map_and_equilibria(capsys):
@@ -595,6 +595,37 @@ def test_process_entry(capsys, tmp_path):
             atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
             %s
         """ % call, *argv) == (code, out.encode(), b"frozen True\n"), call
+
+
+@pytest.mark.parametrize("target", ["full", "pipe"])
+def test_unwritable_stdout_ends_in_one_error_line(tmp_path, target):
+    """A full disk or a pipe whose reader has gone ends the process with
+    exit 2 and one error line, for a short and a long output alike, when
+    stdout is block-buffered, as it is on a file or a pipe."""
+    if target == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    n = 600  # a chain of two-valued variables, written as about 100 KB
+    rows = ({(): ("a", "b")},) + ({("a",): ("a", "b"), ("b",): ("b", "a")},) * (n - 1)
+    net = cpnet.CPNet(tuple("V%d" % i for i in range(n)), (("a", "b"),) * n,
+                      ((),) + tuple((i,) for i in range(n - 1)), rows)
+    chain = tmp_path / "chain.cpnet.json"
+    chain.write_text(serialize.dumps(net))
+    assert chain.stat().st_size > 100_000
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for argv in (["cpnet-optimal", fx("cyclic4.cpnet.json")], ["cpnet-reduce", str(chain)]):
+        if target == "full":
+            out = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read, out = os.pipe()
+            os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "optiform.cli", *argv], env=env,
+                                  stdout=out, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(out)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert re.fullmatch(r"error: \[Errno (28|32)\] [^\n]*\n", proc.stderr), (argv, proc.stderr)
 
 
 def test_commands_leave_no_cyclic_garbage(capsys, tmp_path, collecting):

@@ -1,7 +1,7 @@
 import pytest
 
 from optiform import cpnet, oracle, softcsp
-from optiform.cpnet import BUDGET_EXHAUSTED, CPNet, CPTable
+from optiform.cpnet import BUDGET_EXHAUSTED, CPNet
 from optiform.errors import ValidationError
 from optiform.oracle import GeneratorConfig
 
@@ -12,10 +12,8 @@ def two_var_cycle():
     return CPNet(
         ("A", "B"),
         ((a, a_), (b, b_)),
-        (
-            CPTable(0, (1,), {(b,): (a, a_), (b_,): (a_, a)}),
-            CPTable(1, (0,), {(a,): (b, b_), (a_,): (b_, b)}),
-        ),
+        ((1,), (0,)),
+        ({(b,): (a, a_), (b_,): (a_, a)}, {(a,): (b, b_), (a_,): (b_, b)}),
     )
 
 
@@ -105,8 +103,8 @@ def test_redundant_parent_removal(redundant3):
                                 redundant3.rows[2]) == {0, 1}
     reduced = cpnet.reduce(redundant3)
     assert cpnet.reduce(reduced) is reduced
-    assert reduced.tables[2].parents == ()
-    assert reduced.tables[2].rows == {(): ("c1", "c2")}
+    assert reduced.parents[2] == ()
+    assert reduced.rows[2] == {(): ("c1", "c2")}
     # reduction preserves the flip relation, hence the optima
     assert cpnet.optimal_outcomes(reduced) == cpnet.optimal_outcomes(redundant3)
     assert cpnet.flip_edges(reduced) == cpnet.flip_edges(redundant3)
@@ -152,25 +150,17 @@ def test_validation():
     a, a_ = "a", "a~"
     with pytest.raises(ValidationError):
         # row order must be a strict total order of the domain
-        CPNet(
-            ("A",), ((a, a_),),
-            (CPTable(0, (), {(): (a, a)}),),
-        )
+        CPNet(("A",), ((a, a_),), ((),), ({(): (a, a)},))
     with pytest.raises(ValidationError):
         # missing row for a parent assignment
-        CPNet(
-            ("A", "B"), ((a, a_), ("b", "b~")),
-            (
-                CPTable(0, (), {(): (a, a_)}),
-                CPTable(1, (0,), {(a,): ("b", "b~")}),
-            ),
-        )
+        CPNet(("A", "B"), ((a, a_), ("b", "b~")), ((), (0,)),
+              ({(): (a, a_)}, {(a,): ("b", "b~")}))
     # every row's order is checked, the first bad one in row order reported
     b = ("b", "b~", "b+")
     rows = {("a",): b, ("a~",): ("b", "b"), ("a+",): b, ("a-",): ("b~",)}
     with pytest.raises(ValidationError, match=r"\('b', 'b'\) is not a strict"):
         CPNet(("A", "B"), (("a", "a~", "a+", "a-"), b),
-              (CPTable(0, (), {(): ("a", "a~", "a+", "a-")}), CPTable(1, (0,), rows)))
+              ((), (0,)), ({(): ("a", "a~", "a+", "a-")}, rows))
 
 
 def test_eligibility_matches_consistency_of_optimality_constraints():

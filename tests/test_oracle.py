@@ -75,11 +75,10 @@ def test_checker_detects_planted_defects():
         ),
     )
     broken = bridge.cpnet_of_game(pd)
-    tables = list(broken.tables)
-    rows = dict(tables[0].rows)
+    rows = dict(broken.rows[0])
     rows[("N",)] = ("C", "N")  # plant an inverted row
-    tables[0] = cpnet.CPTable(0, tables[0].parents, rows)
-    bad_net = cpnet.CPNet(broken.variables, broken.domains, tuple(tables))
+    bad_net = cpnet.CPNet(broken.variables, broken.domains, broken.parents,
+                          (rows,) + broken.rows[1:])
     assert cpnet.optimal_outcomes(bad_net) != pgame.nash_equilibria_pp(pd)
 
 

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from optiform import cpnet, semiring
-from optiform.cpnet import CPNet, CPTable
+from optiform import semiring
+from optiform.cpnet import CPNet
 from optiform.errors import ValidationError
 from optiform.oracle import GeneratorConfig, Verdict
 from optiform.pgame import DirectedGraph, PayoffGame, PPGame
@@ -42,13 +42,9 @@ def examples():
          "SoftCSP(variables=('x',), domains=(('a', 'b'),), constraints=(SoftConstraint(scope=(0,), "
          "table={('a',): SemiringValue(1/3), ('b',): SemiringValue(1)}),), "
          "semiring=SemiringSpec(kind='fuzzy', factors=()))"),
-        (CPTable(1, (0,), dict(ROWS)),
-         "CPTable(owner=1, parents=(0,), rows={('a',): ('c', 'd'), ('b',): ('d', 'c')})"),
-        (cpnet.from_tables(("A", "B"), (("a", "b"), ("c", "d")), ((), (0,)),
-                           ({(): ("a", "b")}, dict(ROWS))),
-         "CPNet(variables=('A', 'B'), domains=(('a', 'b'), ('c', 'd')), tables=(CPTable(owner=0, "
-         "parents=(), rows={(): ('a', 'b')}), CPTable(owner=1, parents=(0,), rows={('a',): "
-         "('c', 'd'), ('b',): ('d', 'c')})))"),
+        (CPNet(("A", "B"), (("a", "b"), ("c", "d")), ((), (0,)), ({(): ("a", "b")}, dict(ROWS))),
+         "CPNet(variables=('A', 'B'), domains=(('a', 'b'), ('c', 'd')), parents=((), (0,)), "
+         "rows=({(): ('a', 'b')}, {('a',): ('c', 'd'), ('b',): ('d', 'c')}))"),
         (PPGame(("p", "q"), (("x", "y"), ("u",)), ((1,), ()), ({("u",): ("y", "x")}, {(): ("u",)})),
          "PPGame(players=('p', 'q'), strategies=(('x', 'y'), ('u',)), neigh=((1,), ()), "
          "prefs=({('u',): ('y', 'x')}, {(): ('u',)}))"),
@@ -81,8 +77,7 @@ FIELDS = {
     SemiringValue: ("spec", "payload"),
     SoftConstraint: ("scope", "table"),
     SoftCSP: ("variables", "domains", "constraints", "semiring"),
-    CPTable: ("owner", "parents", "rows"),
-    CPNet: ("variables", "domains", "tables"),
+    CPNet: ("variables", "domains", "parents", "rows"),
     PPGame: ("players", "strategies", "neigh", "prefs"),
     PayoffGame: ("players", "strategies", "neigh", "payoffs", "carrier"),
     DirectedGraph: ("nodes", "edges", "levels"),
@@ -133,7 +128,7 @@ def test_records_of_different_classes_with_equal_fields_differ():
                 assert (a == b) is (a is b)
                 assert (a != b) is (a is not b)
     assert SemiringValue(W, 1) != (W, 1)
-    assert CPTable(0, (), {}) != (0, (), {})
+    assert CPNet((), (), (), ()) != ((), (), (), ())
 
 
 def test_fields_cannot_be_set_or_deleted():
@@ -158,7 +153,7 @@ def test_keyword_construction_and_defaults():
     assert PayoffGame(players=("p",), strategies=(("x",),), neigh=((),),
                       payoffs=({("x",): 1},), carrier=None) == game
     with pytest.raises(TypeError):
-        CPNet(("A",), (("a",),), (CPTable(0, (), {(): ("a",)}),), ())
+        CPNet(("A",), (("a",),), ((),), ({(): ("a",)},), ())
     with pytest.raises(TypeError):
         SemiringValue(W)
     assert GeneratorConfig() == GeneratorConfig(0, 4, 3, 0.5, "weighted", False, False, False)
@@ -177,22 +172,12 @@ def test_validation_runs_on_construction():
         DirectedGraph(nodes=("a",), edges=(("a", "b"),))
 
 
-def test_cpnet_equality_ignores_its_derived_tables():
-    net, _ = examples()[7]
-    other, _ = examples()[7]
-    assert net.parents == ((), (0,)) and net.rows == ({(): ("a", "b")}, ROWS)
-    object.__setattr__(other, "parents", None)
-    object.__setattr__(other, "rows", None)
-    assert net == other
-    assert repr(net) == repr(other)
-
-
 def test_records_copy_and_pickle():
     for record, _ in examples():
         for twin in (copy.copy(record), copy.deepcopy(record),
                      pickle.loads(pickle.dumps(record))):
             assert type(twin) is type(record) and twin == record
-    net, _ = examples()[7]
+    net, _ = examples()[6]
     assert pickle.loads(pickle.dumps(net)).rows == net.rows
 
 
@@ -236,7 +221,7 @@ def table_record(kind, names, domains, scope, change=set):
     parents = (scope,) + ((),) * (n - 1)
     rows = ({k: domains[0] for k in keys},) + tuple({(): d} for d in domains[1:])
     if kind == "cpnet":
-        return cpnet.from_tables(names, domains, parents, rows)
+        return CPNet(names, domains, parents, rows)
     return PPGame(names, domains, parents, rows)
 
 
@@ -270,4 +255,4 @@ def test_scope_indices_stay_in_range():
         PPGame(("p",), (("a", "b"),), ((-1,),), ({("a",): ("a", "b"), ("b",): ("b", "a")},))
     # a parent past the last variable used to end in an IndexError
     with pytest.raises(ValidationError, match="scope index 3 is out of range"):
-        cpnet.from_tables(("A",), (("a",),), ((3,),), ({("a",): ("a",)},))
+        CPNet(("A",), (("a",),), ((3,),), ({("a",): ("a",)},))

@@ -130,7 +130,7 @@ def reference_tech_game(graph, k):
 def reference_eliminate(net, removals):
     domains, rows = cpnet.restrict(net.variables, net.parents, net.rows,
                                    cpnet.without(net.domains, removals))
-    return cpnet.from_tables(net.variables, domains, net.parents, rows)
+    return cpnet.CPNet(net.variables, domains, net.parents, rows)
 
 
 def reference_subgame(game, keep):
@@ -374,16 +374,16 @@ def reference_dominates_search(net, alpha, beta, budget=cpnet.DEFAULT_DOMINANCE_
 
 
 def reference_drop_parent(net, i, y):
-    t = net.tables[i]
-    k = t.parents.index(y)
-    rest = t.parents[:k] + t.parents[k + 1:]
+    parents = net.parents[i]
+    k = parents.index(y)
+    rest = parents[:k] + parents[k + 1:]
     rows = {}
     anchor = net.domains[y][0]
     for a in itertools.product(*(net.domains[p] for p in rest)):
-        rows[a] = t.rows[a[:k] + (anchor,) + a[k:]]
-    tables = list(net.tables)
-    tables[i] = cpnet.CPTable(i, rest, rows)
-    return cpnet.CPNet(net.variables, net.domains, tuple(tables))
+        rows[a] = net.rows[i][a[:k] + (anchor,) + a[k:]]
+    return cpnet.CPNet(net.variables, net.domains,
+                       net.parents[:i] + (rest,) + net.parents[i + 1:],
+                       net.rows[:i] + (rows,) + net.rows[i + 1:])
 
 
 def reference_reduce(net):
@@ -402,7 +402,7 @@ def reference_topological_order(net):
     n = len(net.variables)
     children = {i: [] for i in range(n)}
     indeg = {i: 0 for i in range(n)}
-    for p, c in [(p, t.owner) for t in net.tables for p in t.parents]:
+    for p, c in [(p, c) for c, ps in enumerate(net.parents) for p in ps]:
         children[p].append(c)
         indeg[c] += 1
     ready = deque(i for i in range(n) if indeg[i] == 0)
@@ -427,8 +427,7 @@ def reference_sweep_optimal(net):
         raise ValidationError("sweep requires an acyclic net")
     assignment = [None] * len(net.variables)
     for i in order:
-        t = net.tables[i]
-        row = t.rows[tuple(assignment[p] for p in t.parents)]
+        row = net.rows[i][tuple(assignment[p] for p in net.parents[i])]
         assignment[i] = row[0]
     return tuple(assignment)
 
@@ -439,7 +438,6 @@ def reference_random_cpnet(cfg):
     domains = oracle._domains(rng, cfg, n)
     order = list(range(n))
     rng.shuffle(order)
-    tables = []
     parent_pool = {}
     for rank, i in enumerate(order):
         if cfg.acyclic:
@@ -447,16 +445,17 @@ def reference_random_cpnet(cfg):
         else:
             pool = [j for j in range(n) if j != i]
         parent_pool[i] = tuple(sorted(j for j in pool if rng.random() < cfg.density))
+    parents = tuple(parent_pool[i] for i in range(n))
+    tables = []
     for i in range(n):
-        parents = parent_pool[i]
         rows = {}
-        for pa in itertools.product(*(domains[p] for p in parents)):
+        for pa in itertools.product(*(domains[p] for p in parents[i])):
             perm = list(domains[i])
             rng.shuffle(perm)
             rows[pa] = tuple(perm)
-        tables.append(cpnet.CPTable(i, parents, rows))
+        tables.append(rows)
     return cpnet.CPNet(
-        tuple("X%d" % i for i in range(n)), domains, tuple(tables)
+        tuple("X%d" % i for i in range(n)), domains, parents, tuple(tables)
     )
 
 
@@ -646,7 +645,7 @@ def reference_cpnet_from_json(data):
                 rows[key] = order
         table_rows.append(rows)
     try:
-        return cpnet.from_tables(variables, domains, parents, table_rows)
+        return cpnet.CPNet(variables, domains, tuple(parents), tuple(table_rows))
     except ValidationError as exc:
         raise ValidationError("cpnet: %s" % exc)
 
@@ -774,7 +773,7 @@ def test_tech_game_matches_per_row_sort():
     profile, against the edge scan per node and the sort per row: equal
     in-neighbours in edge order, equal games with equal key order."""
     for seed in range(1, 101):
-        dag = oracle.random_dag(replace(CFG, seed=seed, max_vars=6))
+        dag = oracle.random_dag(replace(CFG, seed=seed))
         rng = random.Random(seed)
         back = tuple((v, u) for u, v in dag.edges if rng.random() < 0.3)
         for graph in (dag, pgame.DirectedGraph(dag.nodes, dag.edges + back)):
@@ -1057,7 +1056,7 @@ def table_fields(kind, record):
 def build(kind, record, names, domains, scopes, tables):
     """The record of `kind` the fields make, validated as the records do now."""
     if kind == "cpnet":
-        return cpnet.from_tables(names, domains, scopes, tables)
+        return cpnet.CPNet(names, domains, scopes, tables)
     if kind == "ppgame":
         return pgame.PPGame(names, domains, scopes, tables)
     if kind == "payoffgame":

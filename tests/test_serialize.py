@@ -113,7 +113,7 @@ def test_cpnet_disjunctive_rows_expand():
         },
     }
     _, net = serialize.parse_document(doc)
-    assert net.tables[1].rows == {("a",): ("b", "b~"), ("a~",): ("b", "b~")}
+    assert net.rows[1] == {("a",): ("b", "b~"), ("a~",): ("b", "b~")}
 
 
 def test_load_path(tmp_path, pd_payoff):
@@ -229,14 +229,14 @@ def test_dumps_matches_document_of_on_generated_records():
 
 def edge_records():
     odd = ("\u00e9t\u00e9", 'say "hi"', "back\\slash", "\u2603\n")
-    yield cpnet.from_tables(  # a parentless table, and names and values to escape
+    yield cpnet.CPNet(  # a parentless table, and names and values to escape
         odd[:2], (odd, odd[2:]), ((), (0,)),
         ({(): odd}, {(v,): odd[2:] if k % 2 else odd[:1:-1] for k, v in enumerate(odd)}))
-    yield cpnet.from_tables(  # int and float values, numbers and strings mixed
+    yield cpnet.CPNet(  # int and float values, numbers and strings mixed
         ("x", "y", "z"), ((0, 1), (0, 1.5, -2), ("a", "b")), ((), (0,), (0, 1)),
         ({(): (1, 0)}, {(0,): (0, 1.5, -2), (1,): (-2, 1.5, 0)},
          {(a, b): ("a", "b") if b == 0 else ("b", "a") for a in (0, 1) for b in (0, 1.5, -2)}))
-    yield cpnet.from_tables(  # keys and orders whose numbers equal, but are not, the domain's
+    yield cpnet.CPNet(  # keys and orders whose numbers equal, but are not, the domain's
         ("x", "y"), ((1, 2), (0, 1)), ((), (0,)),
         ({(): (2.0, 1)}, {(1.0,): (True, 0), (2,): (0.0, 1)}))
     yield pgame.PPGame(  # an empty neighbour list
