@@ -71,9 +71,8 @@ def global_map(problem):
         s: softcsp.solution_preference(problem, s)
         for s in problem.assignments()
     }
-    payoffs = tuple(dict(shared) for _ in range(n))
     return pgame.PayoffGame(
-        problem.variables, problem.domains, neigh, payoffs, problem.semiring
+        problem.variables, problem.domains, neigh, (shared,) * n, problem.semiring
     )
 
 
@@ -114,10 +113,10 @@ def scsp_of_game(game, offset=None):
 def regret_constraints(game):
     """Per player, a hard constraint allowing exactly its best replies: the
     local tuples in which its strategy weakly maximizes its payoff."""
+    allowed, forbidden = semiring.one(semiring.BOOLEAN), semiring.zero(semiring.BOOLEAN)
     constraints = tuple(
-        softcsp.SoftConstraint(scope, {
-            t: semiring.value(semiring.BOOLEAN, t in best) for t in game.payoffs[i]
-        })
+        softcsp.SoftConstraint(scope, {t: allowed if t in best else forbidden
+                                       for t in game.payoffs[i]})
         for i, (scope, best) in enumerate(pgame.best_replies(game))
     )
     return softcsp.SoftCSP(game.players, game.strategies, constraints, semiring.BOOLEAN)

@@ -324,9 +324,18 @@ def entry():
     collections the interpreter runs at exit skip them.  Output that `main`
     could not write (a full disk, a closed pipe), and has reported, stays
     in stdout's buffer; it is dropped here, so the flush at exit does not
-    fail on it again and turn the exit code into 120."""
+    fail on it again and turn the exit code into 120.  argparse's help and
+    usage end `main` by `SystemExit` before its flush, so that output is
+    flushed, and a failure reported, here."""
     try:
         code = main()
+    except SystemExit as exc:
+        code = exc.code
+        try:
+            sys.stdout.flush()
+        except OSError as error:
+            print("error: %s" % error, file=sys.stderr)
+            code = EXIT_INVALID
     finally:
         gc.freeze()
     try:

@@ -288,6 +288,7 @@ def optimality_constraints(net):
     For each variable and each distinct order among its rows: the parent
     assignments selecting that order imply the variable equals its top.
     """
+    allowed, forbidden = semiring.one(semiring.BOOLEAN), semiring.zero(semiring.BOOLEAN)
     constraints = []
     for i, (ps, rows) in enumerate(zip(net.parents, net.rows)):
         by_order = {}
@@ -299,8 +300,7 @@ def optimality_constraints(net):
             table = {}
             for pa in itertools.product(*(net.domains[p] for p in ps)):
                 for v in net.domains[i]:
-                    ok = pa not in pas or v == top
-                    table[pa + (v,)] = semiring.value(semiring.BOOLEAN, ok)
+                    table[pa + (v,)] = allowed if pa not in pas or v == top else forbidden
             constraints.append(softcsp.SoftConstraint(scope, table))
     return softcsp.SoftCSP(
         net.variables, net.domains, tuple(constraints), semiring.BOOLEAN

@@ -392,18 +392,20 @@ def _nash_and_pareto(game):
     return set(brute_nash(game, table)) & set(brute_pareto(game, table))
 
 
+def _boolean_solutions(problem):
+    """The assignments of preference 1 of a boolean problem."""
+    top = semiring.one(problem.semiring).payload
+    return {s for s in problem.assignments()
+            if softcsp.solution_preference(problem, s).payload == top}
+
+
 def _check_consistent_csp(problem):
     if problem.semiring.kind != "boolean":
         return Verdict(True, skipped=True, detail="not a boolean problem")
     if not softcsp.is_consistent(problem):
         return Verdict(True, skipped=True, detail="inconsistent instance")
     game = bridge.local_map(problem)
-    top = semiring.one(problem.semiring).payload
-    solutions = {
-        s for s in problem.assignments()
-        if softcsp.solution_preference(problem, s).payload == top
-    }
-    return _verdict(solutions == _nash_and_pareto(game),
+    return _verdict(_boolean_solutions(problem) == _nash_and_pareto(game),
                     "solutions differ from Nash-and-Pareto of the local game")
 
 
@@ -422,12 +424,7 @@ def _check_pareto_frontier(game):
 
 
 def _check_regrets(game):
-    problem = bridge.regret_constraints(game)
-    top = semiring.one(semiring.BOOLEAN).payload
-    solutions = {
-        s for s in problem.assignments()
-        if softcsp.solution_preference(problem, s).payload == top
-    }
+    solutions = _boolean_solutions(bridge.regret_constraints(game))
     return _verdict(solutions == set(brute_nash(game)), "no-regret solutions differ from Nash")
 
 

@@ -127,26 +127,6 @@ def _check_payload(spec, payload):
     return tuple(parts)
 
 
-def zero(spec):
-    if spec.kind == "boolean":
-        return value(spec, False)
-    if spec.kind == "fuzzy":
-        return value(spec, 0)
-    if spec.kind == "weighted":
-        return value(spec, INF)
-    return SemiringValue(spec, tuple(zero(f).payload for f in spec.factors))
-
-
-def one(spec):
-    if spec.kind == "boolean":
-        return value(spec, True)
-    if spec.kind == "fuzzy":
-        return value(spec, 1)
-    if spec.kind == "weighted":
-        return value(spec, 0)
-    return SemiringValue(spec, tuple(one(f).payload for f in spec.factors))
-
-
 def _require(spec, v, side=""):
     if not isinstance(v, SemiringValue) or (v.spec is not spec and v.spec != spec):
         raise CarrierMismatchError(
@@ -168,6 +148,27 @@ def _fold_payloads(spec, payloads):
     )
 
 
+def _sum_payloads(spec, payloads):
+    """The sum of a list of payloads of `spec`; the empty list gives 0."""
+    if spec.kind == "boolean":
+        return any(payloads)
+    if spec.kind == "fuzzy":
+        return max(payloads, default=Fraction(0))
+    if spec.kind == "weighted":
+        return min((p for p in payloads if p is not INF), default=INF)
+    return tuple(
+        _sum_payloads(f, [p[k] for p in payloads]) for k, f in enumerate(spec.factors)
+    )
+
+
+def zero(spec):
+    return SemiringValue(spec, _sum_payloads(spec, []))
+
+
+def one(spec):
+    return SemiringValue(spec, _fold_payloads(spec, []))
+
+
 def combine(spec, a, b):
     """The multiplicative operator: and / min / cost sum / componentwise."""
     _require(spec, a, "left")
@@ -175,32 +176,18 @@ def combine(spec, a, b):
     return SemiringValue(spec, _fold_payloads(spec, [a.payload, b.payload]))
 
 
-def _plus_payload(spec, a, b):
-    if spec.kind == "boolean":
-        return a or b
-    if spec.kind == "fuzzy":
-        return max(a, b)
-    if spec.kind == "weighted":
-        if a is INF:
-            return b
-        if b is INF:
-            return a
-        return min(a, b)
-    return tuple(_plus_payload(f, x, y) for f, x, y in zip(spec.factors, a, b))
-
-
 def plus(spec, a, b):
     """The additive operator; induces the preference order a <= b iff a+b = b."""
     _require(spec, a, "left")
     _require(spec, b, "right")
-    return SemiringValue(spec, _plus_payload(spec, a.payload, b.payload))
+    return SemiringValue(spec, _sum_payloads(spec, [a.payload, b.payload]))
 
 
 def leq(spec, a, b):
     """a <= b in the induced order (b is at least as preferred as a)."""
     _require(spec, a, "left")
     _require(spec, b, "right")
-    return _plus_payload(spec, a.payload, b.payload) == b.payload
+    return _sum_payloads(spec, [a.payload, b.payload]) == b.payload
 
 
 def strictly_less(spec, a, b):

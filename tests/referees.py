@@ -1,0 +1,80 @@
+"""The one literal definition of each notion of optimality the tests hold
+optiform to: stable outcomes, Nash equilibria, Pareto efficiency and the
+optimal solutions of soft CSPs.  Each is a nested loop over a record's
+fields that asks order only of the boxed predicates (`payoff_leq`,
+`payoff_lt`, `semiring.strictly_less`, `softcsp.solution_preference`),
+drops a member at its first witness and calls no solver, search or oracle
+referee.  Results are lists in enumeration order.
+"""
+
+from optiform import bridge, semiring, softcsp
+
+
+def stable(outcomes, domains, parents, rows):
+    """The outcomes where no index has a value placed earlier in the row
+    its parents select."""
+    def flippable(o):
+        for i, (domain, ps, r) in enumerate(zip(domains, parents, rows)):
+            order = r[tuple(o[p] for p in ps)]
+            for v in domain:
+                if order.index(v) < order.index(o[i]):
+                    return True
+        return False
+    return [o for o in outcomes if not flippable(o)]
+
+
+def optimal_outcomes(net):
+    return stable(net.outcomes(), net.domains, net.parents, net.rows)
+
+
+def nash_pp(game):
+    return stable(game.joint_strategies(), game.strategies, game.neigh, game.prefs)
+
+
+def nash(game):
+    """The joint strategies of a payoff game from which no player gains by
+    deviating alone."""
+    def deviates(s):
+        for i, values in enumerate(game.strategies):
+            p = game.payoff(i, s)
+            for v in values:
+                if game.payoff_lt(p, game.payoff(i, s[:i] + (v,) + s[i + 1:])):
+                    return True
+        return False
+    return [s for s in game.joint_strategies() if not deviates(s)]
+
+
+def payoff_vector(game, s):
+    return tuple(game.payoff(i, s) for i in range(len(game.players)))
+
+
+def pareto_less(game, a, b):
+    """Payoff vector b is at least a for every player and above it for some."""
+    return all(map(game.payoff_leq, a, b)) and any(map(game.payoff_lt, a, b))
+
+
+def pareto(game):
+    vectors = [(s, payoff_vector(game, s)) for s in game.joint_strategies()]
+    return [s for s, a in vectors if not any(pareto_less(game, a, b) for _, b in vectors)]
+
+
+def optimal_solutions(problem):
+    """The (assignment, preference) pairs whose preference no assignment's
+    strictly exceeds."""
+    scored = [(s, softcsp.solution_preference(problem, s)) for s in problem.assignments()]
+    return [(s, p) for s, p in scored
+            if not any(semiring.strictly_less(problem.semiring, p, q) for _, q in scored)]
+
+
+def boolean_solutions(problem):
+    """The assignments of preference 1 of a boolean problem."""
+    return [s for s in problem.assignments()
+            if softcsp.solution_preference(problem, s).payload]
+
+
+def pareto_nash(game, offset=None):
+    """The join route: the optimal solutions above 0 of the cost-tuple
+    problem joined with the no-regret constraints."""
+    merged = softcsp.join(bridge.scsp_of_game(game, offset), bridge.regret_constraints(game))
+    bottom = semiring.zero(merged.semiring)
+    return [(s, p) for s, p in optimal_solutions(merged) if p.payload != bottom.payload]

@@ -4,6 +4,7 @@ import pytest
 
 from optiform import bridge, cpnet, pgame, semiring, softcsp
 from optiform.errors import ValidationError
+from tests import referees
 from tests.conftest import load
 
 
@@ -99,11 +100,7 @@ def test_scsp_of_game_offset_rules(pd_payoff):
 def test_regret_constraints_select_nash(pd_payoff):
     h = bridge.regret_constraints(pd_payoff)
     assert h.semiring == semiring.BOOLEAN
-    allowed = [
-        s for s in h.assignments()
-        if softcsp.solution_preference(h, s).payload
-    ]
-    assert allowed == pgame.nash_equilibria_payoff(pd_payoff)
+    assert referees.boolean_solutions(h) == pgame.nash_equilibria_payoff(pd_payoff)
 
 
 def test_pareto_nash_prisoners_dilemma(pd_payoff):

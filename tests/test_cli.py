@@ -600,8 +600,9 @@ def test_process_entry(capsys, tmp_path):
 @pytest.mark.parametrize("target", ["full", "pipe"])
 def test_unwritable_stdout_ends_in_one_error_line(tmp_path, target):
     """A full disk or a pipe whose reader has gone ends the process with
-    exit 2 and one error line, for a short and a long output alike, when
-    stdout is block-buffered, as it is on a file or a pipe."""
+    exit 2 and one error line, for a short and a long output and for
+    argparse's help alike, when stdout is block-buffered, as it is on a
+    file or a pipe."""
     if target == "full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     n = 600  # a chain of two-valued variables, written as about 100 KB
@@ -613,7 +614,8 @@ def test_unwritable_stdout_ends_in_one_error_line(tmp_path, target):
     assert chain.stat().st_size > 100_000
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    for argv in (["cpnet-optimal", fx("cyclic4.cpnet.json")], ["cpnet-reduce", str(chain)]):
+    for argv in (["cpnet-optimal", fx("cyclic4.cpnet.json")], ["cpnet-reduce", str(chain)],
+                 ["--help"], ["cpnet-optimal", "--help"]):
         if target == "full":
             out = os.open("/dev/full", os.O_WRONLY)
         else:

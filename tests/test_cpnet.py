@@ -4,6 +4,7 @@ from optiform import cpnet, oracle, softcsp
 from optiform.cpnet import BUDGET_EXHAUSTED, CPNet
 from optiform.errors import ValidationError
 from optiform.oracle import GeneratorConfig
+from tests import referees
 
 
 def two_var_cycle():
@@ -60,16 +61,7 @@ def test_cyclic_net_can_have_several_optima():
 def test_optimality_constraints_capture_optima(acyclic4, cyclic4):
     for net in (acyclic4, cyclic4, two_var_cycle()):
         problem = cpnet.optimality_constraints(net)
-        sols = [
-            s for s, p in zip(problem.assignments(),
-                              (softcsp.solution_preference(problem, s)
-                               for s in problem.assignments()))
-        ]
-        good = [
-            s for s in net.outcomes()
-            if softcsp.solution_preference(problem, s).payload
-        ]
-        assert good == cpnet.optimal_outcomes(net)
+        assert referees.boolean_solutions(problem) == cpnet.optimal_outcomes(net)
 
 
 def test_eligibility(acyclic4, cyclic2):

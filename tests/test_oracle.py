@@ -1,10 +1,19 @@
+"""The oracle's referees against the solvers and `tests/referees.py`, its
+generators and theorem checks, and the guards that keep the referees and
+the references apart from the solvers they check.
+"""
+
+import ast
+import inspect
+
 from optiform.record import replace
 
 import pytest
 
-from optiform import bridge, cpnet, oracle, pgame, semiring, softcsp
+from optiform import bridge, cpnet, oracle, pgame, softcsp
 from optiform.errors import ValidationError
 from optiform.oracle import GeneratorConfig, Verdict
+from tests import referees
 
 
 CFG = GeneratorConfig()
@@ -94,70 +103,6 @@ def test_run_suite_reproduces_from_seed():
     assert a == b
 
 
-# Reference referees: nested loops that read payoffs at every comparison and
-# never stop early.  `test_referees_match_nested_loops` holds the tabulating,
-# first-witness referees to these, list for list.
-
-def nested_optimal_outcomes(net):
-    out = []
-    for o in net.outcomes():
-        optimal = True
-        for i in range(len(net.variables)):
-            order = net.row_for(i, o)
-            for v in net.domains[i]:
-                if v != o[i] and order.index(v) < order.index(o[i]):
-                    optimal = False
-        if optimal:
-            out.append(o)
-    return out
-
-
-def nested_nash(game):
-    out = []
-    if isinstance(game, pgame.PPGame):
-        for s in game.joint_strategies():
-            ok = True
-            for i in range(len(game.players)):
-                order = game.prefs[i][tuple(s[j] for j in game.neigh[i])]
-                for v in game.strategies[i]:
-                    if v != s[i] and order.index(v) < order.index(s[i]):
-                        ok = False
-            if ok:
-                out.append(s)
-        return out
-    for s in game.joint_strategies():
-        ok = True
-        for i in range(len(game.players)):
-            for v in game.strategies[i]:
-                dev = s[:i] + (v,) + s[i + 1:]
-                if game.payoff_lt(game.payoff(i, s), game.payoff(i, dev)):
-                    ok = False
-        if ok:
-            out.append(s)
-    return out
-
-
-def nested_pareto(game):
-    joint = list(game.joint_strategies())
-    out = []
-    for s in joint:
-        dominated = False
-        for t in joint:
-            weakly_up = all(
-                game.payoff_leq(game.payoff(i, s), game.payoff(i, t))
-                for i in range(len(game.players))
-            )
-            strictly = any(
-                game.payoff_lt(game.payoff(i, s), game.payoff(i, t))
-                for i in range(len(game.players))
-            )
-            if weakly_up and strictly:
-                dominated = True
-        if not dominated:
-            out.append(s)
-    return out
-
-
 def test_referees_match_nested_loops():
     games = [oracle.random_payoff_game(replace(CFG, seed=seed)) for seed in range(1, 41)]
     # the local and global games of soft CSPs: small carriers make ties common
@@ -166,13 +111,13 @@ def test_referees_match_nested_loops():
             problem = oracle.random_scsp(replace(CFG, seed=seed, carrier=carrier))
             games += [bridge.local_map(problem), bridge.global_map(problem)]
     for game in games:
-        assert oracle.brute_nash(game) == nested_nash(game)
-        assert oracle.brute_pareto(game) == nested_pareto(game)
+        assert oracle.brute_nash(game) == referees.nash(game)
+        assert oracle.brute_pareto(game) == referees.pareto(game)
     for seed in range(1, 41):
         game = oracle.random_ppgame(replace(CFG, seed=seed, graphical=seed % 2 == 0))
-        assert oracle.brute_nash(game) == nested_nash(game)
+        assert oracle.brute_nash(game) == referees.nash_pp(game)
         net = oracle.random_cpnet(replace(CFG, seed=seed, acyclic=seed % 2 == 0))
-        assert oracle.brute_optimal_outcomes(net) == nested_optimal_outcomes(net)
+        assert oracle.brute_optimal_outcomes(net) == referees.optimal_outcomes(net)
 
 
 def test_referee_asks_each_order_once(monkeypatch):
@@ -211,8 +156,6 @@ def test_oracle_never_calls_the_solvers_it_referees():
     """The referees decide order through the definitions alone: oracle.py
     names neither the exact codes, nor the skyline, nor the Nash and Pareto
     solvers, nor the stable-outcome search of the CP-net and game tables."""
-    import ast
-    import inspect
     tree = ast.parse(inspect.getsource(oracle))
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -220,3 +163,17 @@ def test_oracle_never_calls_the_solvers_it_referees():
                         "nash_equilibria_payoff", "best_replies", "pareto_efficient",
                         "pareto_maximal", "stable_outcomes", "optimal_outcomes",
                         "nash_equilibria_pp", "improving_flips"}
+
+
+def test_referees_stay_independent():
+    """tests/referees.py reaches no solver, search or oracle referee through
+    a module attribute or an import, so it can stand as the reference of
+    each of them."""
+    tree = ast.parse(inspect.getsource(referees))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    forbidden = {"maximal", "_compile", "optimal_solutions", "optimal_outcomes", "solutions",
+                 "stable_outcomes", "pareto_efficient", "pareto_maximal", "best_replies",
+                 "_unbeaten", "_unflipped", "_PayoffTable"}
+    assert not {name for name in names
+                if name in forbidden or name.startswith(("nash_equilibria_", "brute_"))}

@@ -1,11 +1,12 @@
 """The order kernel (`semiring._compile` codes and `semiring.maximal`)
 against the nested loops it replaced.
 
-The references below are the pairwise scans `softcsp.optimal_solutions`,
-`pgame.pareto_efficient` and `pgame.nash_equilibria_payoff` ran before the
-kernel, kept literally: boxed values, `semiring.strictly_less` and
-`PayoffGame.payoff_lt` on every pair.  Every test requires equal lists in
-the same order.
+`softcsp.optimal_solutions`, `pgame.pareto_efficient`,
+`pgame.nash_equilibria_payoff` and `bridge.pareto_nash` are held to the
+definitions of `tests/referees.py`, which compare boxed values with
+`semiring.strictly_less` and `PayoffGame.payoff_lt` on every pair; the
+kernel's codes and skyline are held to the code order written out here.
+Every test requires equal lists in the same order.
 """
 
 import itertools
@@ -17,58 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from optiform import bridge, oracle, pgame, semiring, softcsp
 from optiform.semiring import BOOLEAN, FUZZY, INF, WEIGHTED, value
+from tests import referees
 
 CFG = oracle.GeneratorConfig()
-
-
-def nested_optimal_solutions(problem):
-    spec = problem.semiring
-    scored = [(s, softcsp.solution_preference(problem, s)) for s in problem.assignments()]
-    prefs = [p for _, p in scored]
-    out = []
-    for s, p in scored:
-        if not any(semiring.strictly_less(spec, p, q) for q in prefs):
-            out.append((s, p))
-    return out
-
-
-def nested_nash_equilibria_payoff(game):
-    out = []
-    for s in game.joint_strategies():
-        ok = True
-        for i in range(len(game.players)):
-            p = game.payoff(i, s)
-            for v in game.strategies[i]:
-                if v == s[i]:
-                    continue
-                if game.payoff_lt(p, game.payoff(i, s[:i] + (v,) + s[i + 1:])):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(s)
-    return out
-
-
-def pareto_less(game, a, b):
-    """Componentwise strict Pareto order on payoff vectors."""
-    return all(game.payoff_leq(x, y) for x, y in zip(a, b)) and any(
-        game.payoff_lt(x, y) for x, y in zip(a, b)
-    )
-
-
-def nested_pareto_efficient(game):
-    players = range(len(game.players))
-    scored = [(s, tuple(game.payoff(i, s) for i in players)) for s in game.joint_strategies()]
-    vectors = [v for _, v in scored]
-    return [s for s, v in scored if not any(pareto_less(game, v, w) for w in vectors)]
-
-
-def nested_pareto_nash(game, offset=None):
-    merged = softcsp.join(bridge.scsp_of_game(game, offset), bridge.regret_constraints(game))
-    bottom = semiring.zero(merged.semiring)
-    return [(s, p) for s, p in nested_optimal_solutions(merged) if p.payload != bottom.payload]
 
 
 # ------------------------------------------------------------ instances
@@ -107,7 +59,7 @@ def unconstrained(rng):
 NESTED = semiring.product(semiring.product(WEIGHTED, FUZZY), BOOLEAN)
 
 
-def nested_product(rng):
+def product_of_products(rng):
     return random_problem(rng, NESTED, lambda r: (
         (r.choice(COSTS), Fraction(r.randint(0, 3), 3)), r.random() < 0.7))
 
@@ -124,15 +76,15 @@ def test_optima_match_nested_loops_on_random_scsps():
     for carrier in ("weighted", "fuzzy", "boolean"):
         for seed in range(1, 61):
             problem = oracle.random_scsp(replace(CFG, seed=seed, carrier=carrier))
-            assert softcsp.optimal_solutions(problem) == nested_optimal_solutions(problem)
+            assert softcsp.optimal_solutions(problem) == referees.optimal_solutions(problem)
 
 
 def test_optima_match_nested_loops_on_fractions_and_infinity():
     rng = random.Random(7)
-    for make in (fractional_weighted, all_infinite, unconstrained, nested_product):
+    for make in (fractional_weighted, all_infinite, unconstrained, product_of_products):
         for _ in range(40):
             problem = make(rng)
-            assert softcsp.optimal_solutions(problem) == nested_optimal_solutions(problem)
+            assert softcsp.optimal_solutions(problem) == referees.optimal_solutions(problem)
     # the shapes the generators above are meant to reach
     assert softcsp.optimal_solutions(all_infinite(random.Random(1)))[0][1].payload is INF
     assert unconstrained(random.Random(1)).constraints == ()
@@ -143,9 +95,9 @@ def test_product_optima_and_pareto_nash_match_nested_loops():
         game = oracle.random_payoff_game(replace(CFG, seed=seed))
         for g in (game, scaled_payoffs(game)):
             problem = bridge.scsp_of_game(g)
-            assert softcsp.optimal_solutions(problem) == nested_optimal_solutions(problem)
-            assert bridge.pareto_nash(g) == nested_pareto_nash(g)
-            assert bridge.pareto_nash(g, 12) == nested_pareto_nash(g, 12)
+            assert softcsp.optimal_solutions(problem) == referees.optimal_solutions(problem)
+            assert bridge.pareto_nash(g) == referees.pareto_nash(g)
+            assert bridge.pareto_nash(g, 12) == referees.pareto_nash(g, 12)
 
 
 def test_payoff_nash_and_pareto_match_nested_loops():
@@ -163,8 +115,8 @@ def test_payoff_nash_and_pareto_match_nested_loops():
         problem = fractional_weighted(rng)
         games += [bridge.local_map(problem), bridge.global_map(problem)]
     for game in games:
-        assert pgame.nash_equilibria_payoff(game) == nested_nash_equilibria_payoff(game)
-        assert pgame.pareto_efficient(game) == nested_pareto_efficient(game)
+        assert pgame.nash_equilibria_payoff(game) == referees.nash(game)
+        assert pgame.pareto_efficient(game) == referees.pareto(game)
 
 
 def _code_leq(a, b):
@@ -238,7 +190,7 @@ def test_maximal_matches_nested_loops(codes):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(
-    [fractional_weighted, all_infinite, nested_product]))
+    [fractional_weighted, all_infinite, product_of_products]))
 def test_optima_match_nested_loops_on_drawn_problems(seed, make):
     problem = make(random.Random(seed))
-    assert softcsp.optimal_solutions(problem) == nested_optimal_solutions(problem)
+    assert softcsp.optimal_solutions(problem) == referees.optimal_solutions(problem)

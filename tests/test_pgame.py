@@ -5,6 +5,7 @@ import pytest
 from optiform import cpnet, pgame, semiring
 from optiform.errors import CarrierMismatchError, ValidationError
 from optiform.pgame import DirectedGraph, PPGame, PayoffGame
+from tests import referees
 
 
 def matching_pennies():
@@ -75,30 +76,19 @@ def test_hierarchical(pd_pp):
     assert not flag and levels is None
 
 
-def payoff_vector(game, s):
-    return tuple(game.payoff(i, s) for i in range(len(game.players)))
-
-
-def pareto_less(game, a, b):
-    """Componentwise strict Pareto order on payoff vectors."""
-    return all(game.payoff_leq(x, y) for x, y in zip(a, b)) and any(
-        game.payoff_lt(x, y) for x, y in zip(a, b)
-    )
-
-
 def test_nash_payoff_prisoners_dilemma(pd_payoff):
     assert pgame.nash_equilibria_payoff(pd_payoff) == [("n", "n")]
-    assert payoff_vector(pd_payoff, ("n", "n")) == (Fraction(1), Fraction(1))
+    assert referees.payoff_vector(pd_payoff, ("n", "n")) == (Fraction(1), Fraction(1))
 
 
 def test_pareto_efficient(pd_payoff):
     assert pgame.pareto_efficient(pd_payoff) == [
         ("c", "c"), ("c", "n"), ("n", "c")
     ]
-    v_nn = payoff_vector(pd_payoff, ("n", "n"))
-    v_cc = payoff_vector(pd_payoff, ("c", "c"))
-    assert pareto_less(pd_payoff, v_nn, v_cc)
-    assert not pareto_less(pd_payoff, v_cc, v_cc)
+    v_nn = referees.payoff_vector(pd_payoff, ("n", "n"))
+    v_cc = referees.payoff_vector(pd_payoff, ("c", "c"))
+    assert referees.pareto_less(pd_payoff, v_nn, v_cc)
+    assert not referees.pareto_less(pd_payoff, v_cc, v_cc)
 
 
 def test_weak_nash_keeps_ties():

@@ -1,27 +1,26 @@
 """The elimination loop over raw tables, the no-regret constraints built from
 best replies, the shared layering loop, the Pareto-efficient Nash skyline,
 the oracle's interned payoff table, the memoised dominance search, the
-one-pass parent reduction, the level sweep, the one table generator, the
-one table check, the one cell reader, the one stable-outcome referee
-with the one check per elimination theorem, and the projection of
+one-pass parent reduction, the level sweep, the one table generator, the one
+table check, the one cell reader, the one stable-outcome referee with the
+one check per elimination theorem, and the projection of
 `cpnet.full_tables`, against the code they replaced, kept literally as
 references: the callback fixpoint and its single round over the record
 wrappers `eliminate`, `subgame` and `reduce_pp`, the boxed
-`regret_constraints` that compares every tuple with every deviation, the
-two layering loops, the `pareto_nash` that joins the
-cost tuples with the no-regret constraints and enumerates every joint strategy,
-the referees over a table of boxed payoff vectors, the dominance search
-that slices every row it meets, the `reduce` loop that rebuilds the net
-once per dropped parent, Kahn's topological order with the sweep and
+`regret_constraints` that compares every tuple with every deviation, the two
+layering loops, the `pareto_nash` that joins the cost tuples with the
+no-regret constraints and enumerates every joint strategy, the dominance
+search that slices every row it meets, the `reduce` loop that rebuilds the
+net once per dropped parent, Kahn's topological order with the sweep and
 acyclicity test built on it, the two parent generators, the three table
 checks of `cpnet.check_tables`, `PayoffGame` and `SoftCSP`, the four
-parsers' cell loops, the oracle's net and game twins of each
-elimination check with its two brute-force referees, the loop of
-`cpnet.full_tables` that rebuilt every outcome with a gap at its own index,
-and the elimination loop that tested and rebuilt every table in every
-round, with the `restrict` that filtered every row's order and the
-`dominated` that compared over every row, and the technology game that
-sorted every row over in-neighbours found by scanning every edge.
+parsers' cell loops, the oracle's net and game twins of each elimination
+check, the loop of `cpnet.full_tables` that rebuilt every outcome with a gap
+at its own index, and the elimination loop that tested and rebuilt every
+table in every round, with the `restrict` that filtered every row's order
+and the `dominated` that compared over every row, and the technology game
+that sorted every row over in-neighbours found by scanning every edge.  The
+oracle's referees and the twin checks read `tests/referees.py`.
 
 Results and elimination traces must be equal on every seed, lists in the
 same order; the table checks and parsers must accept and refuse the same
@@ -42,6 +41,7 @@ from fractions import Fraction
 
 from optiform import bridge, cpnet, oracle, pgame, semiring, serialize, softcsp
 from optiform.errors import CarrierMismatchError, ValidationError, check_space
+from tests import referees
 from tests.conftest import FIXTURES
 
 CFG = oracle.GeneratorConfig()
@@ -163,34 +163,14 @@ def reference_redundant_parents(net, i):
     return cpnet.unused_parents(net.domains, net.parents[i], net.rows[i])
 
 
-def reference_improving_values(order, current, values):
-    rank = order.index(current)
-    return (v for v in values if v != current and order.index(v) < rank)
-
-
-def reference_brute_optimal_outcomes(net):
-    def better_flips(o):
-        for i in range(len(net.variables)):
-            yield from reference_improving_values(net.row_for(i, o), o[i], net.domains[i])
-    return oracle._unbeaten(net.outcomes(), better_flips)
-
-
-def reference_brute_nash_pp(game):
-    def better_replies(s):
-        for i in range(len(game.players)):
-            order = game.prefs[i][tuple(s[j] for j in game.neigh[i])]
-            yield from reference_improving_values(order, s[i], game.strategies[i])
-    return oracle._unbeaten(game.joint_strategies(), better_replies)
-
-
 def reference_check_elimination_round_game(game):
     for mode in ("nbr", "s"):
-        g, before = game, set(reference_brute_nash_pp(game))
+        g, before = game, set(referees.nash_pp(game))
         while True:
             nxt = reference_reduce_pp(g, mode)
             if nxt == g:
                 break
-            after = set(reference_brute_nash_pp(nxt))
+            after = set(referees.nash_pp(nxt))
             if before != after:
                 return oracle._verdict(False, "mode %s round changed the Nash set" % mode)
             g = nxt
@@ -199,13 +179,13 @@ def reference_check_elimination_round_game(game):
 
 def reference_check_elimination_round_net(net):
     for mode in ("nbr", "s"):
-        n, before = net, set(reference_brute_optimal_outcomes(net))
+        n, before = net, set(referees.optimal_outcomes(net))
         while True:
             removals = cpnet.removable_values(n.domains, n.rows, mode)
             if not any(removals):
                 break
             nxt = reference_eliminate(n, removals)
-            after = set(reference_brute_optimal_outcomes(nxt))
+            after = set(referees.optimal_outcomes(nxt))
             if before != after:
                 return oracle._verdict(False, "mode %s round changed the optimal set" % mode)
             n = nxt
@@ -214,23 +194,23 @@ def reference_check_elimination_round_net(net):
 
 def reference_check_elimination_fixpoint_game(game):
     final = pgame.reduce_pp_fixpoint(game, "nbr")
-    if set(reference_brute_nash_pp(game)) != set(reference_brute_nash_pp(final)):
+    if set(referees.nash_pp(game)) != set(referees.nash_pp(final)):
         return oracle._verdict(False, "fixpoint changed the Nash set")
     if all(len(s) == 1 for s in final.strategies):
         only = tuple(s[0] for s in final.strategies)
-        return oracle._verdict(reference_brute_nash_pp(game) == [only],
+        return oracle._verdict(referees.nash_pp(game) == [only],
                                "singleton joint strategy is not the unique Nash")
     return oracle._verdict(True)
 
 
 def reference_check_elimination_fixpoint_net(net):
     final = cpnet.reduce_to_fixpoint(net, "nbr")
-    if set(reference_brute_optimal_outcomes(net)) != set(reference_brute_optimal_outcomes(final)):
+    if set(referees.optimal_outcomes(net)) != set(referees.optimal_outcomes(final)):
         return oracle._verdict(False, "fixpoint changed the optimal set")
     if all(len(d) == 1 for d in final.domains):
         only = tuple(d[0] for d in final.domains)
         return oracle._verdict(
-            reference_brute_optimal_outcomes(net) == [only],
+            referees.optimal_outcomes(net) == [only],
             "singleton outcome is not the unique optimum",
         )
     return oracle._verdict(True)
@@ -316,37 +296,6 @@ def reference_pareto_nash(game, offset=None):
         for s, p in softcsp.optimal_solutions(merged)
         if p.payload != bottom.payload
     ]
-
-
-def reference_payoff_table(game):
-    players = range(len(game.players))
-    return {s: tuple(game.payoff(i, s) for i in players) for s in game.joint_strategies()}
-
-
-def reference_dominates(game, q, p):
-    return all(map(game.payoff_leq, p, q)) and any(map(game.payoff_lt, p, q))
-
-
-def reference_brute_nash(game):
-    table = reference_payoff_table(game)
-
-    def better_deviations(s):
-        for i in range(len(game.players)):
-            p = table[s][i]
-            for v in game.strategies[i]:
-                dev = s[:i] + (v,) + s[i + 1:]
-                if game.payoff_lt(p, table[dev][i]):
-                    yield dev
-    return oracle._unbeaten(table, better_deviations)
-
-
-def reference_brute_pareto(game):
-    table = reference_payoff_table(game)
-
-    def dominators(s):
-        p = table[s]
-        return (t for t, q in table.items() if reference_dominates(game, q, p))
-    return oracle._unbeaten(table, dominators)
 
 
 def reference_dominates_search(net, alpha, beta, budget=cpnet.DEFAULT_DOMINANCE_BUDGET):
@@ -866,8 +815,8 @@ def test_referees_match_boxed_payoff_table():
     assert any(semiring.incomparable(spec, a, b)
                for g in products for a in g.payoffs[0].values() for b in g.payoffs[0].values())
     for game in games + products:
-        assert oracle.brute_nash(game) == reference_brute_nash(game)
-        assert oracle.brute_pareto(game) == reference_brute_pareto(game)
+        assert oracle.brute_nash(game) == referees.nash(game)
+        assert oracle.brute_pareto(game) == referees.pareto(game)
 
 
 def dominance_queries():
@@ -946,11 +895,11 @@ def test_referee_matches_both_brute_branches():
     for seed in range(1, 401):
         for acyclic in (False, True):
             net = oracle.random_cpnet(replace(CFG, seed=seed, acyclic=acyclic))
-            assert oracle.brute_optimal_outcomes(net) == reference_brute_optimal_outcomes(net)
+            assert oracle.brute_optimal_outcomes(net) == referees.optimal_outcomes(net)
             for graphical in (False, True):
                 game = oracle.random_ppgame(
                     replace(CFG, seed=seed, graphical=graphical, acyclic=acyclic))
-                assert oracle.brute_nash(game) == reference_brute_nash_pp(game), seed
+                assert oracle.brute_nash(game) == referees.nash_pp(game), seed
 
 
 def elimination_verdicts(seeds):

@@ -1,5 +1,6 @@
 """The backtracking search `softcsp.solutions` and the queries built on it,
-against a filtered `itertools.product` and the oracle's brute referees.
+against a filtered `itertools.product`, the oracle's brute referees and
+`tests/referees.py`.
 
 Every comparison requires equal lists in the same order.
 """
@@ -10,6 +11,7 @@ from optiform.record import replace
 from hypothesis import example, given, settings, strategies as st
 
 from optiform import cpnet, oracle, pgame, semiring, softcsp
+from tests import referees
 
 CFG = oracle.GeneratorConfig()
 SEEDS = range(1, 61)
@@ -94,10 +96,7 @@ def test_consistency_matches_the_definition():
         for seed in SEEDS:
             problem = oracle.random_scsp(
                 replace(CFG, seed=seed, carrier="boolean", force_consistent=force))
-            literal = any(
-                all(c.table[tuple(s[i] for i in c.scope)].payload for c in problem.constraints)
-                for s in itertools.product(*problem.domains)
-            )
+            literal = bool(referees.boolean_solutions(problem))
             assert softcsp.is_consistent(problem) == literal
             seen.add(literal)
     assert seen == {False, True}
