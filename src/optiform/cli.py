@@ -321,26 +321,23 @@ def entry():
     """The process entry of `python -m optiform.cli` and of the installed
     `optiform` script: `main`, then the exit with its code.  Whatever way
     `main` ends, it freezes every object left alive first, so the
-    collections the interpreter runs at exit skip them.  Output that `main`
-    could not write (a full disk, a closed pipe), and has reported, stays
-    in stdout's buffer; it is dropped here, so the flush at exit does not
-    fail on it again and turn the exit code into 120.  argparse's help and
-    usage end `main` by `SystemExit` before its flush, so that output is
-    flushed, and a failure reported, here."""
+    collections the interpreter runs at exit skip them, and flushes stdout
+    once, argparse's help included.  A failed write (a full disk, a closed
+    pipe) is reported unless `main` returned `EXIT_INVALID`, having reported
+    it or written nothing; the unwritten output is dropped, so the flush at
+    exit does not fail on it again and turn the exit code into 120."""
     try:
         code = main()
     except SystemExit as exc:
         code = exc.code
-        try:
-            sys.stdout.flush()
-        except OSError as error:
-            print("error: %s" % error, file=sys.stderr)
-            code = EXIT_INVALID
     finally:
         gc.freeze()
     try:
         sys.stdout.flush()
-    except OSError:
+    except OSError as error:
+        if code != EXIT_INVALID:
+            print("error: %s" % error, file=sys.stderr)
+            code = EXIT_INVALID
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

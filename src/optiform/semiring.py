@@ -326,14 +326,14 @@ def _skyline(items):
     return [items[k][0] for k in sorted(kept)]
 
 
-def validate_axioms(spec, sample, combine_op=None, plus_op=None):
+def validate_axioms(spec, sample):
     """Check the c-semiring axioms on every pair/triple from `sample`.
 
     Returns a list of human-readable violations (empty for the built-in
-    instances).  Custom operators may be injected to test detection.
+    instances).  `combine` and `plus` are looked up at each call.
     """
-    comb = combine_op or (lambda a, b: combine(spec, a, b))
-    add = plus_op or (lambda a, b: plus(spec, a, b))
+    comb = lambda a, b: combine(spec, a, b)
+    add = lambda a, b: plus(spec, a, b)
     z, u = zero(spec), one(spec)
     out = []
 

@@ -7,9 +7,8 @@ class, writer and reader), and every kind loads as its record, graphs
 included.  Serialization is canonical: keys sorted, fractions printed as
 "p/q", infinity as "inf"; parse(serialize(x)) == x.
 
-A writer takes, besides its record, how to hold each of the record's
-tables: `document_of` gives it the row dicts, and `dumps` a `_Rows`, which
-writes the rows' text straight from the table; both give the same text.
+A writer takes only its record, and holds each of the record's tables as
+a `_Rows`, which writes the rows' text straight from the table.
 
 CP-net rows may carry disjunctive conditions ("when" holding several parent
 assignments with one shared order); they are expanded to one row per
@@ -207,12 +206,12 @@ def _game_from_json(data):
 
 # --------------------------------------------------------------------- cpnet
 
-def _cpnet_to_json(net, table):
+def _cpnet_to_json(net):
     doc = _header_to_json("variables", net.variables, "domains", net.domains)
     at = _scope_texts(net.domains)
     doc["tables"] = {
         v: {"parents": [net.variables[p] for p in ps],
-            "rows": table(rows, at(ps), _same, "when", "order", True)}
+            "rows": _Rows(rows, at(ps), _same, "when", "order", True)}
         for v, ps, rows in zip(net.variables, net.parents, net.rows)
     }
     return doc
@@ -241,7 +240,7 @@ def _cpnet_from_json(data):
 
 # ---------------------------------------------------------------------- scsp
 
-def _scsp_to_json(problem, table):
+def _scsp_to_json(problem):
     spec = problem.semiring
     doc = _header_to_json("variables", problem.variables, "domains", problem.domains)
     doc["semiring"] = spec_to_json(spec)
@@ -249,7 +248,7 @@ def _scsp_to_json(problem, table):
     cell = lambda v: payload_to_json(spec, v.payload)
     doc["constraints"] = [
         {"scope": [problem.variables[i] for i in c.scope],
-         "table": table(c.table, at(c.scope), cell, "tuple", "value")}
+         "table": _Rows(c.table, at(c.scope), cell, "tuple", "value")}
         for c in problem.constraints
     ]
     return doc
@@ -271,10 +270,10 @@ def _scsp_from_json(data):
 
 # -------------------------------------------------------------------- ppgame
 
-def _ppgame_to_json(game, table):
+def _ppgame_to_json(game):
     doc = _game_to_json(game)
     at = _scope_texts(game.strategies)
-    doc["prefs"] = {p: table(rows, at(ns), _same, "when", "order")
+    doc["prefs"] = {p: _Rows(rows, at(ns), _same, "when", "order")
                     for p, ns, rows in zip(game.players, game.neigh, game.prefs)}
     return doc
 
@@ -298,12 +297,12 @@ def payoff_to_json(game, v):
     return payload_to_json(game.carrier, v if game.carrier is None else v.payload)
 
 
-def _payoffgame_to_json(game, table):
+def _payoffgame_to_json(game):
     doc = _game_to_json(game)
     doc["carrier"] = None if game.carrier is None else spec_to_json(game.carrier)
     at = _scope_texts(game.strategies)
     cell = lambda v: payoff_to_json(game, v)
-    doc["payoffs"] = {p: table(t, at(game.local_scope(i)), cell, "when", "value")
+    doc["payoffs"] = {p: _Rows(t, at(game.local_scope(i)), cell, "when", "value")
                       for i, (p, t) in enumerate(zip(game.players, game.payoffs))}
     return doc
 
@@ -322,7 +321,7 @@ def _payoffgame_from_json(data):
 
 # --------------------------------------------------------------------- graph
 
-def _graph_to_json(graph, table):
+def _graph_to_json(graph):
     doc = {"nodes": graph.nodes, "edges": graph.edges}
     if graph.levels is not None:
         doc["levels"] = dict(zip(graph.nodes, graph.levels))
@@ -347,8 +346,7 @@ def _graph_from_json(data):
 # ------------------------------------------------------------------ envelope
 
 #: The document kinds: kind -> (its record class, writer, reader).  A writer
-#: returns the document without its "kind", which `_document` adds, each
-#: table held as its `table` argument makes it (see `_row_dicts`).
+#: returns the document without its "kind", which `dumps` adds.
 _KINDS = {
     "cpnet": (cpnet.CPNet, _cpnet_to_json, _cpnet_from_json),
     "scsp": (softcsp.SoftCSP, _scsp_to_json, _scsp_from_json),
@@ -357,20 +355,6 @@ _KINDS = {
     "graph": (pgame.DirectedGraph, _graph_to_json, _graph_from_json),
 }
 KINDS = tuple(_KINDS)
-
-
-def _document(obj, table):
-    for kind, (cls, write, _) in _KINDS.items():
-        if isinstance(obj, cls):
-            doc = write(obj, table)
-            doc["kind"] = kind
-            return doc
-    raise ValidationError("cannot serialize %r" % (type(obj),))
-
-
-def document_of(obj):
-    """The document of a record as plain JSON data."""
-    return _document(obj, _row_dicts)
 
 
 def parse_document(data):
@@ -480,7 +464,7 @@ def _scope_texts(domains):
     return lambda scope: [(values[j], texts[j]) for j in scope]
 
 
-def _row_dicts(rows, scope_texts, cell, key_field, cell_field, wrap=False):
+def _row_dicts(rows, cell, key_field, cell_field, wrap):
     """The row list of a table (key -> cell) as plain data: sorted by key,
     row k is {key_field: k, cell_field: cell(rows[k])}, with k in a list
     of its own when `wrap` (a CP-net row's "when")."""
@@ -490,7 +474,7 @@ def _row_dicts(rows, scope_texts, cell, key_field, cell_field, wrap=False):
 
 class _Rows:
     """A table where its document holds its row list; `_write` writes it
-    with `render`, as it writes the `_row_dicts` of the same arguments."""
+    with `render`, as it writes the table's `_row_dicts`."""
 
     __slots__ = ("rows", "scope_texts", "cell", "key_field", "cell_field", "wrap")
 
@@ -507,7 +491,7 @@ class _Rows:
         over its opening, each row's key and cell with the separators
         between them, and its closing."""
         if self.scope_texts is None:  # a value that is not a string
-            _write(_row_dicts(self.rows, None, self.cell, self.key_field, self.cell_field,
+            _write(_row_dicts(self.rows, self.cell, self.key_field, self.cell_field,
                               self.wrap), nl, put)
             return
         row_nl = nl + "  "
@@ -540,9 +524,14 @@ class _Rows:
 
 
 def dumps(obj):
-    """`text_of(document_of(obj))`, byte for byte, with each table written
-    by `_Rows.render` straight from the record."""
-    return text_of(_document(obj, _Rows))
+    """The canonical text of a record: its writer's document with its
+    "kind", as `text_of` writes it, each table by `_Rows.render`."""
+    for kind, (cls, write, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            doc = write(obj)
+            doc["kind"] = kind
+            return text_of(doc)
+    raise ValidationError("cannot serialize %r" % (type(obj),))
 
 
 def loads(text):

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import gc
+import io
 import itertools
 import json
 import os
@@ -11,8 +13,11 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optiform import bridge, cli, cpnet, oracle, pgame, serialize
+from optiform.errors import OptiformError
+from tests import referees
 from tests.conftest import FIXTURES
 
 #: The stdout, stderr and exit code of every case in `golden_cases`, as
@@ -738,6 +743,107 @@ def test_mutated_documents(capsys, tmp_path):
                 assert code == 0 or err.count("\n") == 1, (path.name, how, command, err)
                 runs += 1
     assert 300 <= runs <= 400
+
+
+#: Strings to escape, and numbers negative and fractional: the values and
+#: names of drawn documents.
+_strings = st.text(alphabet='ab"\\\n\u00e9\u2603', min_size=1, max_size=3)
+_numbers = st.one_of(st.integers(-3, 3), st.integers(-6, 6).map(lambda k: k / 4))
+_domains = st.one_of(*(st.lists(v, min_size=1, max_size=3, unique=True)
+                       for v in (_strings, _numbers)))
+_rationals = st.fractions(-3, 3, max_denominator=4).map(str)
+#: carrier -> the JSON values drawn for it; a product carrier, which is
+#: not linear, orders no game
+_CELLS = {
+    "boolean": st.sampled_from([0, 1]),
+    "fuzzy": st.one_of(st.fractions(0, 1, max_denominator=4).map(str), st.just(0.5)),
+    "weighted": st.one_of(st.just("inf"), st.fractions(0, 5, max_denominator=3).map(str)),
+}
+_CELLS["product"] = st.tuples(_CELLS["fuzzy"], _CELLS["weighted"]).map(list)
+_SPECS = {"product": {"product": ["fuzzy", "weighted"]}}
+
+
+def _tuples(domains, scope):
+    """Every tuple over `scope`, as JSON lists."""
+    return list(map(list, itertools.product(*(domains[i] for i in scope))))
+
+
+@st.composite
+def _scsp_documents(draw):
+    names = draw(st.lists(_strings, min_size=1, max_size=4, unique=True))
+    domains = [draw(_domains) for _ in names]
+    carrier = draw(st.sampled_from(sorted(_CELLS)))
+    constraints = []
+    for _ in range(draw(st.integers(0, 3))):
+        scope = draw(st.permutations(range(len(names))))[:draw(st.integers(0, len(names)))]
+        constraints.append({"scope": [names[i] for i in scope], "table": [
+            {"tuple": t, "value": draw(_CELLS[carrier])} for t in _tuples(domains, scope)]})
+    return {"kind": "scsp", "variables": names, "domains": dict(zip(names, domains)),
+            "semiring": _SPECS.get(carrier, carrier), "constraints": constraints}
+
+
+@st.composite
+def _payoffgame_documents(draw):
+    players = draw(st.lists(_strings, min_size=1, max_size=3, unique=True))
+    strategies = [draw(_domains) for _ in players]
+    carrier = draw(st.sampled_from([None] + sorted(_CELLS)))
+    cells = _rationals if carrier is None else _CELLS[carrier]
+    neigh, payoffs = {}, {}
+    for i, p in enumerate(players):
+        others = [j for j in range(len(players)) if j != i]
+        ns = draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
+        neigh[p] = [players[j] for j in ns]
+        payoffs[p] = [{"when": t, "value": draw(cells)}
+                      for t in _tuples(strategies, sorted(ns + [i]))]
+    return {"kind": "payoffgame", "players": players, "strategies": dict(zip(players, strategies)),
+            "neigh": neigh, "carrier": _SPECS.get(carrier, carrier),
+            "payoffs": payoffs}
+
+
+def referee_report(command, obj):
+    """The report `command` writes on `obj`, built from `tests/referees.py`."""
+    def preferences(pairs, field):
+        return [{field: list(s), "preference": serialize.payload_to_json(p.spec, p.payload)}
+                for s, p in pairs]
+    if command == "scsp-solve":
+        return {"optimal": preferences(referees.optimal_solutions(obj), "assignment")}
+    if command == "pareto-nash":
+        return {"equilibria": preferences(referees.pareto_nash(obj), "joint_strategy")}
+    def payoffs(found):
+        return [{"joint_strategy": list(s), "payoffs": {
+            p: serialize.payoff_to_json(obj, obj.payoff(i, s)) for i, p in enumerate(obj.players)}}
+            for s in found]
+    if command == "game-nash":
+        return {"game_kind": "payoffgame", "nash": payoffs(referees.nash(obj))}
+    return {"pareto": payoffs(referees.pareto(obj))}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_scsp_documents(), _payoffgame_documents()))
+def test_drawn_documents_answer_as_the_referees(tmp_path_factory, doc):
+    """Drawn soft CSPs and payoff games, through `cli.main`: each command
+    exits 0 with the lists and preferences of `tests/referees.py`, in their
+    order, or, where loading or the referee refuses the record too, exits 2
+    or 3 with one line on stderr and nothing on stdout."""
+    path = tmp_path_factory.mktemp("drawn") / "doc.json"
+    path.write_text(json.dumps(doc))
+    commands = ["scsp-solve"] if doc["kind"] == "scsp" else [
+        "game-nash", "game-pareto", "pareto-nash"]
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([command, str(path)])
+        try:
+            expected = referee_report(command, serialize.load_path(str(path))[1])
+        except OptiformError:
+            expected = None
+        if expected is None:
+            assert code in (2, 3) and out.getvalue() == "", (command, code)
+            assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+        else:
+            expected["command"] = command
+            assert code == 0, (command, err.getvalue())
+            assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_output_is_deterministic(capsys):

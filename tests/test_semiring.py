@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from optiform import semiring
 from optiform.errors import CarrierMismatchError, ValidationError
 from optiform.serialize import payload_from_json, payload_to_json
 from optiform.semiring import (
@@ -131,15 +132,16 @@ def test_axioms_hold_on_builtin_carriers():
     assert validate_axioms(WEIGHTED, wsample) == []
 
 
-def test_axioms_flag_bad_operator():
-    # a+b+1 has no unit, so injecting it as combine must surface violations
-    def bad(a, b):
+def test_axioms_flag_bad_operator(monkeypatch):
+    # a+b+1 has no unit, so putting it in place of combine must surface violations
+    def bad(spec, a, b):
         if a.payload is INF or b.payload is INF:
-            return zero(WEIGHTED)
-        return value(WEIGHTED, a.payload + b.payload + 1)
+            return zero(spec)
+        return value(spec, a.payload + b.payload + 1)
 
     sample = [value(WEIGHTED, 1), value(WEIGHTED, 2), one(WEIGHTED)]
-    assert validate_axioms(WEIGHTED, sample, combine_op=bad)
+    monkeypatch.setattr(semiring, "combine", bad)
+    assert validate_axioms(WEIGHTED, sample)
 
 
 def test_values_are_hashable_and_comparable():
