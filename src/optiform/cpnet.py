@@ -202,23 +202,45 @@ def full_parents(n):
     return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
 
 
+def spread(cells, block, times):
+    """Each run of `block` cells, in turn, repeated `times` times."""
+    return list(itertools.chain.from_iterable(
+        map(operator.mul, zip(*[iter(cells)] * block), itertools.repeat(times))))
+
+
 def full_tables(names, domains, parents, rows):
     """The same tables with every other index made a parent; the added
     parents are ignored.  Returns the new parents and rows."""
     wide = full_parents(len(domains))
+    sizes = list(map(len, domains))
     for name, others in zip(names, wide):  # every table before any is built
-        check_space(math.prod(len(domains[j]) for j in others), "full table of %s" % name)
+        check_space(math.prod(map(sizes.__getitem__, others)), "full table of %s" % name)
     new_rows = []
-    for i, ps in enumerate(parents):
-        keys = list(itertools.product(*map(domains.__getitem__, wide[i])))
+    for others, ps, r in zip(wide, parents, rows):
+        keys = itertools.product(*map(domains.__getitem__, others))
         if not ps:
-            new_rows.append(dict.fromkeys(keys, rows[i][()]))
+            new_rows.append(dict.fromkeys(keys, r[()]))
             continue
-        # parent p sits at p - (p > i) among the other indices; one index
-        # projects to a bare value, so its rows are keyed by that value
-        row = (rows[i] if len(ps) > 1 else {pa[0]: o for pa, o in rows[i].items()}).__getitem__
-        project = operator.itemgetter(*(p - (p > i) for p in ps))
-        new_rows.append(dict(zip(keys, map(row, map(project, keys)))))
+        # the rows read once, in the product order of the parents taken by
+        # index; then each run of added indices becomes axes the rows do not
+        # vary along, each block over the later parents repeated once per
+        # assignment of the run
+        by_index = sorted(ps)
+        pas = itertools.product(*map(domains.__getitem__, by_index))
+        if by_index != list(ps):
+            pas = map(operator.itemgetter(*map(by_index.index, ps)), pas)
+        cells = list(map(r.__getitem__, pas))
+        block, run = len(cells), 1
+        for j in others:
+            if j in ps:
+                if run > 1:
+                    cells = spread(cells, block, run)
+                block, run = block // sizes[j], 1
+            else:
+                run *= sizes[j]
+        if run > 1:
+            cells = spread(cells, 1, run)
+        new_rows.append(dict(zip(keys, cells)))
     return wide, tuple(new_rows)
 
 

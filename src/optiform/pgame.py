@@ -215,8 +215,6 @@ def tech_game(graph, k):
     play, ties broken towards the lower technology index."""
     if k < 1:
         raise ValidationError("need at least one technology")
-    techs = tuple("t%d" % (K + 1) for K in range(k))
-    index = {t: K for K, t in enumerate(techs)}
     n = len(graph.nodes)
     pos = {name: i for i, name in enumerate(graph.nodes)}
     neigh = tuple(
@@ -224,9 +222,12 @@ def tech_game(graph, k):
         for name in graph.nodes
     )
     # one row per in-neighbour profile, each an order of all k technologies;
-    # every table is checked before any is built
+    # every table is checked before any technology or table is built, and a
+    # graph with no node needs no technology
     for name, ns in zip(graph.nodes, neigh):
         check_space(k ** (len(ns) + 1), "preference table of %s" % name)
+    techs = tuple("t%d" % (K + 1) for K in range(k)) if n else ()
+    index = {t: K for K, t in enumerate(techs)}
     prefs = []
     orders = {}  # the order of each count profile, as the sorted joint strategy
     for i in range(n):

@@ -258,7 +258,7 @@ def _scsp_from_json(data):
     spec = spec_from_json(data["semiring"])
     variables, index, domains = _header_from_json(data, "variables", "domains")
     constraints = []
-    for k, entry in enumerate(data["constraints"]):
+    for k, entry in enumerate(_list(data["constraints"], '"constraints"')):
         scope = tuple(index[v] for v in _list(entry["scope"], 'constraint %d: "scope"' % k))
         where = "constraint %d over %s" % (k, entry["scope"])
         constraints.append(softcsp.SoftConstraint(scope, _table(
@@ -332,7 +332,7 @@ def _graph_from_json(data):
     """The graph; its levels, an object keyed by exactly its nodes, become
     the tuple aligned with them, whose ints `DirectedGraph` checks."""
     nodes = _names(data["nodes"], "nodes")
-    edges = data["edges"]
+    edges = _list(data["edges"], '"edges"')
     if not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ValidationError("each graph edge must be a pair of nodes")
     levels = data.get("levels")

@@ -39,9 +39,13 @@ def check_table(names, domains, scope, keys, label):
         twice = [i for i in scope if scope.count(i) > 1][0]
         raise ValidationError("%s names %s twice" % (label(), names[twice]))
     # one tuple past the table's size is enough to tell the product from the
-    # keys, so a table far smaller than its product fails without building it
-    expected = set(itertools.islice(
+    # keys, so a table far smaller than its product fails without building it;
+    # keys in product order are the product, and only others are hashed
+    expected = list(itertools.islice(
         itertools.product(*map(domains.__getitem__, scope)), len(keys) + 1))
+    if list(keys) == expected:
+        return
+    expected = set(expected)
     if keys != expected:
         for t in itertools.product(*map(domains.__getitem__, scope)):
             if t not in keys:

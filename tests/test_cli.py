@@ -8,6 +8,7 @@ import os
 import pathlib
 import random
 import re
+import resource
 import subprocess
 import sys
 import types
@@ -236,6 +237,36 @@ def test_tech_game_and_well_structured(capsys):
     assert doc["well_structured"] is False and doc["levels"] is None
 
 
+def test_tech_game_checks_the_bound_before_building_technologies(tmp_path):
+    """A technology count far past the bound ends at once with exit 3, not
+    after building every technology's name, and a graph with no node, which
+    has no table to bound, needs no technology: each child runs under a
+    limit on its address space, so a regression fails here rather than
+    exhausting the test machine's memory."""
+    limit = 256 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("OPTIFORM_MAX_SPACE", None)
+    empty = tmp_path / "empty.graph.json"
+    empty.write_text('{"kind": "graph", "nodes": [], "edges": []}')
+    runs = {}
+    for graph in (fx("diamond.graph.json"), str(empty)):
+        proc = subprocess.run([sys.executable, "-m", "optiform.cli", "tech-game", graph,
+                               "--k", str(10 ** 8)], cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap)
+        runs[graph] = proc.returncode, proc.stdout, proc.stderr
+    code, out, err = runs[fx("diamond.graph.json")]
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"bound exhausted: [^\n]*\n", err), err
+    code, out, err = runs[str(empty)]
+    assert (code, err) == (0, "")
+    assert serialize.loads(out) == ("ppgame", pgame.PPGame((), (), (), ()))
+
+
 def test_graph_contract(capsys, tmp_path):
     """Every graph command reads the same record: stray levels and a
     repeated edge are refused by both, in one line."""
@@ -366,6 +397,15 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x", "y"], '
          '"domains": {"x": ["a"], "y": ["b"]}, "constraints": [{"scope": "xy", "table": '
          '[{"tuple": ["a", "b"], "value": "1"}]}]}', 'constraint 0: "scope"'),
+        # an empty object or string where a list belongs would read as no entries
+        ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
+         '{"x": ["a"]}, "constraints": {}}', '"constraints" must be a list, not dict'),
+        ("scsp-solve", '{"kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": '
+         '{"x": ["a"]}, "constraints": ""}', '"constraints" must be a list, not str'),
+        ("well-structured", '{"kind": "graph", "nodes": ["a"], "edges": {}}',
+         '"edges" must be a list, not dict'),
+        ("well-structured", '{"kind": "graph", "nodes": ["a"], "edges": ""}',
+         '"edges" must be a list, not str'),
         # cost tuples need a weighted factor per player
         ("map-to-scsp", nobody, "at least one player"),
         ("pareto-nash", nobody, "at least one player"),

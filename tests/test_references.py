@@ -933,13 +933,31 @@ def test_elimination_checks_match_the_twin_checks(monkeypatch):
     assert failed == set(REFERENCE_ELIMINATION_CHECKS)
 
 
+def scrambled(domains, parents, rows, rng):
+    """The same tables with each domain declared in another order, each
+    table's parents listed in another order and its rows inserted in
+    another order."""
+    domains = tuple(tuple(rng.sample(d, len(d))) for d in domains)
+    new_parents, new_rows = [], []
+    for ps, r in zip(parents, rows):
+        perm = rng.sample(range(len(ps)), len(ps))
+        items = [(tuple(pa[k] for k in perm), order) for pa, order in r.items()]
+        rng.shuffle(items)
+        new_parents.append(tuple(ps[k] for k in perm))
+        new_rows.append(dict(items))
+    return domains, tuple(new_parents), tuple(new_rows)
+
+
 def test_full_tables_match_insert_loop():
-    """The projection by `itemgetter` against the loop that rebuilt each
-    outcome with a gap at the table's own index: equal parents, equal
-    tables with equal key order, over tables with no, one and several
-    parents."""
+    """The rows spread along the added indices against the loop that
+    rebuilt each outcome with a gap at the table's own index: equal
+    parents, equal tables with equal key order, over tables with no, one
+    and several parents, as generated and with their domains, parents and
+    rows in other orders."""
     arities = set()
+    unsorted_parents = unordered_rows = 0
     for seed in SEEDS:
+        rng = random.Random(seed)
         for x in (oracle.random_cpnet(replace(CFG, seed=seed, max_vars=5)),
                   oracle.random_ppgame(replace(CFG, seed=seed, max_vars=5, graphical=True)),
                   oracle.random_ppgame(replace(CFG, seed=seed, max_vars=4))):
@@ -947,11 +965,19 @@ def test_full_tables_match_insert_loop():
                 (x.variables, x.domains, x.parents, x.rows) if isinstance(x, cpnet.CPNet)
                 else (x.players, x.strategies, x.neigh, x.prefs))
             arities.update(map(len, parents))
-            got = cpnet.full_tables(names, domains, parents, rows)
-            want = reference_full_tables(names, domains, parents, rows)
-            assert got == want
-            assert [list(t) for t in got[1]] == [list(t) for t in want[1]]
+            for domains, parents, rows in ((domains, parents, rows),
+                                           scrambled(domains, parents, rows, rng)):
+                cpnet.CPNet(names, domains, parents, rows)
+                unsorted_parents += sum(list(ps) != sorted(ps) for ps in parents)
+                unordered_rows += sum(
+                    list(r) != list(itertools.product(*map(domains.__getitem__, ps)))
+                    for ps, r in zip(parents, rows))
+                got = cpnet.full_tables(names, domains, parents, rows)
+                want = reference_full_tables(names, domains, parents, rows)
+                assert got == want
+                assert [list(t) for t in got[1]] == [list(t) for t in want[1]]
     assert {0, 1, 2, 3} <= arities
+    assert unsorted_parents and unordered_rows
 
 
 def test_generators_match_parent_draws():
@@ -1054,9 +1080,10 @@ def put(items, k, item):
 
 
 def record_mutations(kind, names, domains, scopes, tables, rng):
-    """(class, names, domains, scopes, tables), each with one defect; the
-    tables are refilled over a changed scope or domain, so that the named
-    defect is the only one."""
+    """(class, names, domains, scopes, tables), each with one defect, but
+    for "rows shuffled", whose one table holds its rows in another order
+    and no defect; the tables are refilled over a changed scope or domain,
+    so that the named defect is the only one."""
     n = len(names)
     k = rng.randrange(len(tables))
     value = next(iter(tables[k].values()))
@@ -1083,6 +1110,8 @@ def record_mutations(kind, names, domains, scopes, tables, rng):
         for i, (sc, t) in enumerate(zip(scopes, tables))))
     if n > 1:
         yield ("repeated name", put(names, j, names[j - 1]), domains, scopes, tables)
+    yield ("rows shuffled", names, domains, scopes,
+           put(tables, k, dict(rng.sample(list(tables[k].items()), len(tables[k])))))
 
 
 #: The defects a record refuses now and accepted, or failed on with an
@@ -1096,7 +1125,7 @@ NEWLY_REFUSED = {
 
 
 def test_table_checks_match_the_three_copies():
-    seen = set()
+    seen, shuffled = set(), set()
     for seed, (kind, record) in enumerate(table_instances()):
         fields = table_fields(kind, record)
         assert verdict(reference_check, kind, record, *fields) == "accept"
@@ -1104,13 +1133,18 @@ def test_table_checks_match_the_three_copies():
         for cls, *mutated in record_mutations(kind, *fields, random.Random(seed)):
             old = verdict(reference_check, kind, record, *mutated)
             new = verdict(build, kind, record, *mutated)
-            if cls in NEWLY_REFUSED[kind]:
+            if cls == "rows shuffled":
+                assert old == new == "accept", (kind, seed)
+                if list(map(list, mutated[-1])) != list(map(list, fields[-1])):
+                    shuffled.add(kind)
+            elif cls in NEWLY_REFUSED[kind]:
                 assert new == "refuse", (kind, cls, seed)
                 if old != "refuse":
                     seen.add((kind, cls))
             else:
                 assert new == old, (kind, cls, seed)
     assert seen == {(kind, cls) for kind, classes in NEWLY_REFUSED.items() for cls in classes}
+    assert shuffled == set(TABLE_KINDS)
 
 
 def cell_lists(kind, doc):
