@@ -6,12 +6,10 @@ hard constraints), and the Pareto-efficient Nash equilibria with their
 cost tuples.
 """
 
-import itertools
-import math
 from fractions import Fraction
 
 from . import cpnet, pgame, semiring, softcsp
-from .errors import ValidationError, check_space
+from .errors import ValidationError
 
 
 def game_of_cpnet(net):
@@ -41,16 +39,15 @@ def local_map(problem):
     if not semiring.is_linear(problem.semiring):
         raise ValidationError("local map needs a linearly ordered carrier")
     neigh = _shared_constraint_neighbourhoods(problem)
-    n = len(problem.variables)
+    scopes = [tuple(sorted(ns + (i,))) for i, ns in enumerate(neigh)]
+    tables = [softcsp.space([problem.domains[j] for j in scope], "payoff table of %s" % name)
+              for name, scope in zip(problem.variables, scopes)]  # every table before any is built
     payoffs = []
-    for i in range(n):
+    for i, (scope, keys) in enumerate(zip(scopes, tables)):
         incident = [c for c in problem.constraints if i in c.scope]
-        scope = tuple(sorted(neigh[i] + (i,)))
-        check_space(math.prod(len(problem.domains[j]) for j in scope),
-                    "payoff table of %s" % problem.variables[i])
         pos = {j: k for k, j in enumerate(scope)}
         table = {}
-        for s in itertools.product(*(problem.domains[j] for j in scope)):
+        for s in keys:
             vals = [
                 c.table[tuple(s[pos[j]] for j in c.scope)] for c in incident
             ]
@@ -134,7 +131,6 @@ def pareto_nash(game, offset=None):
     and an equilibrium the all-zero tuple, so an equilibrium's preference is
     its cost tuple alone, boxed here straight from its payoffs."""
     m, spec = _cost_carrier(game, offset)
-    check_space(game.space_size())
     players = range(len(game.players))
     return [
         (s, semiring.value(spec, tuple(m - game.payoff(i, s) for i in players)))

@@ -54,11 +54,10 @@ def stable_outcomes(domains, parents, rows):
     parents select: the optimal outcomes of a CP-net, and the Nash equilibria
     of a game with parametrized preferences.  Table i allows, over its
     parents and i, each parent assignment followed by its row's top."""
-    check_space(math.prod(map(len, domains)), "outcome space")
-    yield from softcsp.solutions(domains, [
+    return softcsp.solutions(domains, [
         (ps + (i,), {pa + (order[0],) for pa, order in r.items()})
         for i, (ps, r) in enumerate(zip(parents, rows))
-    ])
+    ], "outcome space")
 
 
 def never_best(domain, rows):
@@ -213,11 +212,10 @@ def full_tables(names, domains, parents, rows):
     parents are ignored.  Returns the new parents and rows."""
     wide = full_parents(len(domains))
     sizes = list(map(len, domains))
-    for name, others in zip(names, wide):  # every table before any is built
-        check_space(math.prod(map(sizes.__getitem__, others)), "full table of %s" % name)
+    tables = [softcsp.space(list(map(domains.__getitem__, others)), "full table of %s" % name)
+              for name, others in zip(names, wide)]  # every table before any is built
     new_rows = []
-    for others, ps, r in zip(wide, parents, rows):
-        keys = itertools.product(*map(domains.__getitem__, others))
+    for others, keys, ps, r in zip(wide, tables, parents, rows):
         if not ps:
             new_rows.append(dict.fromkeys(keys, r[()]))
             continue
@@ -272,8 +270,7 @@ class CPNet(Record):
         return math.prod(map(len, self.domains))
 
     def outcomes(self):
-        check_space(self.space_size(), "outcome space")
-        return itertools.product(*self.domains)
+        return softcsp.space(self.domains, "outcome space")
 
     def row_for(self, i, outcome):
         """The unique order for variable i selected by the outcome's parents."""
@@ -309,24 +306,20 @@ def optimality_constraints(net):
 
     For each variable and each distinct order among its rows: the parent
     assignments selecting that order imply the variable equals its top.
+    Each is one table over the parents and the variable, and the cells of
+    all of them are counted against the bound before any is built.
     """
     allowed, forbidden = semiring.one(semiring.BOOLEAN), semiring.zero(semiring.BOOLEAN)
-    constraints = []
-    for i, (ps, rows) in enumerate(zip(net.parents, net.rows)):
-        by_order = {}
-        for pa, order in rows.items():
-            by_order.setdefault(order, set()).add(pa)
-        scope = ps + (i,)
-        for order, pas in sorted(by_order.items()):
-            top = order[0]
-            table = {}
-            for pa in itertools.product(*(net.domains[p] for p in ps)):
-                for v in net.domains[i]:
-                    table[pa + (v,)] = allowed if pa not in pas or v == top else forbidden
-            constraints.append(softcsp.SoftConstraint(scope, table))
-    return softcsp.SoftCSP(
-        net.variables, net.domains, tuple(constraints), semiring.BOOLEAN
-    )
+    orders = [sorted(set(r.values())) for r in net.rows]
+    check_space(sum(len(os) * len(r) * len(dom)
+                    for os, r, dom in zip(orders, net.rows, net.domains)), "optimality problem")
+    constraints = tuple(
+        softcsp.SoftConstraint(ps + (i,), {
+            pa + (v,): allowed if r[pa] != order or v == order[0] else forbidden
+            for pa in itertools.product(*map(net.domains.__getitem__, ps)) for v in dom})
+        for i, (ps, r, dom, os) in enumerate(zip(net.parents, net.rows, net.domains, orders))
+        for order in os)
+    return softcsp.SoftCSP(net.variables, net.domains, constraints, semiring.BOOLEAN)
 
 
 def is_eligible(net):

@@ -14,12 +14,11 @@ skyline `semiring.maximal` or the Nash and Pareto solvers of `pgame`.
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 from . import bridge, cpnet, pgame, semiring, softcsp
-from .errors import ValidationError, check_space
+from .errors import ValidationError
 from .record import Record, init_field, replace
 
 
@@ -291,8 +290,7 @@ def _check_game_net_equivalence(game):
     right = set(brute_optimal_outcomes(net))
     if left != right:
         return _verdict(False, "nash %r vs optimal %r" % (sorted(left), sorted(right)))
-    back = bridge.game_of_cpnet(net)
-    same = pgame.expand_full(back) == pgame.expand_full(game)
+    same = bridge.cpnet_of_game(bridge.game_of_cpnet(net)) == net
     return _verdict(same, "round-tripping the game through a net changed it")
 
 
@@ -300,18 +298,16 @@ def _check_parent_reduction(net):
     reduced = cpnet.reduce(net)
     if cpnet.flip_edges(net) != cpnet.flip_edges(reduced):
         return _verdict(False, "flip graphs of N and r(N) differ")
-    g1 = pgame.expand_full(bridge.game_of_cpnet(net))
-    g2 = pgame.expand_full(bridge.game_of_cpnet(reduced))
-    if g1 != g2:
+    full = bridge.cpnet_of_game(bridge.game_of_cpnet(reduced))
+    if bridge.cpnet_of_game(bridge.game_of_cpnet(net)) != full:
         return _verdict(False, "reduction changed the derived game")
-    again = cpnet.reduce(bridge.cpnet_of_game(bridge.game_of_cpnet(reduced)))
+    again = cpnet.reduce(full)
     return _verdict(again == reduced, "round-tripping the net through a game changed its reduction")
 
 
 def _stable(domains, parents, rows):
     """`_unflipped` over every outcome of raw tables."""
-    check_space(math.prod(map(len, domains)), "outcome space")
-    return _unflipped(itertools.product(*domains), domains, parents, rows)
+    return _unflipped(softcsp.space(domains, "outcome space"), domains, parents, rows)
 
 
 def _check_elimination_round(x):

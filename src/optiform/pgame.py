@@ -39,8 +39,7 @@ class PPGame(Record):
         return math.prod(map(len, self.strategies))
 
     def joint_strategies(self):
-        check_space(self.space_size(), "joint strategy space")
-        return itertools.product(*self.strategies)
+        return softcsp.space(self.strategies, "joint strategy space")
 
 
 class PayoffGame(Record):
@@ -77,8 +76,7 @@ class PayoffGame(Record):
         return math.prod(map(len, self.strategies))
 
     def joint_strategies(self):
-        check_space(self.space_size(), "joint strategy space")
-        return itertools.product(*self.strategies)
+        return softcsp.space(self.strategies, "joint strategy space")
 
     def payoff(self, i, s):
         """Canonical extension: project a full joint strategy onto the scope."""
@@ -93,12 +91,6 @@ class PayoffGame(Record):
         if self.carrier is None:
             return a < b
         return semiring.strictly_less(self.carrier, a, b)
-
-
-def expand_full(game):
-    """The same PPGame with every other player made an explicit neighbour."""
-    neigh, prefs = cpnet.full_tables(game.players, game.strategies, game.neigh, game.prefs)
-    return PPGame(game.players, game.strategies, neigh, prefs)
 
 
 def nash_equilibria_pp(game):
@@ -152,8 +144,7 @@ def best_replies(game):
 def nash_equilibria_payoff(game):
     """Weak-inequality Nash over unilateral deviations (canonical extension):
     the joint strategies whose every local tuple is a best reply."""
-    check_space(game.space_size(), "joint strategy space")
-    return list(softcsp.solutions(game.strategies, best_replies(game)))
+    return list(softcsp.solutions(game.strategies, best_replies(game), "joint strategy space"))
 
 
 def pareto_maximal(game, joint):

@@ -261,7 +261,8 @@ def _leaf_codes(spec, columns):
 
 def _compile(spec, tables):
     """Exact codes for the values of `tables`, a list of dicts whose values
-    are elements of `spec` (plain rationals when `spec` is None).
+    are elements of `spec` (plain rationals when `spec` is None): the tables
+    of a `SoftCSP` or a `PayoffGame`, whose constructors check that.
 
     Returns (coded, fold).  `coded` is `tables` with every value replaced
     by its code: an int for a linearly ordered carrier, a flat tuple of ints
@@ -273,9 +274,6 @@ def _compile(spec, tables):
     if spec is None:
         columns = [list(t.values()) for t in tables]
     else:
-        for t in tables:
-            for v in t.values():
-                _require(spec, v)
         columns = [[v.payload for v in t.values()] for t in tables]
     coded, folds = _leaf_codes(spec, columns)
     if spec is not None and spec.kind == "product":

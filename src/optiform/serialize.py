@@ -33,11 +33,16 @@ def spec_to_json(spec):
     return spec.kind
 
 
-def spec_from_json(data):
+def spec_from_json(data, depth=0):
+    """The spec `spec_to_json` writes as `data`, nested `depth` products
+    deep; one nested past `MAX_NESTING` is refused."""
     if isinstance(data, str):
         return semiring.SemiringSpec(data)
     if isinstance(data, dict) and set(data) == {"product"}:
-        return semiring.product(*(spec_from_json(f) for f in _list(data["product"], '"product"')))
+        if depth == MAX_NESTING:
+            raise ValidationError("a semiring spec nests at most %d products" % MAX_NESTING)
+        return semiring.product(*(spec_from_json(f, depth + 1)
+                                  for f in _list(data["product"], '"product"')))
     raise ValidationError("bad semiring spec %r" % (data,))
 
 
@@ -83,6 +88,11 @@ def payload_from_json(spec, data, where):
 #: and what is written can be read again.
 MAX_DIGITS = 1000
 _DIGITS_CAP = 10 ** MAX_DIGITS
+
+#: The most products a semiring spec may nest.  Specs, their values and
+#: codes are read, written, compared and coded by recursion, a few frames
+#: a level, so this stays far below Python's recursion limit.
+MAX_NESTING = 64
 
 
 def _rational(text, where):

@@ -4,6 +4,10 @@ search for hard constraints, consistency, join.
 A joint assignment is a tuple of values positionally aligned with the
 problem's variable list.  Enumeration walks variables by index and domain
 values in declaration order, so output is deterministic.
+
+`space` and `solutions` hold the enumeration bound: every joint space a
+command enumerates, and every space it searches, is checked against
+`errors.check_space` there before its first element is made.
 """
 
 import itertools
@@ -102,8 +106,14 @@ class SoftCSP(Record):
         return math.prod(map(len, self.domains))
 
     def assignments(self):
-        check_space(self.space_size())
-        return itertools.product(*self.domains)
+        return space(self.domains)
+
+
+def space(domains, what="joint assignment space"):
+    """`itertools.product(*domains)` once the bound admits its size, the
+    product of the domain sizes; `what` names the space in the error."""
+    check_space(math.prod(map(len, domains)), what)
+    return itertools.product(*domains)
 
 
 def solution_preference(problem, s):
@@ -130,9 +140,11 @@ def optimal_solutions(problem):
     return [(s, solution_preference(problem, s)) for s in best]
 
 
-def solutions(domains, constraints):
+def solutions(domains, constraints, what="joint assignment space"):
     """The assignments of one value per index of `domains` that every
-    constraint allows, in `itertools.product(*domains)` order.
+    constraint allows, in `itertools.product(*domains)` order.  The space
+    searched is checked against the bound, named `what`, before the search
+    starts.
 
     A constraint is a pair (scope, allowed): a tuple of indices and the
     tuples of values over them that it allows.  Indices are assigned in
@@ -142,6 +154,7 @@ def solutions(domains, constraints):
     extended.  A constraint over the empty scope allows everything or
     nothing.
     """
+    check_space(math.prod(map(len, domains)), what)
     n = len(domains)
     checks = [[] for _ in range(n)]
     for scope, allowed in constraints:
@@ -181,7 +194,6 @@ def is_consistent(problem):
     if problem.semiring.kind != "boolean":
         raise ValidationError("consistency is defined for boolean problems only")
     top = semiring.one(problem.semiring)
-    check_space(problem.space_size())
     return next(solutions(problem.domains, [
         (c.scope, {t for t, v in c.table.items() if v.payload == top.payload})
         for c in problem.constraints

@@ -18,13 +18,14 @@ def test_game_of_cpnet_shares_stable_points(acyclic4, cyclic4, cyclic2):
 
 def test_cpnet_of_game_shares_stable_points(pd_pp):
     net = bridge.cpnet_of_game(pd_pp)
-    assert net.parents[0] == (1,)
+    assert net.parents == ((1,), (0,))
+    assert net.rows == pd_pp.prefs
     assert cpnet.optimal_outcomes(net) == pgame.nash_equilibria_pp(pd_pp)
 
 
 def test_round_trip_through_full_expansion(pd_pp):
-    back = bridge.game_of_cpnet(bridge.cpnet_of_game(pd_pp))
-    assert back == pgame.expand_full(pd_pp)
+    net = bridge.cpnet_of_game(pd_pp)
+    assert bridge.cpnet_of_game(bridge.game_of_cpnet(net)) == net
 
 
 def test_local_map_fuzzy_nash(fuzzy_chain, fuzzy_flat):

@@ -16,7 +16,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optiform import bridge, cli, cpnet, oracle, pgame, serialize
+from optiform import bridge, cli, cpnet, oracle, pgame, serialize, softcsp
 from optiform.errors import OptiformError
 from tests import referees
 from tests.conftest import FIXTURES
@@ -487,6 +487,34 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, "check", "--theorem", "regrets", "--seeds", seeds)
         assert (code, out) == (2, "") and "A <= B" in err and err.count("\n") == 1
 
+    # a carrier nested past the bound is refused as it is read, before the
+    # recursive readers, comparisons and codes of a carrier could overflow
+    # the stack; one nested as deep as the bound is solved
+    def nested(depth):
+        carrier, value = "weighted", "1"
+        for _ in range(depth):
+            carrier, value = {"product": [carrier]}, [value]
+        return carrier, value
+
+    for depth in (serialize.MAX_NESTING, serialize.MAX_NESTING + 1):
+        carrier, value = nested(depth)
+        bad.write_text(json.dumps({
+            "kind": "scsp", "semiring": carrier, "variables": ["x"], "domains": {"x": ["a"]},
+            "constraints": [{"scope": ["x"], "table": [{"tuple": ["a"], "value": value}]}]}))
+        solved = [run(capsys, "scsp-solve", str(bad)), run(capsys, "scsp-join", str(bad), str(bad))]
+        bad.write_text(json.dumps({
+            "kind": "payoffgame", "carrier": carrier, "players": ["p"], "strategies": {"p": ["a"]},
+            "neigh": {"p": []}, "payoffs": {"p": [{"when": ["a"], "value": value}]}}))
+        code, out, err = run(capsys, "game-nash", str(bad))
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        if depth == serialize.MAX_NESTING:
+            assert [(c, e) for c, _, e in solved] == [(0, ""), (0, "")]
+            assert "linearly ordered" in err
+        else:
+            assert solved == [(2, "", "error: a semiring spec nests at most %d products\n"
+                               % serialize.MAX_NESTING)] * 2
+            assert err == solved[0][2]
+
     # values of at most 1,000 digits each whose sum has about 5,000 digits,
     # more than Python writes as text
     bad.write_text(json.dumps({
@@ -521,7 +549,7 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         (["cpnet-eligible", fx("acyclic4.cpnet.json")], "outcome space has 16"),
         (["game-nash", fx("pd.ppgame.json")], "outcome space has 4"),
         (["game-nash", fx("pd.payoffgame.json")], "joint strategy space has 4"),
-        (["pareto-nash", fx("pd.payoffgame.json")], "joint assignment space has 4"),
+        (["pareto-nash", fx("pd.payoffgame.json")], "joint strategy space has 4"),
     ):
         assert run(capsys, *argv) == (
             3, "", "bound exhausted: %s elements, exceeding the bound 2\n" % space)
@@ -529,15 +557,19 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
 
 def test_bounds_are_checked_before_any_table_is_built(capsys, tmp_path, monkeypatch):
     """A command whose tables would outgrow the bound fails before it builds
-    the first of them, with the message of the first table too large."""
-    calls = []
+    the first of them, with the message of the first table too large.  A
+    table is built from the tuples of a product or a bounded space, so each
+    of these is counted as it is drawn."""
+    drawn = []
 
-    def product(*iterables, **kw):
-        calls.append(iterables)
-        return itertools.product(*iterables, **kw)
+    def counted(tuples):
+        for t in tuples:
+            drawn.append(t)
+            yield t
 
     counting = types.SimpleNamespace(**vars(itertools))
-    counting.product = product
+    counting.product = lambda *iterables: counted(itertools.product(*iterables))
+    space = softcsp.space
     # players without neighbours: the full table of a holds 2 * 2 cells,
     # those of b and c 10 * 2 each
     strategies = {"a": ["x%d" % j for j in range(10)], "b": ["y0", "y1"], "c": ["z0", "z1"]}
@@ -546,17 +578,36 @@ def test_bounds_are_checked_before_any_table_is_built(capsys, tmp_path, monkeypa
         "kind": "ppgame", "players": ["a", "b", "c"], "strategies": strategies,
         "neigh": {p: [] for p in strategies},
         "prefs": {p: [{"when": [], "order": s}] for p, s in strategies.items()}}))
+    # the payoff table of x holds 2 cells, those of y and z 2 * 10 each
+    scsp = tmp_path / "wide.scsp.json"
+    scsp.write_text(json.dumps({
+        "kind": "scsp", "semiring": "weighted", "variables": ["x", "y", "z"],
+        "domains": {"x": ["a", "b"], "y": ["a", "b"], "z": ["c%d" % j for j in range(10)]},
+        "constraints": [
+            {"scope": ["x"], "table": [{"tuple": [v], "value": "1"} for v in "ab"]},
+            {"scope": ["y", "z"], "table": [{"tuple": [v, "c%d" % j], "value": "1"}
+                                            for v in "ab" for j in range(10)]}]}))
+    # A's one constraint holds 2 cells, and B's two, one per order, 2 * 5 each
+    net = tmp_path / "wide.cpnet.json"
+    net.write_text(json.dumps({
+        "kind": "cpnet", "variables": ["A", "B"], "domains": {"A": ["a", "b"], "B": list("vwxyz")},
+        "tables": {"A": {"parents": [], "rows": [{"when": [[]], "order": ["a", "b"]}]},
+                   "B": {"parents": ["A"], "rows": [{"when": [["a"]], "order": list("vwxyz")},
+                                                    {"when": [["b"]], "order": list("zyxwv")}]}}}))
     monkeypatch.setenv("OPTIFORM_MAX_SPACE", "10")
     for argv, says in (
         (["tech-game", fx("diamond.graph.json"), "--k", "3"],
          "preference table of n3 has 27 elements"),
         (["to-cpnet", str(game)], "full table of b has 20 elements"),
+        (["map-local", str(scsp)], "payoff table of y has 20 elements"),
+        (["cpnet-opt-constraints", str(net)], "optimality problem has 22 elements"),
     ):
         with monkeypatch.context() as m:
             m.setattr(pgame, "itertools", counting)
             m.setattr(cpnet, "itertools", counting)
+            m.setattr(softcsp, "space", lambda *args: counted(space(*args)))
             code, out, err = run(capsys, *argv)
-        assert (code, out, calls) == (3, "", []), argv
+        assert (code, out, drawn) == (3, "", []), argv
         assert err == "bound exhausted: %s, exceeding the bound 10\n" % says
 
 

@@ -5,11 +5,13 @@ the references apart from the solvers they check.
 
 import ast
 import inspect
+import pathlib
 
 from optiform.record import replace
 
 import pytest
 
+import optiform
 from optiform import bridge, cpnet, oracle, pgame, softcsp
 from optiform.errors import ValidationError
 from optiform.oracle import GeneratorConfig, Verdict
@@ -163,6 +165,26 @@ def test_oracle_never_calls_the_solvers_it_referees():
                         "nash_equilibria_payoff", "best_replies", "pareto_efficient",
                         "pareto_maximal", "stable_outcomes", "optimal_outcomes",
                         "nash_equilibria_pp", "improving_flips"}
+
+
+def test_the_enumeration_bound_is_checked_in_one_place():
+    """Outside `errors`, `check_space` is named only by the bounded space
+    and search of `softcsp` and by the two builders whose size is not one
+    product of domain sizes: a CP-net's optimality problem and the
+    technology game.  Every other space is enumerated or searched through
+    `softcsp`, so the bound is decided there."""
+    named = set()
+    for path in pathlib.Path(optiform.__file__).parent.glob("*.py"):
+        if path.stem == "errors":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if "check_space" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None)):
+                    named.add((path.stem, getattr(top, "name", None)))
+    assert named == {("softcsp", None), ("softcsp", "space"), ("softcsp", "solutions"),
+                     ("cpnet", None), ("cpnet", "optimality_constraints"),
+                     ("pgame", None), ("pgame", "tech_game")}
 
 
 def test_referees_stay_independent():

@@ -61,13 +61,6 @@ def test_subgame_rejects_empty():
         cpnet.restrict(game.players, game.neigh, game.prefs, ((), ("h", "t")))
 
 
-def test_expand_full_round_trips(pd_pp):
-    full = pgame.expand_full(pd_pp)
-    assert full.neigh == ((1,), (0,))
-    assert full.prefs == pd_pp.prefs
-    assert pgame.nash_equilibria_pp(full) == pgame.nash_equilibria_pp(pd_pp)
-
-
 def test_hierarchical(pd_pp):
     # constant preferences make both players level 0
     flag, levels = pgame.is_hierarchical(pd_pp)
