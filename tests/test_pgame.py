@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from optiform import cpnet, pgame, semiring
+from optiform import bridge, cpnet, pgame, semiring
 from optiform.errors import CarrierMismatchError, ValidationError
 from optiform.pgame import DirectedGraph, PPGame, PayoffGame
 from tests import referees
@@ -59,6 +59,14 @@ def test_subgame_rejects_empty():
     game = matching_pennies()
     with pytest.raises(ValidationError, match="empties the domain of p1"):
         cpnet.restrict(game.players, game.neigh, game.prefs, ((), ("h", "t")))
+
+
+def test_expand_full_round_trips(pd_pp):
+    # the full expansion of a game is the game of its full CP-net
+    full = bridge.game_of_cpnet(bridge.cpnet_of_game(pd_pp))
+    assert full.neigh == ((1,), (0,))
+    assert full.prefs == pd_pp.prefs
+    assert pgame.nash_equilibria_pp(full) == pgame.nash_equilibria_pp(pd_pp)
 
 
 def test_hierarchical(pd_pp):
