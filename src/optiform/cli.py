@@ -43,6 +43,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
 
+#: Each character that ends a line, mapped to its escape, so that an error
+#: is reported on one line whatever names or values its message quotes.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
 
 def _load(path, kinds):
     kind, obj = serialize.load_path(path)
@@ -307,10 +311,10 @@ def main(argv=None):
         sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
         return code
     except EnumerationLimitError as exc:
-        print("bound exhausted: %s" % exc, file=sys.stderr)
+        print("bound exhausted: %s" % str(exc).translate(_LINE_BREAKS), file=sys.stderr)
         return EXIT_EXHAUSTED
     except (OptiformError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % str(exc).translate(_LINE_BREAKS), file=sys.stderr)
         return EXIT_INVALID
     finally:
         if collecting:

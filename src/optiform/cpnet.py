@@ -148,14 +148,29 @@ def without(domains, removals):
 
 
 def unused_parents(domains, parents, rows):
-    """The parents of one table whose value never changes the selected order."""
+    """The parents of one table whose value never changes the selected
+    order: those at each of whose values the rows over the other parents
+    are the rows at its first value.  The rows are read once, in the
+    product order of the parents.  There a parent's values take turns in
+    runs of the rows over the later parents, one block of runs per
+    assignment of the earlier ones; a parent is compared by whole blocks
+    or by whole strides across them, whichever takes fewer comparisons."""
+    doms = list(map(domains.__getitem__, parents))
+    cells = (list(rows.values()) if softcsp.in_product_order(rows.keys(), doms)
+             else list(map(rows.__getitem__, itertools.product(*doms))))
     out = set()
-    for k, y in enumerate(parents):
-        rest = parents[:k] + parents[k + 1:]
-        for a in itertools.product(*map(domains.__getitem__, rest)):
-            if len({rows[a[:k] + (v,) + a[k:]] for v in domains[y]}) > 1:
-                break
+    run = len(cells)
+    for y, dom in zip(parents, doms):
+        size = len(dom)
+        run //= size
+        block = run * size
+        if len(cells) // block <= run * (size - 1):
+            same = all(cells[b:b + block] == cells[b:b + run] * size
+                       for b in range(0, len(cells), block))
         else:
+            same = all(cells[v * run + j::block] == cells[j::block]
+                       for j in range(run) for v in range(1, size))
+        if same:
             out.add(y)
     return out
 
@@ -164,12 +179,9 @@ def drop_parents(domains, parents, rows, drop):
     """One table without the parents in `drop`, each read at the first value
     of its domain.  Returns the kept parents and their rows."""
     kept = tuple(p for p in parents if p not in drop)
-    at = {p: domains[p][0] for p in drop}
-    out = {}
-    for a in itertools.product(*map(domains.__getitem__, kept)):
-        at.update(zip(kept, a))
-        out[a] = rows[tuple(map(at.__getitem__, parents))]
-    return kept, out
+    at = itertools.product(*(domains[p][:1] if p in drop else domains[p] for p in parents))
+    return kept, dict(zip(itertools.product(*map(domains.__getitem__, kept)),
+                          map(rows.__getitem__, at)))
 
 
 def layers(items, ready):

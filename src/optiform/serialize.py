@@ -464,14 +464,16 @@ def _same(x):
 
 
 def _scope_texts(domains):
-    """A function of a scope: per scope index, its domain's values sorted
-    and their JSON texts.  It gives None unless every value is a string, as
-    equal numbers can differ in text (1, 1.0 and True)."""
+    """A function of a scope: per scope index, its domain's values sorted,
+    their JSON texts, and whether the domain is declared in sorted order.
+    It gives None unless every value is a string, as equal numbers can
+    differ in text (1, 1.0 and True)."""
     if not all(isinstance(v, str) for dom in domains for v in dom):
         return lambda scope: None
     values = [sorted(dom) for dom in domains]
     texts = [list(map(_quote, vs)) for vs in values]
-    return lambda scope: [(values[j], texts[j]) for j in scope]
+    ordered = [vs == list(dom) for vs, dom in zip(values, domains)]
+    return lambda scope: [(values[j], texts[j], ordered[j]) for j in scope]
 
 
 def _row_dicts(rows, cell, key_field, cell_field, wrap):
@@ -496,9 +498,12 @@ class _Rows:
         """The rows' text.  A table's keys are the tuples over its scope
         (`softcsp.check_table`), so sorted they are the product of the
         scope's sorted domains, and each key's text is made from its
-        values' texts by the same product, one addition per key.  Each
-        distinct cell's text is made once, and the table's text is one join
-        over its opening, each row's key and cell with the separators
+        values' texts by the same product, one addition per key.  The
+        cells are read in the rows' order when the scope's domains are
+        declared sorted and the keys come in their product order
+        (`softcsp.in_product_order`), and looked up key by key otherwise.
+        Each distinct cell's text is made once, and the table's text is one
+        join over its opening, each row's key and cell with the separators
         between them, and its closing."""
         if self.scope_texts is None:  # a value that is not a string
             _write(_row_dicts(self.rows, self.cell, self.key_field, self.cell_field,
@@ -523,8 +528,12 @@ class _Rows:
             sep = pre + "[" + value_nl if i == 0 else "," + value_nl
             heads = [sep + text for text in scope[i][1]]
             keys = [h + k for h in heads for k in keys]
-        cells = list(map(self.rows.__getitem__,
-                         itertools.product(*(values for values, _ in scope))))
+        values = [vs for vs, _, _ in scope]
+        if (all(ordered for _, _, ordered in scope)
+                and softcsp.in_product_order(self.rows.keys(), values)):
+            cells = list(self.rows.values())
+        else:
+            cells = list(map(self.rows.__getitem__, itertools.product(*values)))
         memo = {c: head + _text(self.cell(c), field_nl) + tail for c in set(cells)}
         texts = map(memo.__getitem__, cells)
         parts = ["," + row_nl] * (3 * len(keys)) + [nl + "]"]

@@ -12,7 +12,7 @@ command enumerates, and every space it searches, is checked against
 
 import itertools
 import math
-from operator import itemgetter
+import operator
 
 from . import semiring
 from .errors import CarrierMismatchError, ValidationError, check_space
@@ -42,20 +42,27 @@ def check_table(names, domains, scope, keys, label):
     if len(set(scope)) != len(scope):
         twice = [i for i in scope if scope.count(i) > 1][0]
         raise ValidationError("%s names %s twice" % (label(), names[twice]))
-    # one tuple past the table's size is enough to tell the product from the
-    # keys, so a table far smaller than its product fails without building it;
-    # keys in product order are the product, and only others are hashed
-    expected = list(itertools.islice(
-        itertools.product(*map(domains.__getitem__, scope)), len(keys) + 1))
-    if list(keys) == expected:
+    # keys in product order are the product, and only others are hashed; one
+    # tuple past the table's size is enough to tell the product from them, so
+    # a table far smaller than its product fails without building it
+    doms = list(map(domains.__getitem__, scope))
+    if in_product_order(keys, doms):
         return
-    expected = set(expected)
+    expected = set(itertools.islice(itertools.product(*doms), len(keys) + 1))
     if keys != expected:
-        for t in itertools.product(*map(domains.__getitem__, scope)):
+        for t in itertools.product(*doms):
             if t not in keys:
                 raise ValidationError("%s misses the tuple %r" % (label(), t))
         spurious = next(t for t in keys if t not in expected)
         raise ValidationError("%s has the spurious tuple %r" % (label(), spurious))
+
+
+def in_product_order(keys, domains):
+    """Whether `keys` are the tuples of `itertools.product(*domains)`, in its
+    order: the one order test of a table's keys, made as the product is
+    streamed, never listed."""
+    return (len(keys) == math.prod(map(len, domains))
+            and all(map(operator.eq, keys, itertools.product(*domains))))
 
 
 def check_assignment(names, domains, s):
@@ -164,7 +171,7 @@ def solutions(domains, constraints, what="joint assignment space"):
             continue
         if len(scope) == 1:  # itemgetter of one index returns the bare value
             allowed = {t[0] for t in allowed}
-        checks[max(scope)].append((itemgetter(*scope), allowed))
+        checks[max(scope)].append((operator.itemgetter(*scope), allowed))
     if not n:
         yield ()
         return

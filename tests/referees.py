@@ -1,10 +1,11 @@
 """The one literal definition of each notion of optimality the tests hold
 optiform to: stable outcomes, Nash equilibria, Pareto efficiency and the
-optimal solutions of soft CSPs.  Each is a nested loop over a record's
-fields that asks order only of the boxed predicates (`payoff_leq`,
-`payoff_lt`, `semiring.strictly_less`, `softcsp.solution_preference`),
-drops a member at its first witness and calls no solver, search or oracle
-referee.  Results are lists in enumeration order.
+optimal solutions of soft CSPs, and of the parents a preference table
+depends on.  Each is a nested loop over a record's fields that asks order
+only of the boxed predicates (`payoff_leq`, `payoff_lt`,
+`semiring.strictly_less`, `softcsp.solution_preference`), drops a member at
+its first witness and calls no solver, search or oracle referee.  Results
+are lists in enumeration order.
 """
 
 from optiform import bridge, semiring, softcsp
@@ -21,6 +22,15 @@ def stable(outcomes, domains, parents, rows):
                     return True
         return False
     return [o for o in outcomes if not flippable(o)]
+
+
+def essential_parents(parents, rows):
+    """The parents, in their order, that some two rows' keys differ in
+    alone while the rows' orders differ."""
+    def apart_in(k, a, b):
+        return all((x != y) == (j == k) for j, (x, y) in enumerate(zip(a, b)))
+    return [p for k, p in enumerate(parents)
+            if any(apart_in(k, a, b) and rows[a] != rows[b] for a in rows for b in rows)]
 
 
 def optimal_outcomes(net):

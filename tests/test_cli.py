@@ -836,6 +836,17 @@ def test_mutated_documents(capsys, tmp_path):
     assert 300 <= runs <= 400
 
 
+def test_an_error_naming_a_line_break_is_one_line(capsys, tmp_path):
+    """A message quoting a name that holds line breaks is still reported on
+    one line, each break written as its escape."""
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"kind": "cpnet", "variables": ["a\nb\u2028c"],
+                                "domains": {"a\nb\u2028c": ["x"]},
+                                "tables": {"a\nb\u2028c": {"parents": [], "rows": []}}}))
+    assert run(capsys, "cpnet-reduce", str(path)) == (
+        2, "", "error: cpnet: table of a\\nb\\u2028c misses the tuple ()\n")
+
+
 #: Strings to escape, and numbers negative and fractional: the values and
 #: names of drawn documents.
 _strings = st.text(alphabet='ab"\\\n\u00e9\u2603', min_size=1, max_size=3)
@@ -935,6 +946,142 @@ def test_drawn_documents_answer_as_the_referees(tmp_path_factory, doc):
             expected["command"] = command
             assert code == 0, (command, err.getvalue())
             assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+#: Domains of three values, for a drawn document to cut to a drawn size.
+_full_domains = st.one_of(*(st.lists(v, min_size=3, max_size=3, unique=True)
+                            for v in (_strings, _numbers)))
+
+
+@st.composite
+def _preference_documents(draw):
+    """A drawn CP-net or PPGame, cyclic or acyclic, of one to four names
+    with one to three values each, its sizes, parents and orders drawn by a
+    seeded `random.Random`: each table's parents are listed in a drawn
+    order, its rows come in a drawn order and vary with a drawn part of its
+    parents alone, so the others are redundant; one document in eight
+    misses a row."""
+    kind = draw(st.sampled_from(["cpnet", "ppgame"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    names = draw(st.lists(_strings, min_size=4, max_size=4, unique=True))[:rng.randint(1, 4)]
+    domains = [draw(_full_domains)[:rng.randint(1, 3)] for _ in names]
+    acyclic = draw(st.booleans())
+    parents, tables = [], []
+    for i in range(len(names)):
+        pool = list(range(i)) if acyclic else [j for j in range(len(names)) if j != i]
+        ps = rng.sample(pool, rng.randint(0, len(pool)))
+        used = {p for p in ps if rng.random() < 0.75}
+        orders, rows = {}, []
+        for t in _tuples(domains, ps):
+            context = tuple(v for v, p in zip(t, ps) if p in used)
+            if context not in orders:
+                orders[context] = rng.sample(domains[i], len(domains[i]))
+            rows.append((t, orders[context]))
+        rng.shuffle(rows)
+        parents.append([names[p] for p in ps])
+        tables.append(rows)
+    if rng.random() < 1 / 8:
+        del tables[0][rng.randrange(len(tables[0]))]
+    if kind == "cpnet":
+        return {"kind": kind, "variables": names, "domains": dict(zip(names, domains)),
+                "tables": {n: {"parents": ps, "rows": [{"when": [t], "order": o} for t, o in rows]}
+                           for n, ps, rows in zip(names, parents, tables)}}
+    return {"kind": kind, "players": names, "strategies": dict(zip(names, domains)),
+            "neigh": dict(zip(names, parents)),
+            "prefs": {n: [{"when": t, "order": o} for t, o in rows]
+                      for n, rows in zip(names, tables)}}
+
+
+def _net_document(kind, names, domains, parents, tables):
+    """The document of a CP-net or PPGame, as `json.dumps` writes it."""
+    rows = {n: [{"when": [list(k)] if kind == "cpnet" else list(k), "order": list(o)}
+                for k, o in sorted(t.items())] for n, t in zip(names, tables)}
+    ps = {n: [names[p] for p in kept] for n, kept in zip(names, parents)}
+    domains = {n: list(d) for n, d in zip(names, domains)}
+    doc = ({"variables": names, "domains": domains,
+            "tables": {n: {"parents": ps[n], "rows": rows[n]} for n in names}}
+           if kind == "cpnet" else
+           {"players": names, "strategies": domains, "neigh": ps, "prefs": rows})
+    doc["kind"] = kind
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def preference_referee_text(command, names, domains, parents, rows):
+    """The text `command` writes on a CP-net or PPGame with these fields,
+    built from `referees.essential_parents`: reduce keeps the essential
+    parents, reading each row at the first value of every other parent;
+    the hierarchy levels place each player one above its highest essential
+    neighbour; the translations carry the tables over, to-cpnet reading
+    each full row at the player's own neighbours."""
+    essential = [referees.essential_parents(ps, r) for ps, r in zip(parents, rows)]
+    if command == "game-hierarchical":
+        levels = {}
+        while len(levels) < len(names):
+            ready = [i for i, deps in enumerate(essential)
+                     if i not in levels and all(d in levels for d in deps)]
+            if not ready:
+                levels = None
+                break
+            levels.update({i: max([levels[d] + 1 for d in essential[i]], default=0)
+                           for i in ready})
+        return json.dumps({"command": command, "hierarchical": levels is not None,
+                           "levels": None if levels is None
+                           else {names[i]: lv for i, lv in levels.items()}},
+                          sort_keys=True, indent=2) + "\n"
+    if command == "to-game":
+        return _net_document("ppgame", names, domains, parents, rows)
+    if command == "to-cpnet":
+        wide = [tuple(j for j in range(len(names)) if j != i) for i in range(len(names))]
+        full = [{k: r[tuple(k[others.index(p)] for p in ps)]
+                 for k in itertools.product(*(domains[j] for j in others))}
+                for others, ps, r in zip(wide, parents, rows)]
+        return _net_document("cpnet", names, domains, wide, full)
+    reduced = []
+    for ps, r, kept in zip(parents, rows, essential):
+        first = {p: domains[p][0] for p in ps}
+        reduced.append({k: r[tuple({**first, **dict(zip(kept, k))}[p] for p in ps)]
+                        for k in itertools.product(*(domains[p] for p in kept))})
+    return _net_document("cpnet", names, domains, essential, reduced)
+
+
+def _tables_of(record):
+    """The names, domains, parents and rows of a CP-net or PPGame."""
+    if isinstance(record, cpnet.CPNet):
+        return record.variables, record.domains, record.parents, record.rows
+    return record.players, record.strategies, record.neigh, record.prefs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_preference_documents())
+def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc):
+    """Drawn CP-nets and PPGames through `cli.main`: cpnet-reduce and
+    to-game on a net, game-hierarchical and to-cpnet on a game.  Each exits
+    0 with the text of `preference_referee_text`, and a reduced or
+    translated record keeps the stable outcomes; or, where loading refuses
+    the document, exits 2 or 3 with one line on stderr and nothing on
+    stdout."""
+    path = tmp_path_factory.mktemp("drawn") / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        fields = _tables_of(serialize.load_path(str(path))[1])
+    except OptiformError:
+        fields = None
+    commands = (["cpnet-reduce", "to-game"] if doc["kind"] == "cpnet"
+                else ["game-hierarchical", "to-cpnet"])
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([command, str(path)])
+        if fields is None:
+            assert code in (2, 3) and out.getvalue() == "", (command, code)
+            assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+            continue
+        assert code == 0, (command, err.getvalue())
+        assert out.getvalue() == preference_referee_text(command, *fields), command
+        if command != "game-hierarchical":
+            result = _tables_of(serialize.loads(out.getvalue())[1])
+            outcomes = list(itertools.product(*fields[1]))
+            assert referees.stable(outcomes, *fields[1:]) == referees.stable(outcomes, *result[1:])
 
 
 def test_output_is_deterministic(capsys):

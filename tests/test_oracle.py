@@ -196,6 +196,7 @@ def test_referees_stay_independent():
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     forbidden = {"maximal", "_compile", "optimal_solutions", "optimal_outcomes", "solutions",
                  "stable_outcomes", "pareto_efficient", "pareto_maximal", "best_replies",
-                 "_unbeaten", "_unflipped", "_PayoffTable"}
+                 "_unbeaten", "_unflipped", "_PayoffTable", "unused_parents",
+                 "is_hierarchical"}
     assert not {name for name in names
                 if name in forbidden or name.startswith(("nash_equilibria_", "brute_"))}

@@ -19,8 +19,11 @@ check, the loop of `cpnet.full_tables` that rebuilt every outcome with a gap
 at its own index, and the elimination loop that tested and rebuilt every
 table in every round, with the `restrict` that filtered every row's order
 and the `dominated` that compared over every row, and the technology game
-that sorted every row over in-neighbours found by scanning every edge.  The
-oracle's referees and the twin checks read `tests/referees.py`.
+that sorted every row over in-neighbours found by scanning every edge, and
+the table reads that looked up every row by its key: `unused_parents`,
+`drop_parents`, the list-compare fast path of `check_table` and
+`_Rows.render`.  The oracle's referees and the twin checks read
+`tests/referees.py`.
 
 Results and elimination traces must be equal on every seed, lists in the
 same order; the table checks and parsers must accept and refuse the same
@@ -154,13 +157,35 @@ def drop(game, removals):
     ])
 
 
+def reference_unused_parents(domains, parents, rows):
+    out = set()
+    for k, y in enumerate(parents):
+        rest = parents[:k] + parents[k + 1:]
+        for a in itertools.product(*map(domains.__getitem__, rest)):
+            if len({rows[a[:k] + (v,) + a[k:]] for v in domains[y]}) > 1:
+                break
+        else:
+            out.add(y)
+    return out
+
+
+def reference_drop_parents(domains, parents, rows, drop):
+    kept = tuple(p for p in parents if p not in drop)
+    at = {p: domains[p][0] for p in drop}
+    out = {}
+    for a in itertools.product(*map(domains.__getitem__, kept)):
+        at.update(zip(kept, a))
+        out[a] = rows[tuple(map(at.__getitem__, parents))]
+    return kept, out
+
+
 def reference_essential_neighbours(game, i):
-    unused = cpnet.unused_parents(game.strategies, game.neigh[i], game.prefs[i])
+    unused = reference_unused_parents(game.strategies, game.neigh[i], game.prefs[i])
     return tuple(j for j in game.neigh[i] if j not in unused)
 
 
 def reference_redundant_parents(net, i):
-    return cpnet.unused_parents(net.domains, net.parents[i], net.rows[i])
+    return reference_unused_parents(net.domains, net.parents[i], net.rows[i])
 
 
 def reference_check_elimination_round_game(game):
@@ -1211,3 +1236,148 @@ def test_cell_reader_matches_the_four_parsers():
             else:
                 assert new == old, (kind, cls, seed)
     assert seen == {"payoffgame", "scsp"}
+
+
+# --------------------------------------------- table reads in product order
+
+def reference_check_table(names, domains, scope, keys, label):
+    n = len(names)
+    for i in scope:
+        if not 0 <= i < n:
+            raise ValidationError("%s: scope index %r is out of range" % (label(), i))
+    if len(set(scope)) != len(scope):
+        twice = [i for i in scope if scope.count(i) > 1][0]
+        raise ValidationError("%s names %s twice" % (label(), names[twice]))
+    expected = list(itertools.islice(
+        itertools.product(*map(domains.__getitem__, scope)), len(keys) + 1))
+    if list(keys) == expected:
+        return
+    expected = set(expected)
+    if keys != expected:
+        for t in itertools.product(*map(domains.__getitem__, scope)):
+            if t not in keys:
+                raise ValidationError("%s misses the tuple %r" % (label(), t))
+        spurious = next(t for t in keys if t not in expected)
+        raise ValidationError("%s has the spurious tuple %r" % (label(), spurious))
+
+
+def reference_render(self, nl, put):
+    """`serialize._Rows.render` with every cell looked up by its key; a
+    scope entry now also carries whether its domain is declared sorted."""
+    if self.scope_texts is None:
+        serialize._write(serialize._row_dicts(self.rows, self.cell, self.key_field,
+                                              self.cell_field, self.wrap), nl, put)
+        return
+    _quote = serialize._quote
+    row_nl = nl + "  "
+    field_nl = row_nl + "  "
+    key_nl = field_nl + "  " if self.wrap else field_nl
+    value_nl = key_nl + "  "
+    key_first = self.key_field < self.cell_field
+    first, second = sorted((self.key_field, self.cell_field))
+    around = (("{" + field_nl + _quote(first) + ": ", "," + field_nl + _quote(second) + ": "),
+              ("", row_nl + "}"))
+    (pre, post), (head, tail) = around if key_first else around[::-1]
+    if self.wrap:
+        pre, post = pre + "[" + key_nl, field_nl + "]" + post
+    scope = self.scope_texts
+    keys = [key_nl + "]" + post] if scope else [pre + "[]" + post]
+    for i in reversed(range(len(scope))):
+        sep = pre + "[" + value_nl if i == 0 else "," + value_nl
+        heads = [sep + text for text in scope[i][1]]
+        keys = [h + k for h in heads for k in keys]
+    cells = list(map(self.rows.__getitem__,
+                     itertools.product(*(values for values, *_ in scope))))
+    memo = {c: head + serialize._text(self.cell(c), field_nl) + tail for c in set(cells)}
+    texts = map(memo.__getitem__, cells)
+    parts = ["," + row_nl] * (3 * len(keys)) + [nl + "]"]
+    parts[0] = "[" + row_nl
+    parts[1::3], parts[2::3] = (keys, texts) if key_first else (texts, keys)
+    put("".join(parts))
+
+
+def table_read_instances():
+    """(kind, names, domains, parents, rows): random nets, cyclic and
+    acyclic, random games, graphical and full, the full nets of graphical
+    games and technology games, each as built and `scrambled`."""
+    for seed in SEEDS[:120]:
+        rng = random.Random(seed)
+        records = [oracle.random_cpnet(replace(CFG, seed=seed, acyclic=acyclic))
+                   for acyclic in (False, True)]
+        records += [oracle.random_ppgame(replace(CFG, seed=seed, graphical=graphical))
+                    for graphical in (False, True)]
+        records.append(bridge.cpnet_of_game(oracle.random_ppgame(
+            replace(CFG, seed=seed, graphical=True, acyclic=seed % 2 == 0))))
+        records.append(pgame.tech_game(oracle.random_dag(replace(CFG, seed=seed)), seed % 3 + 1))
+        for record in records:
+            kind = "cpnet" if isinstance(record, cpnet.CPNet) else "ppgame"
+            names, *fields = table_fields(kind, record)
+            yield (kind, names, *fields)
+            yield (kind, names, *scrambled(*fields, rng))
+
+
+def error_text(f, *args):
+    try:
+        f(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def miscounted(rows, rng):
+    """The table one tuple short, and one tuple long, the spurious tuple
+    inserted anywhere in the key order."""
+    items = list(rows.items())
+    short = items[:]
+    del short[rng.randrange(len(short))]
+    spurious = ("zz",) * max(1, len(items[0][0]))
+    items.insert(rng.randrange(len(items) + 1), (spurious, items[0][1]))
+    return dict(short), dict(items)
+
+
+def test_table_reads_match_lookups(monkeypatch):
+    """`unused_parents`, `drop_parents`, `check_table` and `_Rows.render`
+    against the code that looked up every row by its key: equal parents and
+    tables with equal key order, equal error messages on tables one tuple
+    short or long, and byte-identical documents.  Each reads in place on
+    the tables in product order and falls back on the `scrambled` ones,
+    many times over."""
+    results = []
+    in_order = softcsp.in_product_order
+
+    def spy(keys, domains):
+        results.append(in_order(keys, domains))
+        return results[-1]
+    monkeypatch.setattr(softcsp, "in_product_order", spy)
+    branches = {f: {True: 0, False: 0} for f in ("unused", "check", "render")}
+    dropped = 0
+    for seed, (kind, names, domains, parents, rows) in enumerate(table_read_instances()):
+        rng = random.Random(seed)
+        for name, ps, r in zip(names, parents, rows):
+            del results[:]
+            unused = cpnet.unused_parents(domains, ps, r)
+            branches["unused"][results[0]] += 1
+            assert unused == reference_unused_parents(domains, ps, r)
+            for drop in (unused, set(rng.sample(ps, rng.randint(0, len(ps))))):
+                got = cpnet.drop_parents(domains, ps, r, drop)
+                want = reference_drop_parents(domains, ps, r, drop)
+                assert got == want and list(got[1]) == list(want[1])
+            dropped += len(unused)
+            label = lambda: "table of %s" % name
+            for table in (r, *miscounted(r, rng)):
+                del results[:]
+                message = error_text(softcsp.check_table, names, domains, ps, table.keys(), label)
+                branches["check"][results[0]] += 1
+                assert message == error_text(reference_check_table, names, domains, ps,
+                                             table.keys(), label)
+                assert (message is None) == (table is r)
+        record = (cpnet.CPNet if kind == "cpnet" else pgame.PPGame)(names, domains, parents, rows)
+        del results[:]
+        text = serialize.dumps(record)
+        branches["render"][True] += sum(results)
+        branches["render"][False] += len(names) - sum(results)
+        with monkeypatch.context() as m:
+            m.setattr(serialize._Rows, "render", reference_render)
+            assert text == serialize.dumps(record)
+    assert all(n > 500 for counts in branches.values() for n in counts.values()), branches
+    assert dropped > 500
