@@ -11,9 +11,15 @@ Then each candidate outcome or joint strategy is tested against its
 improving flips, deviations or dominators, and is dropped at the first such
 witness.  Nothing here calls the exact codes of `semiring._compile`, the
 skyline `semiring.maximal` or the Nash and Pareto solvers of `pgame`.
+Outcomes are projected onto each table's scope by one C-level getter per
+index.  The generators pick names, values, payoffs and carrier cells from
+tables built once per size or carrier, by the draws of a seeded
+`random.Random`, and every instance is validated by its constructor.
 """
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -55,15 +61,25 @@ def _unbeaten(candidates, witnesses):
     return [c for c in candidates if next(witnesses(c), None) is None]
 
 
-def _unflipped(outcomes, domains, parents, rows):
+def _projection(indices):
+    """A C-level getter of a tuple's values at `indices`, as a tuple: for
+    fewer than two indices a slice, as `itemgetter` gives a bare value."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return operator.itemgetter(slice(start, start + len(indices)))
+
+
+def _unflipped(outcomes, parents, rows):
     """Definition-literal, over raw tables: the outcomes, in order, where no
     index has a value placed earlier in the row its parents select: the
     optimal outcomes of a CP-net, the Nash equilibria of a PPGame."""
+    tables = [(i, r, _projection(ps)) for i, (ps, r) in enumerate(zip(parents, rows))]
+
     def better_flips(o):
-        for i, (dom, ps, r) in enumerate(zip(domains, parents, rows)):
-            order = r[tuple(o[p] for p in ps)]
-            rank = order.index(o[i])
-            yield from (v for v in dom if v != o[i] and order.index(v) < rank)
+        for i, r, key in tables:
+            order = r[key(o)]
+            yield from order[:order.index(o[i])]
     return _unbeaten(outcomes, better_flips)
 
 
@@ -76,27 +92,27 @@ def _tables(x):
 
 def brute_optimal_outcomes(net):
     """The optimal outcomes of a CP-net, from the definition."""
-    return _unflipped(net.outcomes(), net.domains, net.parents, net.rows)
+    return _unflipped(net.outcomes(), net.parents, net.rows)
 
 
 class _PayoffTable:
     """A payoff game's payoffs, read once: `rows` maps each joint strategy,
     in enumeration order, to its vector of payoff ids, where a player's
     equal payoffs share one small int and the joint strategy is projected
-    onto each player's scope (the canonical extension).  The order of two
-    distinct ids of a player is asked of `game.payoff_leq`/`payoff_lt` on
-    first use and remembered; equal ids are never asked, as the induced
-    order is reflexive."""
+    onto each player's scope (the canonical extension) by one getter per
+    player.  The order of two distinct ids of a player is asked of
+    `game.payoff_leq`/`payoff_lt` on first use and remembered; equal ids
+    are never asked, as the induced order is reflexive."""
 
     def __init__(self, game):
         self.game, self.values, self.order, local = game, [], [], []
         for i, table in enumerate(game.payoffs):
             ids = {}
             local.append(({t: ids.setdefault(v, len(ids)) for t, v in table.items()},
-                          game.local_scope(i)))
+                          _projection(game.local_scope(i))))
             self.values.append(list(ids))
             self.order.append({})
-        self.rows = {s: tuple(t[tuple(s[j] for j in scope)] for t, scope in local)
+        self.rows = {s: tuple([t[key(s)] for t, key in local])
                      for s in game.joint_strategies()}
 
     def relation(self, i, a, b):
@@ -126,8 +142,11 @@ class _PayoffTable:
         """The members of `joint`, in order, whose vector no member's
         vector dominates."""
         vectors = set(map(self.rows.__getitem__, joint))
-        return _unbeaten(joint, lambda s: (
-            q for q in vectors if self.dominates(q, self.rows[s])))
+
+        def dominators(s):
+            p = self.rows[s]
+            return (q for q in vectors if self.dominates(q, p))
+        return _unbeaten(joint, dominators)
 
 
 def brute_nash(game, table=None):
@@ -135,16 +154,16 @@ def brute_nash(game, table=None):
     definition.  `table`, the payoff game's `_PayoffTable`, is built if not
     given."""
     if isinstance(game, pgame.PPGame):
-        return _unflipped(game.joint_strategies(), game.strategies, game.neigh, game.prefs)
+        return _unflipped(game.joint_strategies(), game.neigh, game.prefs)
     if table is None:
         table = _PayoffTable(game)
     rows = table.rows
 
     def better_deviations(s):
-        for i in range(len(game.players)):
-            p = rows[s][i]
-            for v in game.strategies[i]:
-                dev = s[:i] + (v,) + s[i + 1:]
+        for i, (p, values) in enumerate(zip(rows[s], game.strategies)):
+            head, tail = s[:i], s[i + 1:]
+            for v in values:
+                dev = head + (v,) + tail
                 q = rows[dev][i]
                 if q != p and table.relation(i, p, q)[1]:
                     yield dev
@@ -161,11 +180,32 @@ def brute_pareto(game, table=None):
 
 # ----------------------------------------------------------------- generators
 
+@functools.lru_cache(maxsize=64)
+def _labels(prefix, n):
+    """The names prefix0 .. prefix<n-1>, built once per prefix and size:
+    the names of a drawn record and the values of a drawn domain."""
+    return tuple("%s%d" % (prefix, k) for k in range(n))
+
+
+#: The plain payoffs a drawn payoff game picks from by `randint(0, 10)`.
+_PAYOFFS = tuple(map(Fraction, range(11)))
+
+
+@functools.lru_cache(maxsize=8)
+def _cells(carrier):
+    """The values a drawn constraint over `carrier` picks its cells from,
+    all of one spec, which the drawn problem shares (the semiring checks
+    that a value is of a problem's spec by identity first): `False` and
+    `True` for a boolean carrier, indexed by `random() < 0.5`, otherwise
+    k/10 (fuzzy) or k (weighted), indexed by `randint(0, 10)`."""
+    spec = semiring.SemiringSpec(carrier)
+    payloads = ((False, True) if carrier == "boolean" else
+                [Fraction(k, 10) for k in range(11)] if carrier == "fuzzy" else _PAYOFFS)
+    return tuple(semiring.value(spec, x) for x in payloads)
+
+
 def _domains(rng, cfg, n):
-    return tuple(
-        tuple("v%d" % k for k in range(rng.randint(1, cfg.max_domain)))
-        for _ in range(n)
-    )
+    return tuple(_labels("v", rng.randint(1, cfg.max_domain)) for _ in range(n))
 
 
 def _random_tables(rng, cfg, domains, graphical):
@@ -200,36 +240,27 @@ def random_cpnet(cfg):
     rng = random.Random(cfg.seed)
     n = rng.randint(1, cfg.max_vars)
     domains = _domains(rng, cfg, n)
-    return cpnet.CPNet(tuple("X%d" % i for i in range(n)), domains,
-                       *_random_tables(rng, cfg, domains, True))
-
-
-def _random_value(rng, spec):
-    if spec.kind == "boolean":
-        return semiring.value(spec, rng.random() < 0.5)
-    if spec.kind == "fuzzy":
-        return semiring.value(spec, Fraction(rng.randint(0, 10), 10))
-    return semiring.value(spec, Fraction(rng.randint(0, 10)))
+    return cpnet.CPNet(_labels("X", n), domains, *_random_tables(rng, cfg, domains, True))
 
 
 def random_scsp(cfg):
     rng = random.Random(cfg.seed)
-    spec = semiring.SemiringSpec(cfg.carrier)
+    cells = _cells(cfg.carrier)
+    spec = cells[0].spec
+    draw = (functools.partial(rng.randint, 0, 10) if spec.kind != "boolean"
+            else lambda: rng.random() < 0.5)
     n = rng.randint(1, cfg.max_vars)
     domains = _domains(rng, cfg, n)
-    names = tuple("x%d" % i for i in range(n))
     witness = tuple(rng.choice(dom) for dom in domains)
     constraints = []
     for _ in range(rng.randint(1, n + 1)):
         size = rng.randint(1, min(2, n))
         scope = tuple(sorted(rng.sample(range(n), size)))
-        table = {}
-        for t in itertools.product(*(domains[j] for j in scope)):
-            table[t] = _random_value(rng, spec)
+        table = {t: cells[draw()] for t in itertools.product(*map(domains.__getitem__, scope))}
         if cfg.force_consistent:
             table[tuple(witness[j] for j in scope)] = semiring.one(spec)
         constraints.append(softcsp.SoftConstraint(scope, table))
-    return softcsp.SoftCSP(names, domains, tuple(constraints), spec)
+    return softcsp.SoftCSP(_labels("x", n), domains, tuple(constraints), spec)
 
 
 def random_payoff_game(cfg):
@@ -240,30 +271,26 @@ def random_payoff_game(cfg):
         tuple(sorted(j for j in range(n) if j != i and rng.random() < cfg.density))
         for i in range(n)
     )
-    payoffs = []
-    for i in range(n):
-        scope = tuple(sorted(neigh[i] + (i,)))
-        payoffs.append({
-            s: Fraction(rng.randint(0, 10))
-            for s in itertools.product(*(strategies[j] for j in scope))
-        })
-    return pgame.PayoffGame(
-        tuple("p%d" % i for i in range(n)), strategies, neigh, tuple(payoffs)
+    payoffs = tuple(
+        {s: _PAYOFFS[rng.randint(0, 10)]
+         for s in itertools.product(*map(strategies.__getitem__, sorted(neigh[i] + (i,))))}
+        for i in range(n)
     )
+    return pgame.PayoffGame(_labels("p", n), strategies, neigh, payoffs)
 
 
 def random_ppgame(cfg):
     rng = random.Random(cfg.seed)
     n = rng.randint(1, cfg.max_vars)
     strategies = _domains(rng, cfg, n)
-    return pgame.PPGame(tuple("p%d" % i for i in range(n)), strategies,
+    return pgame.PPGame(_labels("p", n), strategies,
                         *_random_tables(rng, cfg, strategies, cfg.graphical))
 
 
 def random_dag(cfg):
     rng = random.Random(cfg.seed)
     n = rng.randint(1, 10)
-    nodes = tuple("n%d" % i for i in range(n))
+    nodes = _labels("n", n)
     edges = []
     for j in range(1, n):
         # cap in-degree so technology preference tables stay desk-scale
@@ -307,7 +334,7 @@ def _check_parent_reduction(net):
 
 def _stable(domains, parents, rows):
     """`_unflipped` over every outcome of raw tables."""
-    return _unflipped(softcsp.space(domains, "outcome space"), domains, parents, rows)
+    return _unflipped(softcsp.space(domains, "outcome space"), parents, rows)
 
 
 def _check_elimination_round(x):

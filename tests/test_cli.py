@@ -1006,13 +1006,45 @@ def _net_document(kind, names, domains, parents, tables):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _acyclic(parents):
+    """Whether no index is its own ancestor: whether taking, over and over,
+    the indices whose parents are all taken takes every index."""
+    taken = set()
+    while True:
+        ready = {i for i, ps in enumerate(parents) if i not in taken and taken.issuperset(ps)}
+        if not ready:
+            return len(taken) == len(parents)
+        taken |= ready
+
+
 def preference_referee_text(command, names, domains, parents, rows):
     """The text `command` writes on a CP-net or PPGame with these fields,
-    built from `referees.essential_parents`: reduce keeps the essential
-    parents, reading each row at the first value of every other parent;
-    the hierarchy levels place each player one above its highest essential
+    or None where it must refuse them.  The solvers' reports are built from
+    `referees.stable`: the optimal outcomes and the Nash equilibria are the
+    stable outcomes, each strategy of one its own best response, and the
+    sweep of an acyclic net reaches its only stable outcome, where a cyclic
+    net has no sweep.  The structure is built from
+    `referees.essential_parents`: reduce keeps the essential parents,
+    reading each row at the first value of every other parent; the
+    hierarchy levels place each player one above its highest essential
     neighbour; the translations carry the tables over, to-cpnet reading
     each full row at the player's own neighbours."""
+    def report(**fields):
+        return json.dumps({"command": command, **fields}, sort_keys=True, indent=2) + "\n"
+    if command in ("cpnet-optimal", "cpnet-eligible", "cpnet-sweep", "game-nash"):
+        stable = referees.stable(itertools.product(*domains), domains, parents, rows)
+        if command == "cpnet-optimal":
+            return report(eligible=bool(stable), optimal=[list(o) for o in stable])
+        if command == "cpnet-eligible":
+            return report(eligible=bool(stable))
+        if command == "game-nash":
+            return report(game_kind="ppgame", nash=[
+                {"joint_strategy": list(s), "best_responses": dict(zip(names, s))}
+                for s in stable])
+        if not _acyclic(parents):
+            return None
+        assert len(stable) == 1, stable
+        return report(outcome=list(stable[0]))
     essential = [referees.essential_parents(ps, r) for ps, r in zip(parents, rows)]
     if command == "game-hierarchical":
         levels = {}
@@ -1024,10 +1056,8 @@ def preference_referee_text(command, names, domains, parents, rows):
                 break
             levels.update({i: max([levels[d] + 1 for d in essential[i]], default=0)
                            for i in ready})
-        return json.dumps({"command": command, "hierarchical": levels is not None,
-                           "levels": None if levels is None
-                           else {names[i]: lv for i, lv in levels.items()}},
-                          sort_keys=True, indent=2) + "\n"
+        return report(hierarchical=levels is not None,
+                      levels=None if levels is None else {names[i]: lv for i, lv in levels.items()})
     if command == "to-game":
         return _net_document("ppgame", names, domains, parents, rows)
     if command == "to-cpnet":
@@ -1054,31 +1084,34 @@ def _tables_of(record):
 @settings(max_examples=100, deadline=None)
 @given(_preference_documents())
 def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc):
-    """Drawn CP-nets and PPGames through `cli.main`: cpnet-reduce and
-    to-game on a net, game-hierarchical and to-cpnet on a game.  Each exits
-    0 with the text of `preference_referee_text`, and a reduced or
-    translated record keeps the stable outcomes; or, where loading refuses
-    the document, exits 2 or 3 with one line on stderr and nothing on
-    stdout."""
+    """Drawn CP-nets and PPGames through `cli.main`: cpnet-optimal,
+    cpnet-eligible, cpnet-sweep, cpnet-reduce and to-game on a net,
+    game-nash, game-hierarchical and to-cpnet on a game.  Each exits 0 with
+    the text of `preference_referee_text`, and a reduced or translated
+    record keeps the stable outcomes; or, where loading refuses the
+    document (exit 2 or 3) or the sweep meets a cyclic net (exit 2), writes
+    one line on stderr and nothing on stdout."""
     path = tmp_path_factory.mktemp("drawn") / "doc.json"
     path.write_text(json.dumps(doc))
     try:
         fields = _tables_of(serialize.load_path(str(path))[1])
     except OptiformError:
         fields = None
-    commands = (["cpnet-reduce", "to-game"] if doc["kind"] == "cpnet"
-                else ["game-hierarchical", "to-cpnet"])
+    commands = (["cpnet-optimal", "cpnet-eligible", "cpnet-sweep", "cpnet-reduce", "to-game"]
+                if doc["kind"] == "cpnet" else ["game-nash", "game-hierarchical", "to-cpnet"])
     for command in commands:
         with contextlib.redirect_stdout(io.StringIO()) as out, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main([command, str(path)])
-        if fields is None:
-            assert code in (2, 3) and out.getvalue() == "", (command, code)
+        expected = None if fields is None else preference_referee_text(command, *fields)
+        if expected is None:
+            assert code in ((2, 3) if fields is None else (2,)), (command, code)
+            assert out.getvalue() == "", command
             assert err.getvalue().count("\n") == 1, (command, err.getvalue())
             continue
         assert code == 0, (command, err.getvalue())
-        assert out.getvalue() == preference_referee_text(command, *fields), command
-        if command != "game-hierarchical":
+        assert out.getvalue() == expected, command
+        if command in ("cpnet-reduce", "to-game", "to-cpnet"):
             result = _tables_of(serialize.loads(out.getvalue())[1])
             outcomes = list(itertools.product(*fields[1]))
             assert referees.stable(outcomes, *fields[1:]) == referees.stable(outcomes, *result[1:])

@@ -3,8 +3,10 @@ best replies, the shared layering loop, the Pareto-efficient Nash skyline,
 the oracle's interned payoff table, the memoised dominance search, the
 one-pass parent reduction, the level sweep, the one table generator, the one
 table check, the one cell reader, the one stable-outcome referee with the
-one check per elimination theorem, and the projection of
-`cpnet.full_tables`, against the code they replaced, kept literally as
+one check per elimination theorem, the projection of `cpnet.full_tables`,
+and the oracle's generators that pick from shared value tables and
+referees that project once per index, against the code they replaced, kept
+literally as
 references: the callback fixpoint and its single round over the record
 wrappers `eliminate`, `subgame` and `reduce_pp`, the boxed
 `regret_constraints` that compares every tuple with every deviation, the two
@@ -12,7 +14,8 @@ layering loops, the `pareto_nash` that joins the cost tuples with the
 no-regret constraints and enumerates every joint strategy, the dominance
 search that slices every row it meets, the `reduce` loop that rebuilds the
 net once per dropped parent, Kahn's topological order with the sweep and
-acyclicity test built on it, the two parent generators, the three table
+acyclicity test built on it, the five parent generators (each building
+its names, values, payoffs and carrier cells afresh), the three table
 checks of `cpnet.check_tables`, `PayoffGame` and `SoftCSP`, the four
 parsers' cell loops, the oracle's net and game twins of each elimination
 check, the loop of `cpnet.full_tables` that rebuilt every outcome with a gap
@@ -22,8 +25,11 @@ and the `dominated` that compared over every row, and the technology game
 that sorted every row over in-neighbours found by scanning every edge, and
 the table reads that looked up every row by its key: `unused_parents`,
 `drop_parents`, the list-compare fast path of `check_table` and
-`_Rows.render`.  The oracle's referees and the twin checks read
-`tests/referees.py`.
+`_Rows.render`, and the oracle's referees before they projected once per
+index: the `_unflipped` that walked each domain for values ranked above
+the outcome's, and the `_PayoffTable` and `brute_nash` that projected with
+generator expressions and rebuilt each deviation from its slices.  The
+oracle's referees and the twin checks read `tests/referees.py`.
 
 Results and elimination traces must be equal on every seed, lists in the
 same order; the table checks and parsers must accept and refuse the same
@@ -50,6 +56,7 @@ from tests.conftest import FIXTURES
 CFG = oracle.GeneratorConfig()
 SEEDS = range(300)
 MODES = ("nbr", "s")
+CARRIERS = ("weighted", "fuzzy", "boolean")
 
 
 # ------------------------------------------------------------- references
@@ -406,10 +413,17 @@ def reference_sweep_optimal(net):
     return tuple(assignment)
 
 
+def reference_domains(rng, cfg, n):
+    return tuple(
+        tuple("v%d" % k for k in range(rng.randint(1, cfg.max_domain)))
+        for _ in range(n)
+    )
+
+
 def reference_random_cpnet(cfg):
     rng = random.Random(cfg.seed)
     n = rng.randint(1, cfg.max_vars)
-    domains = oracle._domains(rng, cfg, n)
+    domains = reference_domains(rng, cfg, n)
     order = list(range(n))
     rng.shuffle(order)
     parent_pool = {}
@@ -436,7 +450,7 @@ def reference_random_cpnet(cfg):
 def reference_random_ppgame(cfg):
     rng = random.Random(cfg.seed)
     n = rng.randint(1, cfg.max_vars)
-    strategies = oracle._domains(rng, cfg, n)
+    strategies = reference_domains(rng, cfg, n)
     if cfg.graphical:
         order = list(range(n))
         rng.shuffle(order)
@@ -460,6 +474,164 @@ def reference_random_ppgame(cfg):
     return pgame.PPGame(
         tuple("p%d" % i for i in range(n)), strategies, neigh, tuple(prefs)
     )
+
+
+def reference_random_value(rng, spec):
+    if spec.kind == "boolean":
+        return semiring.value(spec, rng.random() < 0.5)
+    if spec.kind == "fuzzy":
+        return semiring.value(spec, Fraction(rng.randint(0, 10), 10))
+    return semiring.value(spec, Fraction(rng.randint(0, 10)))
+
+
+def reference_random_scsp(cfg):
+    rng = random.Random(cfg.seed)
+    spec = semiring.SemiringSpec(cfg.carrier)
+    n = rng.randint(1, cfg.max_vars)
+    domains = reference_domains(rng, cfg, n)
+    names = tuple("x%d" % i for i in range(n))
+    witness = tuple(rng.choice(dom) for dom in domains)
+    constraints = []
+    for _ in range(rng.randint(1, n + 1)):
+        size = rng.randint(1, min(2, n))
+        scope = tuple(sorted(rng.sample(range(n), size)))
+        table = {}
+        for t in itertools.product(*(domains[j] for j in scope)):
+            table[t] = reference_random_value(rng, spec)
+        if cfg.force_consistent:
+            table[tuple(witness[j] for j in scope)] = semiring.one(spec)
+        constraints.append(softcsp.SoftConstraint(scope, table))
+    return softcsp.SoftCSP(names, domains, tuple(constraints), spec)
+
+
+def reference_random_payoff_game(cfg):
+    rng = random.Random(cfg.seed)
+    n = rng.randint(1, cfg.max_vars)
+    strategies = reference_domains(rng, cfg, n)
+    neigh = tuple(
+        tuple(sorted(j for j in range(n) if j != i and rng.random() < cfg.density))
+        for i in range(n)
+    )
+    payoffs = []
+    for i in range(n):
+        scope = tuple(sorted(neigh[i] + (i,)))
+        payoffs.append({
+            s: Fraction(rng.randint(0, 10))
+            for s in itertools.product(*(strategies[j] for j in scope))
+        })
+    return pgame.PayoffGame(
+        tuple("p%d" % i for i in range(n)), strategies, neigh, tuple(payoffs)
+    )
+
+
+def reference_random_dag(cfg):
+    rng = random.Random(cfg.seed)
+    n = rng.randint(1, 10)
+    nodes = tuple("n%d" % i for i in range(n))
+    edges = []
+    for j in range(1, n):
+        # cap in-degree so technology preference tables stay desk-scale
+        preds = rng.sample(range(j), min(j, rng.randint(0, 4)))
+        edges.extend((nodes[i], nodes[j]) for i in sorted(preds))
+    return pgame.DirectedGraph(nodes, tuple(edges))
+
+
+def reference_unflipped(outcomes, domains, parents, rows):
+    """Definition-literal, over raw tables: the outcomes, in order, where no
+    index has a value placed earlier in the row its parents select: the
+    optimal outcomes of a CP-net, the Nash equilibria of a PPGame."""
+    def better_flips(o):
+        for i, (dom, ps, r) in enumerate(zip(domains, parents, rows)):
+            order = r[tuple(o[p] for p in ps)]
+            rank = order.index(o[i])
+            yield from (v for v in dom if v != o[i] and order.index(v) < rank)
+    return oracle._unbeaten(outcomes, better_flips)
+
+
+class ReferencePayoffTable:
+    """A payoff game's payoffs, read once: `rows` maps each joint strategy,
+    in enumeration order, to its vector of payoff ids, where a player's
+    equal payoffs share one small int and the joint strategy is projected
+    onto each player's scope (the canonical extension).  The order of two
+    distinct ids of a player is asked of `game.payoff_leq`/`payoff_lt` on
+    first use and remembered; equal ids are never asked, as the induced
+    order is reflexive."""
+
+    def __init__(self, game):
+        self.game, self.values, self.order, local = game, [], [], []
+        for i, table in enumerate(game.payoffs):
+            ids = {}
+            local.append(({t: ids.setdefault(v, len(ids)) for t, v in table.items()},
+                          game.local_scope(i)))
+            self.values.append(list(ids))
+            self.order.append({})
+        self.rows = {s: tuple(t[tuple(s[j] for j in scope)] for t, scope in local)
+                     for s in game.joint_strategies()}
+
+    def relation(self, i, a, b):
+        """(payoff a <= payoff b, payoff a < payoff b) for distinct payoff
+        ids a and b of player i."""
+        known = self.order[i].get((a, b))
+        if known is None:
+            x, y = self.values[i][a], self.values[i][b]
+            known = self.order[i][a, b] = (self.game.payoff_leq(x, y),
+                                           self.game.payoff_lt(x, y))
+        return known
+
+    def dominates(self, q, p):
+        """Whether id vector q is weakly better than p for every player and
+        strictly better for some, in one pass that stops at the first player
+        q is not weakly better for."""
+        strict = False
+        for i, (a, b) in enumerate(zip(p, q)):
+            if a != b:
+                leq, lt = self.relation(i, a, b)
+                if not leq:
+                    return False
+                strict = strict or lt
+        return strict
+
+    def undominated(self, joint):
+        """The members of `joint`, in order, whose vector no member's
+        vector dominates."""
+        vectors = set(map(self.rows.__getitem__, joint))
+        return oracle._unbeaten(joint, lambda s: (
+            q for q in vectors if self.dominates(q, self.rows[s])))
+
+
+def reference_brute_optimal_outcomes(net):
+    """The optimal outcomes of a CP-net, from the definition."""
+    return reference_unflipped(net.outcomes(), net.domains, net.parents, net.rows)
+
+
+def reference_brute_nash(game, table=None):
+    """The pure Nash equilibria of a PPGame or a PayoffGame, from the
+    definition.  `table`, the payoff game's `_PayoffTable`, is built if not
+    given."""
+    if isinstance(game, pgame.PPGame):
+        return reference_unflipped(game.joint_strategies(), game.strategies, game.neigh,
+                                   game.prefs)
+    if table is None:
+        table = ReferencePayoffTable(game)
+    rows = table.rows
+
+    def better_deviations(s):
+        for i in range(len(game.players)):
+            p = rows[s][i]
+            for v in game.strategies[i]:
+                dev = s[:i] + (v,) + s[i + 1:]
+                q = rows[dev][i]
+                if q != p and table.relation(i, p, q)[1]:
+                    yield dev
+    return oracle._unbeaten(rows, better_deviations)
+
+
+def reference_brute_pareto(game, table=None):
+    """The Pareto-efficient joint strategies of a PayoffGame, from the
+    definition.  `table`, the game's `_PayoffTable`, is built if not given."""
+    if table is None:
+        table = ReferencePayoffTable(game)
+    return table.undominated(list(table.rows))
 
 
 def reference_full_tables(names, domains, parents, rows):
@@ -1005,25 +1177,106 @@ def test_full_tables_match_insert_loop():
     assert unsorted_parents and unordered_rows
 
 
+def drawn_tables(record):
+    """Each table of a drawn record as its list of (key, cell, cell type),
+    in key order, where a soft constraint's cell type is its payload's; a
+    graph's nodes and edges."""
+    if isinstance(record, pgame.DirectedGraph):
+        return [list(record.nodes), list(record.edges)]
+    if isinstance(record, softcsp.SoftCSP):
+        return [[(k, v, type(v.payload)) for k, v in c.table.items()]
+                for c in record.constraints]
+    tables = record.payoffs if isinstance(record, pgame.PayoffGame) else oracle._tables(record)[3]
+    return [[(k, v, type(v)) for k, v in t.items()] for t in tables]
+
+
 def test_generators_match_parent_draws():
+    """Every generator against its parent, kept literally: equal records,
+    tables with equal keys in equal order, and cells of equal types (a
+    boolean payload stays a bool, a payoff or rational payload a
+    Fraction), under every flag each generator reads."""
+    def same(got, want):
+        assert got == want
+        assert drawn_tables(got) == drawn_tables(want)
+    kinds = set()
     for seed in SEEDS:
         for acyclic in (False, True):
             for density in (0.2, 0.5, 0.9):
                 cfg = replace(CFG, seed=seed, acyclic=acyclic, density=density)
-                got, want = oracle.random_cpnet(cfg), reference_random_cpnet(cfg)
-                assert got == want
-                assert [list(r) for r in got.rows] == [list(r) for r in want.rows]
+                same(oracle.random_cpnet(cfg), reference_random_cpnet(cfg))
                 for graphical in (False, True):
                     g = replace(cfg, graphical=graphical)
-                    got, want = oracle.random_ppgame(g), reference_random_ppgame(g)
-                    assert got == want
-                    assert [list(r) for r in got.prefs] == [list(r) for r in want.prefs]
+                    same(oracle.random_ppgame(g), reference_random_ppgame(g))
+        for density in (0.2, 0.5, 0.9):
+            cfg = replace(CFG, seed=seed, density=density, max_vars=1 + seed % 4)
+            same(oracle.random_payoff_game(cfg), reference_random_payoff_game(cfg))
+        for carrier in CARRIERS:
+            for force_consistent in (False, True):
+                cfg = replace(CFG, seed=seed, carrier=carrier, force_consistent=force_consistent,
+                              max_domain=1 + seed % 4)
+                problem = oracle.random_scsp(cfg)
+                same(problem, reference_random_scsp(cfg))
+                cells = [v for c in problem.constraints for v in c.table.values()]
+                # every cell is of the problem's own spec object, which
+                # `semiring._require` compares by identity before equality
+                assert all(v.spec is problem.semiring for v in cells)
+                kinds.update(type(v.payload) for v in cells)
+        cfg = replace(CFG, seed=seed)
+        same(oracle.random_dag(cfg), reference_random_dag(cfg))
+    assert kinds == {bool, Fraction}
+
+
+def projected_instances():
+    """(seed, record) over seeds 1..400: CP-nets and PPGames, cyclic and
+    acyclic, graphical and full; rational payoff games; and the local and
+    global games of soft CSPs, the carrier rotating with the seed; then a
+    net and a payoff game with no index at all."""
+    for seed in range(1, 401):
+        for acyclic in (False, True):
+            yield seed, oracle.random_cpnet(replace(CFG, seed=seed, acyclic=acyclic))
+            for graphical in (False, True):
+                yield seed, oracle.random_ppgame(
+                    replace(CFG, seed=seed, graphical=graphical, acyclic=acyclic))
+        yield seed, oracle.random_payoff_game(replace(CFG, seed=seed))
+        problem = oracle.random_scsp(replace(CFG, seed=seed, carrier=CARRIERS[seed % 3]))
+        yield seed, bridge.local_map(problem)
+        yield seed, bridge.global_map(problem)
+    yield 0, cpnet.CPNet((), (), (), ())
+    yield 0, pgame.PayoffGame((), (), (), ())
+
+
+def test_referees_match_parent_projections():
+    """The referees that project once per index against the parent's, kept
+    literally: equal lists in equal order from `brute_optimal_outcomes`,
+    `brute_nash`, `brute_pareto` and `undominated` (over the Nash set, as
+    `pareto_nash` asks it, and over every joint strategy), on tables whose
+    scopes hold no, one and several indices."""
+    arities, kinds = set(), set()
+    for seed, x in projected_instances():
+        kinds.add(type(x).__name__ if not isinstance(x, pgame.PayoffGame)
+                  else "carrier" if x.carrier is not None else "rational")
+        if isinstance(x, cpnet.CPNet):
+            arities.update(map(len, x.parents))
+            assert oracle.brute_optimal_outcomes(x) == reference_brute_optimal_outcomes(x), seed
+        elif isinstance(x, pgame.PPGame):
+            arities.update(map(len, x.neigh))
+            assert oracle.brute_nash(x) == reference_brute_nash(x), seed
+        else:
+            arities.update(len(x.local_scope(i)) for i in range(len(x.players)))
+            table, want_table = oracle._PayoffTable(x), ReferencePayoffTable(x)
+            assert table.rows == want_table.rows and list(table.rows) == list(want_table.rows)
+            nash = oracle.brute_nash(x, table)
+            assert nash == reference_brute_nash(x, want_table), seed
+            assert oracle.brute_pareto(x, table) == reference_brute_pareto(x, want_table), seed
+            for joint in (nash, list(x.joint_strategies())):
+                assert table.undominated(joint) == want_table.undominated(joint), seed
+    assert {0, 1, 2, 3} <= arities
+    assert kinds == {"CPNet", "PPGame", "rational", "carrier"}
 
 
 # ------------------------------------------- one table check, one cell reader
 
 TABLE_KINDS = ("cpnet", "ppgame", "payoffgame", "scsp")
-CARRIERS = ("weighted", "fuzzy", "boolean")
 
 
 def table_instances():
