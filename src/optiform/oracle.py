@@ -3,14 +3,14 @@ the theorem check suites that pit them against the main modules.
 
 The brute routines share only the data types with the main modules: every
 result here is recomputed from the definitions, never by calling the main
-solvers.  A payoff game's payoffs are read once into one table per game,
-which every referee of a check shares: each player's payoffs are interned
-to small ints, and the order of each distinct pair of them is asked of the
-game's `payoff_leq`/`payoff_lt` (so of `semiring.leq`) once, on first use.
-Then each candidate outcome or joint strategy is tested against its
-improving flips, deviations or dominators, and is dropped at the first such
-witness.  Nothing here calls the exact codes of `semiring._compile`, the
-skyline `semiring.maximal` or the Nash and Pareto solvers of `pgame`.
+solvers.  A payoff game's referees share one table per game, which ranks
+each distinct payoff table's payoffs once through the game's `payoff_leq`
+(so `semiring.leq`); payoff carriers are linear, so a deviation improves
+when its rank is higher, and a rank vector dominates when it is different
+and no lower anywhere.  A stable outcome of raw tables holds the top of
+each row its parents select, and a boolean solution holds a true payload in
+each constraint.  Nothing here calls the exact codes of `semiring._compile`,
+the skyline `semiring.maximal` or the Nash and Pareto solvers of `pgame`.
 Outcomes are projected onto each table's scope by one C-level getter per
 index.  The generators pick names, values, payoffs and carrier cells from
 tables built once per size or carrier, by the draws of a seeded
@@ -71,16 +71,14 @@ def _projection(indices):
 
 
 def _unflipped(outcomes, parents, rows):
-    """Definition-literal, over raw tables: the outcomes, in order, where no
-    index has a value placed earlier in the row its parents select: the
-    optimal outcomes of a CP-net, the Nash equilibria of a PPGame."""
-    tables = [(i, r, _projection(ps)) for i, (ps, r) in enumerate(zip(parents, rows))]
-
-    def better_flips(o):
-        for i, r, key in tables:
-            order = r[key(o)]
-            yield from order[:order.index(o[i])]
-    return _unbeaten(outcomes, better_flips)
+    """Definition-literal, over raw tables: the outcomes, in order, where
+    every index holds the top of the row its parents select, so no value is
+    placed earlier: the optimal outcomes of a CP-net, the Nash equilibria of
+    a PPGame.  Each index filters the outcomes kept by the ones before it."""
+    for i, (ps, r) in enumerate(zip(parents, rows)):
+        key = _projection(ps)
+        outcomes = [o for o in outcomes if r[key(o)][0] == o[i]]
+    return list(outcomes)
 
 
 def _tables(x):
@@ -95,58 +93,57 @@ def brute_optimal_outcomes(net):
     return _unflipped(net.outcomes(), net.parents, net.rows)
 
 
+def _ranks(game, table):
+    """A payoff table with each payoff replaced by its rank among the
+    table's distinct payoffs, 0 for the lowest.  Each payoff is hashed once,
+    to the index of its first appearance; the distinct payoffs are sorted by
+    binary insertion, which asks `game.payoff_leq` at most once per ordered
+    pair and never of two equal payoffs.  The carrier is linear, so distinct
+    payoffs get distinct ranks."""
+    ids = {}
+    cells = [ids.setdefault(x, len(ids)) for x in table.values()]
+    values, ordered = list(ids), []
+    for k, x in enumerate(values):
+        lo, hi = 0, len(ordered)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if game.payoff_leq(x, values[ordered[mid]]):
+                hi = mid
+            else:
+                lo = mid + 1
+        ordered.insert(lo, k)
+    rank = [0] * len(values)
+    for r, k in enumerate(ordered):
+        rank[k] = r
+    return dict(zip(table, map(rank.__getitem__, cells)))
+
+
 class _PayoffTable:
     """A payoff game's payoffs, read once: `rows` maps each joint strategy,
-    in enumeration order, to its vector of payoff ids, where a player's
-    equal payoffs share one small int and the joint strategy is projected
-    onto each player's scope (the canonical extension) by one getter per
-    player.  The order of two distinct ids of a player is asked of
-    `game.payoff_leq`/`payoff_lt` on first use and remembered; equal ids
-    are never asked, as the induced order is reflexive."""
+    in enumeration order, to its vector of payoff ranks, one per player,
+    each read at the joint strategy's projection onto the player's scope
+    (the canonical extension) by one getter per player.  Each distinct
+    payoff table is ranked once, so a table that several players share is
+    ranked once for all of them."""
 
     def __init__(self, game):
-        self.game, self.values, self.order, local = game, [], [], []
+        ranked, local = {}, []
         for i, table in enumerate(game.payoffs):
-            ids = {}
-            local.append(({t: ids.setdefault(v, len(ids)) for t, v in table.items()},
-                          _projection(game.local_scope(i))))
-            self.values.append(list(ids))
-            self.order.append({})
+            if id(table) not in ranked:
+                ranked[id(table)] = _ranks(game, table)
+            local.append((ranked[id(table)], _projection(game.local_scope(i))))
         self.rows = {s: tuple([t[key(s)] for t, key in local])
                      for s in game.joint_strategies()}
 
-    def relation(self, i, a, b):
-        """(payoff a <= payoff b, payoff a < payoff b) for distinct payoff
-        ids a and b of player i."""
-        known = self.order[i].get((a, b))
-        if known is None:
-            x, y = self.values[i][a], self.values[i][b]
-            known = self.order[i][a, b] = (self.game.payoff_leq(x, y),
-                                           self.game.payoff_lt(x, y))
-        return known
-
-    def dominates(self, q, p):
-        """Whether id vector q is weakly better than p for every player and
-        strictly better for some, in one pass that stops at the first player
-        q is not weakly better for."""
-        strict = False
-        for i, (a, b) in enumerate(zip(p, q)):
-            if a != b:
-                leq, lt = self.relation(i, a, b)
-                if not leq:
-                    return False
-                strict = strict or lt
-        return strict
-
     def undominated(self, joint):
-        """The members of `joint`, in order, whose vector no member's
-        vector dominates."""
+        """The members of `joint`, in order, whose rank vector no member's
+        vector dominates: no other vector is at least as high for every
+        player.  Each distinct vector is tested against every other once."""
         vectors = set(map(self.rows.__getitem__, joint))
-
-        def dominators(s):
-            p = self.rows[s]
-            return (q for q in vectors if self.dominates(q, p))
-        return _unbeaten(joint, dominators)
+        ge = operator.ge
+        front = {p for p in vectors
+                 if not any(q != p and all(map(ge, q, p)) for q in vectors)}
+        return [s for s in joint if self.rows[s] in front]
 
 
 def brute_nash(game, table=None):
@@ -164,8 +161,7 @@ def brute_nash(game, table=None):
             head, tail = s[:i], s[i + 1:]
             for v in values:
                 dev = head + (v,) + tail
-                q = rows[dev][i]
-                if q != p and table.relation(i, p, q)[1]:
+                if rows[dev][i] > p:
                     yield dev
     return _unbeaten(rows, better_deviations)
 
@@ -416,10 +412,12 @@ def _nash_and_pareto(game):
 
 
 def _boolean_solutions(problem):
-    """The assignments of preference 1 of a boolean problem."""
-    top = semiring.one(problem.semiring).payload
+    """The assignments of preference 1 of a boolean problem: those where
+    every constraint's payload, read at the assignment's projection onto
+    its scope, is true."""
+    tables = [(c.table, _projection(c.scope)) for c in problem.constraints]
     return {s for s in problem.assignments()
-            if softcsp.solution_preference(problem, s).payload == top}
+            if all(t[key(s)].payload for t, key in tables)}
 
 
 def _check_consistent_csp(problem):

@@ -148,17 +148,26 @@ def test_criterion_6_prisoners_dilemma_pipeline():
 
 # 7 ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("theorem", sorted(oracle.THEOREMS))
-def test_criterion_7_theorem_suites(theorem):
+def timed_suite(theorem):
+    """The verdicts of one theorem suite over SEEDS, its time kept in
+    `_suite_clock`."""
     start = time.monotonic()
     results = oracle.run_suite(theorem, SEEDS)
     _suite_clock[theorem] = time.monotonic() - start
+    return results
+
+
+@pytest.mark.parametrize("theorem", sorted(oracle.THEOREMS))
+def test_criterion_7_theorem_suites(theorem):
+    results = timed_suite(theorem)
     failures = {s: v.detail for s, v in results.items() if not v.ok}
     assert failures == {}, "seeds failing %s: %r" % (theorem, failures)
 
 
 def test_criterion_7_total_time():
-    assert len(_suite_clock) == len(oracle.THEOREMS)
+    # the suites not run before this test (deselected, or this test run alone)
+    for theorem in oracle.THEOREMS.keys() - _suite_clock.keys():
+        timed_suite(theorem)
     assert sum(_suite_clock.values()) < 60.0
 
 

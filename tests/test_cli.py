@@ -960,22 +960,42 @@ def _preference_documents(draw):
     seeded `random.Random`: each table's parents are listed in a drawn
     order, its rows come in a drawn order and vary with a drawn part of its
     parents alone, so the others are redundant; one document in eight
-    misses a row."""
+    misses a row.  One cyclic document in two plants a pair of indices of
+    two values or more, each the other's parent, whose row tops follow the
+    other's value by position: both take the other's position
+    (coordination, several stable outcomes), or one takes the position
+    after the other's (matching pennies, none)."""
     kind = draw(st.sampled_from(["cpnet", "ppgame"]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     names = draw(st.lists(_strings, min_size=4, max_size=4, unique=True))[:rng.randint(1, 4)]
     domains = [draw(_full_domains)[:rng.randint(1, 3)] for _ in names]
     acyclic = draw(st.booleans())
+    # index -> (its partner, the shift of its top from the partner's position)
+    planted = {}
+    wide = [i for i, d in enumerate(domains) if len(d) > 1]
+    if not acyclic and len(wide) > 1 and rng.random() < 0.5:
+        i, j = rng.sample(wide, 2)
+        planted = {i: (j, 0), j: (i, rng.randint(0, 1))}
     parents, tables = [], []
     for i in range(len(names)):
         pool = list(range(i)) if acyclic else [j for j in range(len(names)) if j != i]
         ps = rng.sample(pool, rng.randint(0, len(pool)))
         used = {p for p in ps if rng.random() < 0.75}
+        if i in planted:
+            partner, shift = planted[i]
+            if partner not in ps:
+                ps.insert(rng.randint(0, len(ps)), partner)
+            used.add(partner)
         orders, rows = {}, []
         for t in _tuples(domains, ps):
             context = tuple(v for v, p in zip(t, ps) if p in used)
             if context not in orders:
                 orders[context] = rng.sample(domains[i], len(domains[i]))
+                if i in planted:
+                    at = domains[partner].index(t[ps.index(partner)]) + shift
+                    top = domains[i][at % len(domains[i])]
+                    orders[context].remove(top)
+                    orders[context].insert(0, top)
             rows.append((t, orders[context]))
         rng.shuffle(rows)
         parents.append([names[p] for p in ps])
@@ -1081,6 +1101,26 @@ def _tables_of(record):
     return record.players, record.strategies, record.neigh, record.prefs
 
 
+def assert_keeps_the_stable_outcomes(command, text, names, domains, parents, rows):
+    """An elimination report on a CP-net or PPGame keeps each value of every
+    stable outcome (`referees.stable`) in its final domains and, when it
+    reports "solved", names the only stable outcome; the boolean solutions
+    of the optimality problem (`referees.boolean_solutions`) are the stable
+    outcomes."""
+    stable = referees.stable(itertools.product(*domains), domains, parents, rows)
+    if command == "cpnet-opt-constraints":
+        assert referees.boolean_solutions(serialize.loads(text)[1]) == stable
+        return
+    report = json.loads(text)
+    final = [report["domains" if command == "cpnet-eliminate" else "strategies"][n]
+             for n in names]
+    assert all(v in kept for o in stable for v, kept in zip(o, final)), (stable, final)
+    if report["solved"]:
+        assert stable == [tuple(d[0] for d in final)], (stable, final)
+        if command == "cpnet-eliminate":
+            assert report["outcome"] == list(stable[0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(_preference_documents())
 def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc):
@@ -1090,19 +1130,29 @@ def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc):
     the text of `preference_referee_text`, and a reduced or translated
     record keeps the stable outcomes; or, where loading refuses the
     document (exit 2 or 3) or the sweep meets a cyclic net (exit 2), writes
-    one line on stderr and nothing on stdout."""
+    one line on stderr and nothing on stdout.  cpnet-eliminate and
+    game-eliminate in both modes, and cpnet-opt-constraints, exit 0 with an
+    answer that `assert_keeps_the_stable_outcomes` accepts, or where loading
+    refuses the document, exit 2 or 3 with one line on stderr."""
     path = tmp_path_factory.mktemp("drawn") / "doc.json"
     path.write_text(json.dumps(doc))
     try:
         fields = _tables_of(serialize.load_path(str(path))[1])
     except OptiformError:
         fields = None
-    commands = (["cpnet-optimal", "cpnet-eligible", "cpnet-sweep", "cpnet-reduce", "to-game"]
-                if doc["kind"] == "cpnet" else ["game-nash", "game-hierarchical", "to-cpnet"])
-    for command in commands:
+    eliminate = "cpnet-eliminate" if doc["kind"] == "cpnet" else "game-eliminate"
+    commands = [[eliminate, "--mode", "nbr"], [eliminate, "--mode", "s"]] + (
+        [["cpnet-optimal"], ["cpnet-eligible"], ["cpnet-sweep"], ["cpnet-reduce"], ["to-game"],
+         ["cpnet-opt-constraints"]]
+        if doc["kind"] == "cpnet" else [["game-nash"], ["game-hierarchical"], ["to-cpnet"]])
+    for command, *options in commands:
         with contextlib.redirect_stdout(io.StringIO()) as out, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
-            code = cli.main([command, str(path)])
+            code = cli.main([command, str(path), *options])
+        if fields is not None and command in (eliminate, "cpnet-opt-constraints"):
+            assert code == 0, (command, err.getvalue())
+            assert_keeps_the_stable_outcomes(command, out.getvalue(), *fields)
+            continue
         expected = None if fields is None else preference_referee_text(command, *fields)
         if expected is None:
             assert code in ((2, 3) if fields is None else (2,)), (command, code)

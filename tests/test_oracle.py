@@ -4,7 +4,9 @@ the references apart from the solvers they check.
 """
 
 import ast
+import collections
 import inspect
+import math
 import pathlib
 
 from optiform.record import replace
@@ -124,9 +126,11 @@ def test_referees_match_nested_loops():
 
 def test_referee_asks_each_order_once(monkeypatch):
     """One check asks `payoff_leq` at most once per player and distinct
-    ordered pair of payoffs, and never of two equal payoffs.  Each player's
-    payoffs are shifted by 100 per player, so a pair of values names its
-    player."""
+    ordered pair of payoffs, and never of two equal payoffs.  Ranking a
+    player's payoffs costs a binary insertion each: the j-th distinct payoff
+    of the player's table (from 0, in table order) is asked with an earlier
+    one at most ceil(log2(j + 1)) times.  Each player's payoffs are shifted
+    by 100 per player, so a pair of values names its player."""
     calls = []
     leq = pgame.PayoffGame.payoff_leq
 
@@ -150,6 +154,11 @@ def test_referee_asks_each_order_once(monkeypatch):
         oracle.brute_nash(game, table)
         oracle.brute_pareto(game, table)
         assert len(calls) == len(set(calls)), seed
+        position = {v: j for payoffs in shifted
+                    for j, v in enumerate(dict.fromkeys(payoffs.values()))}
+        inserted = collections.Counter(max(pair, key=position.get) for pair in calls)
+        assert all(n <= math.ceil(math.log2(position[v] + 1))
+                   for v, n in inserted.items()), seed
         asked += len(calls)
     assert asked
 

@@ -1,6 +1,6 @@
 """The elimination loop over raw tables, the no-regret constraints built from
 best replies, the shared layering loop, the Pareto-efficient Nash skyline,
-the oracle's interned payoff table, the memoised dominance search, the
+the oracle's payoff table, the memoised dominance search, the
 one-pass parent reduction, the level sweep, the one table generator, the one
 table check, the one cell reader, the one stable-outcome referee with the
 one check per elimination theorem, the projection of `cpnet.full_tables`,
@@ -649,32 +649,6 @@ def reference_full_tables(names, domains, parents, rows):
     return wide, tuple(new_rows)
 
 
-class ProductPayoffGame(pgame.PayoffGame):
-    """A payoff game over a product carrier, whose induced order leaves some
-    payoffs incomparable.  `PayoffGame` admits linear carriers only, and
-    this subclass skips that check: the referees order payoffs only through
-    `payoff_leq`/`payoff_lt`, which a product carrier defines."""
-
-    __slots__ = ()
-
-    def __post_init__(self):
-        pass
-
-
-def product_payoff_game(seed):
-    rng = random.Random(seed)
-    spec = semiring.product(semiring.FUZZY, semiring.FUZZY)
-    n = rng.randint(2, 3)
-    strategies = tuple(tuple("s%d" % k for k in range(rng.randint(2, 3))) for _ in range(n))
-    neigh = cpnet.full_parents(n)
-    halves = [Fraction(k, 2) for k in range(3)]
-    payoffs = tuple(
-        {s: semiring.value(spec, (rng.choice(halves), rng.choice(halves)))
-         for s in itertools.product(*strategies)}
-        for _ in range(n))
-    return ProductPayoffGame(tuple("p%d" % i for i in range(n)), strategies, neigh, payoffs, spec)
-
-
 def fractional(game, seed):
     """The same game with payoffs drawn from the rationals in [0, 10] with
     denominators 3 to 7."""
@@ -1007,11 +981,7 @@ def test_referees_match_boxed_payoff_table():
         for seed in SEEDS[::3]:
             problem = oracle.random_scsp(replace(CFG, seed=seed, carrier=carrier))
             games += [bridge.local_map(problem), bridge.global_map(problem)]
-    products = [product_payoff_game(seed) for seed in SEEDS[:60]]
-    spec = products[0].carrier
-    assert any(semiring.incomparable(spec, a, b)
-               for g in products for a in g.payoffs[0].values() for b in g.payoffs[0].values())
-    for game in games + products:
+    for game in games:
         assert oracle.brute_nash(game) == referees.nash(game)
         assert oracle.brute_pareto(game) == referees.pareto(game)
 
@@ -1250,7 +1220,9 @@ def test_referees_match_parent_projections():
     literally: equal lists in equal order from `brute_optimal_outcomes`,
     `brute_nash`, `brute_pareto` and `undominated` (over the Nash set, as
     `pareto_nash` asks it, and over every joint strategy), on tables whose
-    scopes hold no, one and several indices."""
+    scopes hold no, one and several indices.  The oracle's payoff ranks
+    order each player's payoffs as the parent's interned ids do: rank a is
+    below rank b exactly when `relation` says payoff a is below payoff b."""
     arities, kinds = set(), set()
     for seed, x in projected_instances():
         kinds.add(type(x).__name__ if not isinstance(x, pgame.PayoffGame)
@@ -1264,7 +1236,14 @@ def test_referees_match_parent_projections():
         else:
             arities.update(len(x.local_scope(i)) for i in range(len(x.players)))
             table, want_table = oracle._PayoffTable(x), ReferencePayoffTable(x)
-            assert table.rows == want_table.rows and list(table.rows) == list(want_table.rows)
+            assert list(table.rows) == list(want_table.rows), seed
+            for i in range(len(x.players)):
+                pairs = {(want[i], got[i])
+                         for got, want in zip(table.rows.values(), want_table.rows.values())}
+                ranks = dict(pairs)
+                assert len(ranks) == len(pairs) == len(set(ranks.values())), seed
+                for a, b in itertools.permutations(ranks, 2):
+                    assert (ranks[a] < ranks[b]) == want_table.relation(i, a, b)[1], seed
             nash = oracle.brute_nash(x, table)
             assert nash == reference_brute_nash(x, want_table), seed
             assert oracle.brute_pareto(x, table) == reference_brute_pareto(x, want_table), seed
