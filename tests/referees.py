@@ -26,11 +26,13 @@ def stable(outcomes, domains, parents, rows):
 
 def essential_parents(parents, rows):
     """The parents, in their order, that some two rows' keys differ in
-    alone while the rows' orders differ."""
-    def apart_in(k, a, b):
-        return all((x != y) == (j == k) for j, (x, y) in enumerate(zip(a, b)))
-    return [p for k, p in enumerate(parents)
-            if any(apart_in(k, a, b) and rows[a] != rows[b] for a in rows for b in rows)]
+    alone while the rows' orders differ: the rows whose keys agree off the
+    parent's position do not all hold the order of the first of them."""
+    def essential(k):
+        first = {}
+        return any(first.setdefault(a[:k] + a[k + 1:], order) != order
+                   for a, order in rows.items())
+    return [p for k, p in enumerate(parents) if essential(k)]
 
 
 def optimal_outcomes(net):
@@ -63,17 +65,26 @@ def pareto_less(game, a, b):
     return all(map(game.payoff_leq, a, b)) and any(map(game.payoff_lt, a, b))
 
 
-def pareto(game):
-    vectors = [(s, payoff_vector(game, s)) for s in game.joint_strategies()]
+def pareto_among(game, joint):
+    """The members of `joint`, in order, whose payoff vector no member's
+    vector is above."""
+    vectors = [(s, payoff_vector(game, s)) for s in joint]
     return [s for s, a in vectors if not any(pareto_less(game, a, b) for _, b in vectors)]
+
+
+def pareto(game):
+    return pareto_among(game, game.joint_strategies())
 
 
 def optimal_solutions(problem):
     """The (assignment, preference) pairs whose preference no assignment's
-    strictly exceeds."""
+    strictly exceeds.  Each distinct preference is compared with each
+    other once."""
     scored = [(s, softcsp.solution_preference(problem, s)) for s in problem.assignments()]
-    return [(s, p) for s, p in scored
-            if not any(semiring.strictly_less(problem.semiring, p, q) for _, q in scored)]
+    values = {p for _, p in scored}
+    top = {p for p in values
+           if not any(semiring.strictly_less(problem.semiring, p, q) for q in values)}
+    return [(s, p) for s, p in scored if p in top]
 
 
 def boolean_solutions(problem):

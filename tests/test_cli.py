@@ -16,7 +16,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optiform import bridge, cli, cpnet, oracle, pgame, serialize, softcsp
+from optiform import bridge, cli, cpnet, oracle, pgame, semiring, serialize, softcsp
 from optiform.errors import OptiformError
 from tests import referees
 from tests.conftest import FIXTURES
@@ -920,31 +920,73 @@ def referee_report(command, obj):
     return {"pareto": payoffs(referees.pareto(obj))}
 
 
+def translation_refuses(command, obj):
+    """Whether a translation must refuse a loaded record: the maps of a soft
+    CSP need a linear carrier, the cost tuples of map-to-scsp plain
+    payoffs."""
+    if command in ("map-local", "map-global"):
+        return not semiring.is_linear(obj.semiring)
+    return command == "map-to-scsp" and obj.carrier is not None
+
+
+def assert_translates(command, obj, out):
+    """The record a translation wrote on `obj` is what the paper says it
+    is: the local game pays each player the combination of its incident
+    constraints and the global game the solution preference; the boolean
+    solutions of the no-regret constraints are the Nash equilibria
+    (`referees.nash`) and the optima of the cost-tuple problem the
+    Pareto-efficient joint strategies (`referees.pareto`)."""
+    if command == "regret-constraints":
+        assert referees.boolean_solutions(out) == referees.nash(obj)
+    elif command == "map-to-scsp":
+        assert [s for s, _ in referees.optimal_solutions(out)] == referees.pareto(obj)
+    else:
+        assert (out.players, out.strategies, out.carrier) == (
+            obj.variables, obj.domains, obj.semiring)
+        for s in obj.assignments():
+            for i in range(len(obj.variables)):
+                want = (softcsp.solution_preference(obj, s) if command == "map-global" else
+                        semiring.combine_all(obj.semiring, [
+                            c.table[tuple(s[j] for j in c.scope)]
+                            for c in obj.constraints if i in c.scope]))
+                assert out.payoff(i, s) == want, (command, s, i)
+
+
+TRANSLATIONS = ("map-local", "map-global", "regret-constraints", "map-to-scsp")
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(_scsp_documents(), _payoffgame_documents()))
 def test_drawn_documents_answer_as_the_referees(tmp_path_factory, doc):
-    """Drawn soft CSPs and payoff games, through `cli.main`: each command
+    """Drawn soft CSPs and payoff games, through `cli.main`: each solver
     exits 0 with the lists and preferences of `tests/referees.py`, in their
-    order, or, where loading or the referee refuses the record too, exits 2
-    or 3 with one line on stderr and nothing on stdout."""
+    order, and each translation exits 0 with a record `assert_translates`
+    accepts; or, where loading, the referee or `translation_refuses`
+    refuses the record too, exits 2 or 3 with one line on stderr and
+    nothing on stdout."""
     path = tmp_path_factory.mktemp("drawn") / "doc.json"
     path.write_text(json.dumps(doc))
-    commands = ["scsp-solve"] if doc["kind"] == "scsp" else [
-        "game-nash", "game-pareto", "pareto-nash"]
+    commands = ["scsp-solve", "map-local", "map-global"] if doc["kind"] == "scsp" else [
+        "game-nash", "game-pareto", "pareto-nash", "regret-constraints", "map-to-scsp"]
     for command in commands:
         with contextlib.redirect_stdout(io.StringIO()) as out, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main([command, str(path)])
         try:
-            expected = referee_report(command, serialize.load_path(str(path))[1])
+            obj = serialize.load_path(str(path))[1]
+            expected = (referee_report(command, obj) if command not in TRANSLATIONS
+                        else None if translation_refuses(command, obj) else True)
         except OptiformError:
             expected = None
         if expected is None:
             assert code in (2, 3) and out.getvalue() == "", (command, code)
             assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+            continue
+        assert code == 0, (command, err.getvalue())
+        if command in TRANSLATIONS:
+            assert_translates(command, obj, serialize.loads(out.getvalue())[1])
         else:
             expected["command"] = command
-            assert code == 0, (command, err.getvalue())
             assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
