@@ -111,14 +111,13 @@ def restrict(names, parents, rows, keep):
     for i, (ps, table) in enumerate(zip(parents, rows)):
         own = i in changed
         if own or not changed.isdisjoint(ps):
-            keys = itertools.product(*map(kept.__getitem__, ps))
+            doms = list(map(kept.__getitem__, ps))
+            cells = softcsp.cells(table, doms)
             if own:
                 keeps = kept[i].__contains__
-                cut = {order: tuple(filter(keeps, order))
-                       for order in dict.fromkeys(table.values())}
-                table = {pa: cut[table[pa]] for pa in keys}
-            else:
-                table = {pa: table[pa] for pa in keys}
+                cut = {order: tuple(filter(keeps, order)) for order in dict.fromkeys(cells)}
+                cells = map(cut.__getitem__, cells)
+            table = dict(zip(itertools.product(*doms), cells))
         new_rows.append(table)
     return kept, tuple(new_rows)
 
@@ -151,13 +150,13 @@ def unused_parents(domains, parents, rows):
     """The parents of one table whose value never changes the selected
     order: those at each of whose values the rows over the other parents
     are the rows at its first value.  The rows are read once, in the
-    product order of the parents.  There a parent's values take turns in
-    runs of the rows over the later parents, one block of runs per
-    assignment of the earlier ones; a parent is compared by whole blocks
-    or by whole strides across them, whichever takes fewer comparisons."""
+    product order of the parents (`softcsp.cells`).  There a parent's values
+    take turns in runs of the rows over the later parents, one block of
+    runs per assignment of the earlier ones; a parent is compared by whole
+    blocks or by whole strides across them, whichever takes fewer
+    comparisons."""
     doms = list(map(domains.__getitem__, parents))
-    cells = (list(rows.values()) if softcsp.in_product_order(rows.keys(), doms)
-             else list(map(rows.__getitem__, itertools.product(*doms))))
+    cells = softcsp.cells(rows, doms)
     out = set()
     run = len(cells)
     for y, dom in zip(parents, doms):
@@ -179,9 +178,9 @@ def drop_parents(domains, parents, rows, drop):
     """One table without the parents in `drop`, each read at the first value
     of its domain.  Returns the kept parents and their rows."""
     kept = tuple(p for p in parents if p not in drop)
-    at = itertools.product(*(domains[p][:1] if p in drop else domains[p] for p in parents))
+    at = [domains[p][:1] if p in drop else domains[p] for p in parents]
     return kept, dict(zip(itertools.product(*map(domains.__getitem__, kept)),
-                          map(rows.__getitem__, at)))
+                          softcsp.cells(rows, at)))
 
 
 def layers(items, ready):
@@ -228,18 +227,14 @@ def full_tables(names, domains, parents, rows):
               for name, others in zip(names, wide)]  # every table before any is built
     new_rows = []
     for others, keys, ps, r in zip(wide, tables, parents, rows):
-        if not ps:
-            new_rows.append(dict.fromkeys(keys, r[()]))
-            continue
         # the rows read once, in the product order of the parents taken by
         # index; then each run of added indices becomes axes the rows do not
         # vary along, each block over the later parents repeated once per
         # assignment of the run
         by_index = sorted(ps)
-        pas = itertools.product(*map(domains.__getitem__, by_index))
-        if by_index != list(ps):
-            pas = map(operator.itemgetter(*map(by_index.index, ps)), pas)
-        cells = list(map(r.__getitem__, pas))
+        if by_index != list(ps):  # the rows keyed by the parents in index order
+            r = dict(zip(map(operator.itemgetter(*map(ps.index, by_index)), r), r.values()))
+        cells = softcsp.cells(r, list(map(domains.__getitem__, by_index)))
         block, run = len(cells), 1
         for j in others:
             if j in ps:

@@ -15,7 +15,6 @@ assignments with one shared order); they are expanded to one row per
 assignment at parse time.
 """
 
-import itertools
 import json
 import math
 import operator
@@ -389,26 +388,12 @@ def text_of(obj):
     one writer of documents and reports, which writes a `_Rows` as the rows
     it holds.  It collects chunks and joins them once, and writes a list of
     strings with one join over the C string encoder, where the stdlib makes
-    a chunk per item and separator."""
+    a chunk per item and separator; a number, a bool or None it leaves to
+    `json.dumps`."""
     chunks = []
     _write(obj, "\n", chunks.append)
     chunks.append("\n")
     return "".join(chunks)
-
-
-def _scalar_text(o):
-    """The JSON text of a number, a bool or None."""
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf or o == -math.inf:
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
-    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 
 def _write(o, nl, put):
@@ -440,14 +425,14 @@ def _write(o, nl, put):
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(o.items()):
-            put(sep + _quote(key if isinstance(key, str) else _scalar_text(key)) + ": ")
+            put(sep + _quote(key if isinstance(key, str) else json.dumps(key)) + ": ")
             _write(value, inner, put)
             sep = "," + inner
         put(nl + "}")
     elif isinstance(o, _Rows):
         o.render(nl, put)
     else:
-        put(_scalar_text(o))
+        put(json.dumps(o))
 
 
 def _text(o, nl):
@@ -464,16 +449,14 @@ def _same(x):
 
 
 def _scope_texts(domains):
-    """A function of a scope: per scope index, its domain's values sorted,
-    their JSON texts, and whether the domain is declared in sorted order.
-    It gives None unless every value is a string, as equal numbers can
-    differ in text (1, 1.0 and True)."""
+    """A function of a scope: per scope index, its domain's values sorted
+    and their JSON texts.  It gives None unless every value is a string,
+    as equal numbers can differ in text (1, 1.0 and True)."""
     if not all(isinstance(v, str) for dom in domains for v in dom):
         return lambda scope: None
     values = [sorted(dom) for dom in domains]
     texts = [list(map(_quote, vs)) for vs in values]
-    ordered = [vs == list(dom) for vs, dom in zip(values, domains)]
-    return lambda scope: [(values[j], texts[j], ordered[j]) for j in scope]
+    return lambda scope: [(values[j], texts[j]) for j in scope]
 
 
 def _row_dicts(rows, cell, key_field, cell_field, wrap):
@@ -498,13 +481,11 @@ class _Rows:
         """The rows' text.  A table's keys are the tuples over its scope
         (`softcsp.check_table`), so sorted they are the product of the
         scope's sorted domains, and each key's text is made from its
-        values' texts by the same product, one addition per key.  The
-        cells are read in the rows' order when the scope's domains are
-        declared sorted and the keys come in their product order
-        (`softcsp.in_product_order`), and looked up key by key otherwise.
-        Each distinct cell's text is made once, and the table's text is one
-        join over its opening, each row's key and cell with the separators
-        between them, and its closing."""
+        values' texts by the same product, one addition per key; the cells
+        are read along it by `softcsp.cells`.  Each distinct cell's text is
+        made once, and the table's text is one join over its opening, each
+        row's key and cell with the separators between them, and its
+        closing."""
         if self.scope_texts is None:  # a value that is not a string
             _write(_row_dicts(self.rows, self.cell, self.key_field, self.cell_field,
                               self.wrap), nl, put)
@@ -528,12 +509,7 @@ class _Rows:
             sep = pre + "[" + value_nl if i == 0 else "," + value_nl
             heads = [sep + text for text in scope[i][1]]
             keys = [h + k for h in heads for k in keys]
-        values = [vs for vs, _, _ in scope]
-        if (all(ordered for _, _, ordered in scope)
-                and softcsp.in_product_order(self.rows.keys(), values)):
-            cells = list(self.rows.values())
-        else:
-            cells = list(map(self.rows.__getitem__, itertools.product(*values)))
+        cells = softcsp.cells(self.rows, [vs for vs, _ in scope])
         memo = {c: head + _text(self.cell(c), field_nl) + tail for c in set(cells)}
         texts = map(memo.__getitem__, cells)
         parts = ["," + row_nl] * (3 * len(keys)) + [nl + "]"]

@@ -65,6 +65,16 @@ def in_product_order(keys, domains):
             and all(map(operator.eq, keys, itertools.product(*domains))))
 
 
+def cells(table, domains):
+    """The cells of `table` at the tuples of `itertools.product(*domains)`,
+    in its order: the one reader of a table over a product.  The table's
+    values when its keys come in that order (`in_product_order`), one
+    lookup per tuple otherwise."""
+    if in_product_order(table.keys(), domains):
+        return list(table.values())
+    return list(map(table.__getitem__, itertools.product(*domains)))
+
+
 def check_assignment(names, domains, s):
     """`s` holds one value of each name's domain, in the names' order."""
     if len(s) != len(names):
@@ -139,9 +149,9 @@ def optimal_solutions(problem):
     for products), and only the optima's preferences are boxed.
     """
     coded, fold = semiring._compile(problem.semiring, [c.table for c in problem.constraints])
-    cells = [(c.scope, t) for c, t in zip(problem.constraints, coded)]
+    scoped = [(c.scope, t) for c, t in zip(problem.constraints, coded)]
     best = semiring.maximal(
-        (s, fold([t[tuple(s[i] for i in scope)] for scope, t in cells]))
+        (s, fold([t[tuple(s[i] for i in scope)] for scope, t in scoped]))
         for s in problem.assignments()
     )
     return [(s, solution_preference(problem, s)) for s in best]

@@ -1,11 +1,12 @@
 """The one literal definition of each notion of optimality the tests hold
 optiform to: stable outcomes, Nash equilibria, Pareto efficiency and the
-optimal solutions of soft CSPs, and of the parents a preference table
-depends on.  Each is a nested loop over a record's fields that asks order
-only of the boxed predicates (`payoff_leq`, `payoff_lt`,
-`semiring.strictly_less`, `softcsp.solution_preference`), drops a member at
-its first witness and calls no solver, search or oracle referee.  Results
-are lists in enumeration order.
+optimal solutions of soft CSPs, and of dominance between outcomes and the
+parents a preference table depends on.  Each is a nested loop over a
+record's fields that asks order only of the boxed predicates
+(`payoff_leq`, `payoff_lt`, `semiring.strictly_less`,
+`softcsp.solution_preference`) or of the rows, drops a member at its first
+witness and calls no solver, search or oracle referee.  Results are lists
+in enumeration order.
 """
 
 from optiform import bridge, semiring, softcsp
@@ -22,6 +23,25 @@ def stable(outcomes, domains, parents, rows):
                     return True
         return False
     return [o for o in outcomes if not flippable(o)]
+
+
+def dominates(parents, rows, better, worse):
+    """Whether a nonempty chain of worsening flips leads from `better` to
+    `worse`: breadth first from `better`, each step giving one index a value
+    placed later in the row its parents select."""
+    def flips(o):
+        for i, (ps, r) in enumerate(zip(parents, rows)):
+            order = r[tuple(o[p] for p in ps)]
+            for v in order[order.index(o[i]) + 1:]:
+                yield o[:i] + (v,) + o[i + 1:]
+    seen, frontier = set(), [better]
+    while frontier:
+        reached = [w for o in frontier for w in flips(o)]
+        if worse in reached:
+            return True
+        frontier = [w for w in dict.fromkeys(reached) if w not in seen]
+        seen.update(frontier)
+    return False
 
 
 def essential_parents(parents, rows):

@@ -4,6 +4,7 @@ import gc
 import io
 import itertools
 import json
+import operator
 import os
 import pathlib
 import random
@@ -854,6 +855,9 @@ _numbers = st.one_of(st.integers(-3, 3), st.integers(-6, 6).map(lambda k: k / 4)
 _domains = st.one_of(*(st.lists(v, min_size=1, max_size=3, unique=True)
                        for v in (_strings, _numbers)))
 _rationals = st.fractions(-3, 3, max_denominator=4).map(str)
+#: True in one draw of eight.  Rare cases and counts are sampled: Hypothesis
+#: draws the small values of `st.integers` far more often than the others.
+_rarely = st.sampled_from((False,) * 7 + (True,))
 #: carrier -> the JSON values drawn for it; a product carrier, which is
 #: not linear, orders no game
 _CELLS = {
@@ -871,17 +875,36 @@ def _tuples(domains, scope):
 
 
 @st.composite
-def _scsp_documents(draw):
-    names = draw(st.lists(_strings, min_size=1, max_size=4, unique=True))
-    domains = [draw(_domains) for _ in names]
-    carrier = draw(st.sampled_from(sorted(_CELLS)))
+def _scsp_documents(draw, header=None):
+    """A drawn soft CSP of up to three constraints, over the (names,
+    domains, carrier) of `header` or over drawn ones.  Each scope is one to
+    three distinct variables, so that constraints share variables; one in
+    eight is empty."""
+    if header is None:
+        names = draw(st.lists(_strings, min_size=1, max_size=4, unique=True))
+        header = names, [draw(_domains) for _ in names], draw(st.sampled_from(sorted(_CELLS)))
+    names, domains, carrier = header
     constraints = []
-    for _ in range(draw(st.integers(0, 3))):
-        scope = draw(st.permutations(range(len(names))))[:draw(st.integers(0, len(names)))]
+    for _ in range(draw(st.sampled_from((3, 2, 1, 0)))):
+        scope = draw(st.just([]) if draw(_rarely) else st.lists(
+            st.integers(0, len(names) - 1), min_size=1, max_size=min(3, len(names)), unique=True))
         constraints.append({"scope": [names[i] for i in scope], "table": [
             {"tuple": t, "value": draw(_CELLS[carrier])} for t in _tuples(domains, scope)]})
     return {"kind": "scsp", "variables": names, "domains": dict(zip(names, domains)),
             "semiring": _SPECS.get(carrier, carrier), "constraints": constraints}
+
+
+@st.composite
+def _join_partners(draw, doc):
+    """A second soft CSP to join with `doc`: over its header, in its
+    carrier or the boolean one, or drawn on its own, so mostly over
+    another header or carrier."""
+    how = draw(st.sampled_from(("same", "boolean", "own")))
+    if how == "own":
+        return draw(_scsp_documents())
+    carrier = "product" if isinstance(doc["semiring"], dict) else doc["semiring"]
+    return draw(_scsp_documents((doc["variables"], [doc["domains"][n] for n in doc["variables"]],
+                                 carrier if how == "same" else "boolean")))
 
 
 @st.composite
@@ -952,26 +975,64 @@ def assert_translates(command, obj, out):
                 assert out.payoff(i, s) == want, (command, s, i)
 
 
+def joined(first, second):
+    """The problem scsp-join must write on two soft CSPs: the constraints of
+    both, in order, over their shared variables and domains, in the
+    carrier of the one that is not boolean, a boolean one's constraints
+    lifted into it (1 to its one, 0 to its zero); or None where the
+    variables, the domains or two carriers that are not boolean differ."""
+    spec = first.semiring if second.semiring.kind == "boolean" else second.semiring
+    if ((first.variables, first.domains) != (second.variables, second.domains)
+            or first.semiring not in (spec, semiring.BOOLEAN)):
+        return None
+
+    def lifted(problem):
+        if problem.semiring == spec:
+            return problem.constraints
+        top, bottom = semiring.one(spec), semiring.zero(spec)
+        return tuple(softcsp.SoftConstraint(c.scope, {
+            t: top if v.payload else bottom for t, v in c.table.items()})
+            for c in problem.constraints)
+    return softcsp.SoftCSP(first.variables, first.domains, lifted(first) + lifted(second), spec)
+
+
+def main_output(*argv):
+    """The exit code, stdout and stderr of `cli.main` on `argv`."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_refused(argv, ran, codes=(2, 3)):
+    """The run of `argv` (its `main_output`) ended in one of `codes` with
+    one line on stderr and nothing on stdout."""
+    code, out, err = ran
+    assert code in codes and out == "", (argv, code)
+    assert err.count("\n") == 1, (argv, err)
+
+
 TRANSLATIONS = ("map-local", "map-global", "regret-constraints", "map-to-scsp")
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(_scsp_documents(), _payoffgame_documents()))
-def test_drawn_documents_answer_as_the_referees(tmp_path_factory, doc):
+@given(st.one_of(_scsp_documents(), _payoffgame_documents()), st.data())
+def test_drawn_documents_answer_as_the_referees(tmp_path_factory, doc, data):
     """Drawn soft CSPs and payoff games, through `cli.main`: each solver
     exits 0 with the lists and preferences of `tests/referees.py`, in their
     order, and each translation exits 0 with a record `assert_translates`
     accepts; or, where loading, the referee or `translation_refuses`
     refuses the record too, exits 2 or 3 with one line on stderr and
-    nothing on stdout."""
-    path = tmp_path_factory.mktemp("drawn") / "doc.json"
+    nothing on stdout.  scsp-join of a soft CSP with a drawn
+    `_join_partners` document writes the problem `joined` expects, or where
+    that is None, exits 2 with one line on stderr."""
+    folder = tmp_path_factory.mktemp("drawn")
+    path = folder / "doc.json"
     path.write_text(json.dumps(doc))
     commands = ["scsp-solve", "map-local", "map-global"] if doc["kind"] == "scsp" else [
         "game-nash", "game-pareto", "pareto-nash", "regret-constraints", "map-to-scsp"]
     for command in commands:
-        with contextlib.redirect_stdout(io.StringIO()) as out, \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            code = cli.main([command, str(path)])
+        code, out, err = ran = main_output(command, str(path))
         try:
             obj = serialize.load_path(str(path))[1]
             expected = (referee_report(command, obj) if command not in TRANSLATIONS
@@ -979,15 +1040,27 @@ def test_drawn_documents_answer_as_the_referees(tmp_path_factory, doc):
         except OptiformError:
             expected = None
         if expected is None:
-            assert code in (2, 3) and out.getvalue() == "", (command, code)
-            assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+            assert_refused(command, ran)
             continue
-        assert code == 0, (command, err.getvalue())
+        assert code == 0, (command, err)
         if command in TRANSLATIONS:
-            assert_translates(command, obj, serialize.loads(out.getvalue())[1])
+            assert_translates(command, obj, serialize.loads(out)[1])
         else:
             expected["command"] = command
-            assert out.getvalue() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+            assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    if doc["kind"] == "scsp":
+        other = folder / "other.json"
+        other.write_text(json.dumps(data.draw(_join_partners(doc))))
+        code, out, err = ran = main_output("scsp-join", str(path), str(other))
+        try:
+            expected = joined(*(serialize.load_path(str(p))[1] for p in (path, other)))
+        except OptiformError:
+            expected = None
+        if expected is None:
+            assert_refused("scsp-join", ran, (2,))
+        else:
+            assert code == 0, err
+            assert serialize.loads(out) == ("scsp", expected)
 
 
 #: Domains of three values, for a drawn document to cut to a drawn size.
@@ -1163,9 +1236,33 @@ def assert_keeps_the_stable_outcomes(command, text, names, domains, parents, row
             assert report["outcome"] == list(stable[0])
 
 
+def outcome_text(outcome):
+    """An outcome as `--better` and `--worse` take it: its values, each a
+    string or the JSON text of a number, joined by commas."""
+    return ",".join(v if isinstance(v, str) else json.dumps(v) for v in outcome)
+
+
+@st.composite
+def _outcomes(draw, domains):
+    """A drawn outcome over `domains`; one in eight is one field short."""
+    outcome = tuple(draw(st.sampled_from(d)) for d in domains)
+    return outcome[:-1] if draw(_rarely) else outcome
+
+
+def dominance_report(better, worse, names, domains, parents, rows):
+    """The report cpnet-dominates writes at its default budget on a net of
+    these fields, from `referees.dominates`; or None where it must refuse
+    an outcome that is not one value of each domain."""
+    if not all(len(o) == len(domains) and all(map(operator.contains, domains, o))
+               for o in (better, worse)):
+        return None
+    return {"better": list(better), "command": "cpnet-dominates",
+            "result": referees.dominates(parents, rows, better, worse), "worse": list(worse)}
+
+
 @settings(max_examples=100, deadline=None)
-@given(_preference_documents())
-def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc):
+@given(_preference_documents(), st.data())
+def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc, data):
     """Drawn CP-nets and PPGames through `cli.main`: cpnet-optimal,
     cpnet-eligible, cpnet-sweep, cpnet-reduce and to-game on a net,
     game-nash, game-hierarchical and to-cpnet on a game.  Each exits 0 with
@@ -1175,7 +1272,10 @@ def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc):
     one line on stderr and nothing on stdout.  cpnet-eliminate and
     game-eliminate in both modes, and cpnet-opt-constraints, exit 0 with an
     answer that `assert_keeps_the_stable_outcomes` accepts, or where loading
-    refuses the document, exit 2 or 3 with one line on stderr."""
+    refuses the document, exit 2 or 3 with one line on stderr.
+    cpnet-dominates on drawn `_outcomes` pairs writes `dominance_report`, or
+    where that is None, exits 2 with one line on stderr; at `--budget 1` it
+    may instead end in exit 3 with the result "budget-exhausted"."""
     path = tmp_path_factory.mktemp("drawn") / "doc.json"
     path.write_text(json.dumps(doc))
     try:
@@ -1187,26 +1287,119 @@ def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc):
         [["cpnet-optimal"], ["cpnet-eligible"], ["cpnet-sweep"], ["cpnet-reduce"], ["to-game"],
          ["cpnet-opt-constraints"]]
         if doc["kind"] == "cpnet" else [["game-nash"], ["game-hierarchical"], ["to-cpnet"]])
+    refused = (2, 3) if fields is None else (2,)
     for command, *options in commands:
-        with contextlib.redirect_stdout(io.StringIO()) as out, \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            code = cli.main([command, str(path), *options])
+        code, out, err = ran = main_output(command, str(path), *options)
         if fields is not None and command in (eliminate, "cpnet-opt-constraints"):
-            assert code == 0, (command, err.getvalue())
-            assert_keeps_the_stable_outcomes(command, out.getvalue(), *fields)
+            assert code == 0, (command, err)
+            assert_keeps_the_stable_outcomes(command, out, *fields)
             continue
         expected = None if fields is None else preference_referee_text(command, *fields)
         if expected is None:
-            assert code in ((2, 3) if fields is None else (2,)), (command, code)
-            assert out.getvalue() == "", command
-            assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+            assert_refused(command, ran, refused)
             continue
-        assert code == 0, (command, err.getvalue())
-        assert out.getvalue() == expected, command
+        assert code == 0, (command, err)
+        assert out == expected, command
         if command in ("cpnet-reduce", "to-game", "to-cpnet"):
-            result = _tables_of(serialize.loads(out.getvalue())[1])
+            result = _tables_of(serialize.loads(out)[1])
             outcomes = list(itertools.product(*fields[1]))
             assert referees.stable(outcomes, *fields[1:]) == referees.stable(outcomes, *result[1:])
+    if doc["kind"] != "cpnet":
+        return
+    domains = [doc["domains"][n] for n in doc["variables"]]
+    for _ in range(2):
+        better, worse = data.draw(_outcomes(domains)), data.draw(_outcomes(domains))
+        report = None if fields is None else dominance_report(better, worse, *fields)
+        for budget in ([], ["--budget", "1"]):
+            argv = ["cpnet-dominates", str(path), "--better=" + outcome_text(better),
+                    "--worse=" + outcome_text(worse), *budget]
+            code, out, err = ran = main_output(*argv)
+            if report is None:
+                assert_refused(argv, ran, refused)
+                continue
+            want = report
+            if budget and code == cli.EXIT_EXHAUSTED:
+                want = {**report, "result": cpnet.BUDGET_EXHAUSTED}
+            else:
+                assert code == 0, (argv, err)
+            assert out == json.dumps(want, sort_keys=True, indent=2) + "\n", argv
+
+
+@st.composite
+def _graph_documents(draw):
+    """A drawn digraph of up to five nodes and any edges, in one document
+    of eight with self-loops among them, and one in eight with an edge
+    given twice; in one document of two it carries levels from 0 to 3."""
+    nodes = draw(st.lists(_strings, max_size=5, unique=True))
+    loops = draw(_rarely)
+    pairs = [[u, v] for u in nodes for v in nodes if loops or u != v]
+    edges = draw(st.permutations([e for e in pairs if draw(st.sampled_from((True, False)))]))
+    if edges and draw(_rarely):
+        edges.append(edges[0])
+    doc = {"kind": "graph", "nodes": nodes, "edges": edges}
+    if draw(st.booleans()):
+        doc["levels"] = {n: draw(st.integers(0, 3)) for n in nodes}
+    return doc
+
+
+def well_placed(graph, levels):
+    """Whether each node has at least as many in-edges from nodes on lower
+    `levels` (node -> level) as from the others."""
+    def lower(v):
+        return [levels[u] < levels[v] for u in graph.predecessors(v)]
+    return all(2 * sum(lower(v)) >= len(lower(v)) for v in graph.nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_documents())
+def test_drawn_graphs_answer_as_the_referees(tmp_path_factory, doc):
+    """Drawn digraphs through `cli.main`.  tech-game with `--k` from 1 to 3
+    writes a game over the graph's in-neighbours in which every row lists
+    the k technologies by how many in-neighbours play each, ties going to
+    the lower index.  well-structured on a graph with levels reports those
+    levels and whether they are well placed (`well_placed`); on one
+    without, it reports whether any levels are, searching every assignment
+    of levels below the number of nodes, and levels that are.  A document
+    the loader refuses, and tech-game on a graph with a self-loop, exit 2
+    with one line on stderr."""
+    path = tmp_path_factory.mktemp("drawn") / "graph.json"
+    path.write_text(json.dumps(doc))
+    try:
+        graph = serialize.load_path(str(path))[1]
+    except OptiformError:
+        graph = None
+    for k in (1, 2, 3):
+        argv = ["tech-game", str(path), "--k", str(k)]
+        code, out, err = ran = main_output(*argv)
+        if graph is None or any(u == v for u, v in graph.edges):
+            assert_refused(argv, ran, (2,))
+            continue
+        assert code == 0, (argv, err)
+        game = serialize.loads(out)[1]
+        techs = game.strategies[0] if game.players else ()
+        assert game.players == graph.nodes and len(techs) == (k if game.players else 0)
+        assert set(game.strategies) <= {techs}
+        for node, ns, rows in zip(graph.nodes, game.neigh, game.prefs):
+            assert sorted(game.players[j] for j in ns) == sorted(graph.predecessors(node))
+            for played, order in rows.items():
+                assert order == tuple(sorted(techs, key=lambda t: (-played.count(t),
+                                                                   techs.index(t))))
+    code, out, err = ran = main_output("well-structured", str(path))
+    if graph is None:
+        assert_refused("well-structured", ran, (2,))
+        return
+    assert code == 0, err
+    report = json.loads(out)
+    if graph.levels is not None:
+        levels = dict(zip(graph.nodes, graph.levels))
+        flag = well_placed(graph, levels)
+    else:
+        levels = report["levels"]
+        n = len(graph.nodes)
+        flag = any(well_placed(graph, dict(zip(graph.nodes, lv)))
+                   for lv in itertools.product(range(n), repeat=n))
+        assert levels is None if not flag else well_placed(graph, levels)
+    assert report == {"command": "well-structured", "well_structured": flag, "levels": levels}
 
 
 def test_output_is_deterministic(capsys):

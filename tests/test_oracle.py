@@ -196,6 +196,22 @@ def test_the_enumeration_bound_is_checked_in_one_place():
                      ("pgame", None), ("pgame", "tech_game")}
 
 
+def test_the_table_read_order_is_decided_in_one_place():
+    """`in_product_order` is named only in `softcsp`, so every other module
+    reads a table over a product through `softcsp.cells`; and no module
+    reads the `tables` view of a CP-net, which only the benchmark reads."""
+    named, views = set(), set()
+    for path in pathlib.Path(optiform.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "in_product_order" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                      getattr(node, "name", None)):
+                named.add(path.stem)
+            if isinstance(node, ast.Attribute) and node.attr == "tables":
+                views.add(path.stem)
+    assert named == {"softcsp"}
+    assert views == set()
+
+
 def test_referees_stay_independent():
     """tests/referees.py reaches no solver, search or oracle referee through
     a module attribute or an import, so it can stand as the reference of
@@ -206,6 +222,6 @@ def test_referees_stay_independent():
     forbidden = {"maximal", "_compile", "optimal_solutions", "optimal_outcomes", "solutions",
                  "stable_outcomes", "pareto_efficient", "pareto_maximal", "best_replies",
                  "_unbeaten", "_unflipped", "_PayoffTable", "unused_parents",
-                 "is_hierarchical"}
+                 "is_hierarchical", "dominates", "ordering_query"}
     assert not {name for name in names
                 if name in forbidden or name.startswith(("nash_equilibria_", "brute_"))}

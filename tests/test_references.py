@@ -14,8 +14,7 @@
 - the row-slicing dominance search: answers and budget exhaustion, for
   which no referee exists;
 - the three table checks, `check_table` and the four parsers: which
-  inputs are refused and with what message;
-- `_Rows.render` with a lookup per cell: byte-identical documents.
+  inputs are refused and with what message.
 
 The generators are pinned by digest, and the oracle's referees, the
 Pareto-efficient Nash skyline and the parents a table depends on by
@@ -39,6 +38,7 @@ from optiform import bridge, cpnet, oracle, pgame, semiring, serialize, softcsp
 from optiform.errors import CarrierMismatchError, ValidationError, check_space
 from tests import referees
 from tests.conftest import FIXTURES
+from tests.test_serialize import assert_dumps_its_document
 
 CFG = oracle.GeneratorConfig()
 SEEDS = range(300)
@@ -1184,41 +1184,6 @@ def reference_check_table(names, domains, scope, keys, label):
         raise ValidationError("%s has the spurious tuple %r" % (label(), spurious))
 
 
-def reference_render(self, nl, put):
-    """`serialize._Rows.render` with every cell looked up by its key; a
-    scope entry now also carries whether its domain is declared sorted."""
-    if self.scope_texts is None:
-        serialize._write(serialize._row_dicts(self.rows, self.cell, self.key_field,
-                                              self.cell_field, self.wrap), nl, put)
-        return
-    _quote = serialize._quote
-    row_nl = nl + "  "
-    field_nl = row_nl + "  "
-    key_nl = field_nl + "  " if self.wrap else field_nl
-    value_nl = key_nl + "  "
-    key_first = self.key_field < self.cell_field
-    first, second = sorted((self.key_field, self.cell_field))
-    around = (("{" + field_nl + _quote(first) + ": ", "," + field_nl + _quote(second) + ": "),
-              ("", row_nl + "}"))
-    (pre, post), (head, tail) = around if key_first else around[::-1]
-    if self.wrap:
-        pre, post = pre + "[" + key_nl, field_nl + "]" + post
-    scope = self.scope_texts
-    keys = [key_nl + "]" + post] if scope else [pre + "[]" + post]
-    for i in reversed(range(len(scope))):
-        sep = pre + "[" + value_nl if i == 0 else "," + value_nl
-        heads = [sep + text for text in scope[i][1]]
-        keys = [h + k for h in heads for k in keys]
-    cells = list(map(self.rows.__getitem__,
-                     itertools.product(*(values for values, *_ in scope))))
-    memo = {c: head + serialize._text(self.cell(c), field_nl) + tail for c in set(cells)}
-    texts = map(memo.__getitem__, cells)
-    parts = ["," + row_nl] * (3 * len(keys)) + [nl + "]"]
-    parts[0] = "[" + row_nl
-    parts[1::3], parts[2::3] = (keys, texts) if key_first else (texts, keys)
-    put("".join(parts))
-
-
 def table_read_instances():
     """(kind, names, domains, parents, rows): random nets, cyclic and
     acyclic, random games, graphical and full, the full nets of graphical
@@ -1259,12 +1224,14 @@ def miscounted(rows, rng):
 
 
 def test_table_reads_match_lookups(monkeypatch):
-    """`unused_parents`, `drop_parents`, `check_table` and `_Rows.render`
-    against the code that looked up every row by its key: equal parents and
-    tables with equal key order, equal error messages on tables one tuple
-    short or long, and byte-identical documents.  Each reads in place on
-    the tables in product order and falls back on the `scrambled` ones,
-    many times over."""
+    """`softcsp.cells` is a lookup per tuple of the product, and
+    `unused_parents`, `drop_parents` and `check_table` match the code that
+    looked up every row by its key: equal parents and tables with equal key
+    order, and equal error messages on tables one tuple short or long.
+    `dumps` writes each record as it writes its row dicts
+    (`assert_dumps_its_document`).  Each reads in place on the tables in
+    product order and falls back on the `scrambled` ones, many times
+    over."""
     results = []
     in_order = softcsp.in_product_order
 
@@ -1277,6 +1244,8 @@ def test_table_reads_match_lookups(monkeypatch):
     for seed, (kind, names, domains, parents, rows) in enumerate(table_read_instances()):
         rng = random.Random(seed)
         for name, ps, r in zip(names, parents, rows):
+            doms = list(map(domains.__getitem__, ps))
+            assert softcsp.cells(r, doms) == [r[t] for t in itertools.product(*doms)]
             del results[:]
             unused = cpnet.unused_parents(domains, ps, r)
             branches["unused"][results[0]] += 1
@@ -1296,11 +1265,9 @@ def test_table_reads_match_lookups(monkeypatch):
                 assert (message is None) == (table is r)
         record = (cpnet.CPNet if kind == "cpnet" else pgame.PPGame)(names, domains, parents, rows)
         del results[:]
-        text = serialize.dumps(record)
+        serialize.dumps(record)
         branches["render"][True] += sum(results)
         branches["render"][False] += len(names) - sum(results)
-        with monkeypatch.context() as m:
-            m.setattr(serialize._Rows, "render", reference_render)
-            assert text == serialize.dumps(record)
+        assert_dumps_its_document(record)
     assert all(n > 500 for counts in branches.values() for n in counts.values()), branches
     assert dropped > 500
