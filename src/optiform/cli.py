@@ -1,6 +1,8 @@
 """Command-line interface: one subcommand per solver or translation, each
 one row of `COMMANDS`.  `main` loads the row's document, calls its handler
-and writes the result: a record as a document, or a dict as a report.
+and writes the result: a record as a document, or a dict as a report.  It
+writes the result's chunks (`serialize.chunks`) once every chunk exists,
+so a value that cannot be written as text leaves stdout empty.
 
 Reports are JSON with sorted keys, so identical inputs give byte-identical
 output.  Exit codes: 0 success, 1 a failed check, 2 validation failure or
@@ -305,9 +307,7 @@ def main(argv=None):
         result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
         if isinstance(result, dict):
             result["command"] = args.subcommand
-            sys.stdout.write(serialize.text_of(result))
-        else:
-            sys.stdout.write(serialize.dumps(result))
+        sys.stdout.writelines(serialize.chunks(result))
         sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
         return code
     except EnumerationLimitError as exc:

@@ -213,17 +213,22 @@ def tech_game(graph, k):
         for name in graph.nodes
     )
     # one row per in-neighbour profile, each an order of all k technologies;
-    # every table is checked before any technology or table is built, and a
+    # every node is checked before any technology or table is built, and a
     # graph with no node needs no technology
     for name, ns in zip(graph.nodes, neigh):
+        if pos[name] in ns:
+            raise ValidationError("graph node %s has an edge to itself, which a "
+                                  "technology game cannot have" % name)
         check_space(k ** (len(ns) + 1), "preference table of %s" % name)
     techs = tuple("t%d" % (K + 1) for K in range(k)) if n else ()
     index = {t: K for K, t in enumerate(techs)}
-    prefs = []
+    # a row depends only on the technologies the in-neighbours play, so the
+    # rows are built once per in-degree, and each player gets its own copy
+    tables = {}
     orders = {}  # the order of each count profile, as the sorted joint strategy
-    for i in range(n):
-        rows = {}
-        for s in itertools.product(*(techs for _ in neigh[i])):
+    for degree in set(map(len, neigh)):
+        rows = tables[degree] = {}
+        for s in itertools.product(techs, repeat=degree):
             profile = tuple(sorted(s))
             order = orders.get(profile)
             if order is None:
@@ -231,8 +236,8 @@ def tech_game(graph, k):
                 order = orders[profile] = tuple(
                     sorted(techs, key=lambda t: (-counts[t], index[t])))
             rows[s] = order
-        prefs.append(rows)
-    return PPGame(graph.nodes, tuple(techs for _ in range(n)), neigh, tuple(prefs))
+    return PPGame(graph.nodes, tuple(techs for _ in range(n)), neigh,
+                  tuple(dict(tables[len(ns)]) for ns in neigh))
 
 
 def _well_placed(graph, node, lower):

@@ -8,13 +8,15 @@ included.  Serialization is canonical: keys sorted, fractions printed as
 "p/q", infinity as "inf"; parse(serialize(x)) == x.
 
 A writer takes only its record, and holds each of the record's tables as
-a `_Rows`, which writes the rows' text straight from the table.
+a `_Rows`, which writes the rows' text straight from the table.  `chunks`
+gives the complete chunk list of a text, which `text_of` and `dumps` join.
 
 CP-net rows may carry disjunctive conditions ("when" holding several parent
 assignments with one shared order); they are expanded to one row per
 assignment at parse time.
 """
 
+import itertools
 import json
 import math
 import operator
@@ -364,6 +366,7 @@ _KINDS = {
     "graph": (pgame.DirectedGraph, _graph_to_json, _graph_from_json),
 }
 KINDS = tuple(_KINDS)
+_RECORDS = tuple(cls for cls, _, _ in _KINDS.values())
 
 
 def parse_document(data):
@@ -383,17 +386,27 @@ def parse_document(data):
 
 # -------------------------------------------------------------------- writer
 
+def chunks(obj):
+    """The canonical text of a record (its kind's document with its "kind")
+    or of a report, as the complete list of its chunks: the bytes of
+    `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, each `_Rows` written
+    as the rows it holds.  A list of strings is one chunk, made by one join
+    over the C string encoder; a number, a bool or None is left to
+    `json.dumps`.  Every chunk exists before the list is returned."""
+    for kind, (cls, write, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            obj = write(obj)
+            obj["kind"] = kind
+            break
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return out
+
+
 def text_of(obj):
-    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte: the
-    one writer of documents and reports, which writes a `_Rows` as the rows
-    it holds.  It collects chunks and joins them once, and writes a list of
-    strings with one join over the C string encoder, where the stdlib makes
-    a chunk per item and separator; a number, a bool or None it leaves to
-    `json.dumps`."""
-    chunks = []
-    _write(obj, "\n", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
+    """The text of a report, or of a record: its `chunks`, joined."""
+    return "".join(chunks(obj))
 
 
 def _write(o, nl, put):
@@ -480,12 +493,12 @@ class _Rows:
     def render(self, nl, put):
         """The rows' text.  A table's keys are the tuples over its scope
         (`softcsp.check_table`), so sorted they are the product of the
-        scope's sorted domains, and each key's text is made from its
-        values' texts by the same product, one addition per key; the cells
-        are read along it by `softcsp.cells`.  Each distinct cell's text is
-        made once, and the table's text is one join over its opening, each
-        row's key and cell with the separators between them, and its
-        closing."""
+        scope's sorted domains: runs of k rows, k the size of the last
+        index's domain, that share the text of all values but the last.
+        That text is made once per run, each last value's once, and each
+        distinct cell's once, the cells read along the product by
+        `softcsp.cells`.  So a row is three pieces, the first holding the
+        separator before it, and the table's text is one join."""
         if self.scope_texts is None:  # a value that is not a string
             _write(_row_dicts(self.rows, self.cell, self.key_field, self.cell_field,
                               self.wrap), nl, put)
@@ -496,37 +509,41 @@ class _Rows:
         value_nl = key_nl + "  "
         key_first = self.key_field < self.cell_field
         first, second = sorted((self.key_field, self.cell_field))
-        # what goes around the first field's text of a row, and the second's
-        around = (("{" + field_nl + _quote(first) + ": ", "," + field_nl + _quote(second) + ": "),
+        # what goes around the first field's text of a row, after the
+        # separator before the row, and around the second's
+        around = (("," + row_nl + "{" + field_nl + _quote(first) + ": ",
+                   "," + field_nl + _quote(second) + ": "),
                   ("", row_nl + "}"))
         (pre, post), (head, tail) = around if key_first else around[::-1]
         if self.wrap:  # the key in a list of its own
             pre, post = pre + "[" + key_nl, field_nl + "]" + post
         scope = self.scope_texts
-        # the key texts, built from the last scope index to the first
-        keys = [key_nl + "]" + post] if scope else [pre + "[]" + post]
-        for i in reversed(range(len(scope))):
-            sep = pre + "[" + value_nl if i == 0 else "," + value_nl
-            heads = [sep + text for text in scope[i][1]]
-            keys = [h + k for h in heads for k in keys]
+        if scope:  # each run's text up to its last value, and each last value's
+            prefixes = [pre + "[" + value_nl]
+            for _, texts in scope[:-1]:
+                texts = [text + "," + value_nl for text in texts]
+                prefixes = [p + text for p in prefixes for text in texts]
+            lasts = [text + key_nl + "]" + post for text in scope[-1][1]]
+        else:
+            prefixes, lasts = [pre + "[]" + post], [""]
+        k = len(lasts)
         cells = softcsp.cells(self.rows, [vs for vs, _ in scope])
         memo = {c: head + _text(self.cell(c), field_nl) + tail for c in set(cells)}
+        keys = [itertools.chain.from_iterable(zip(*[prefixes] * k)), lasts * (len(cells) // k)]
         texts = map(memo.__getitem__, cells)
-        parts = ["," + row_nl] * (3 * len(keys)) + [nl + "]"]
-        parts[0] = "[" + row_nl
-        parts[1::3], parts[2::3] = (keys, texts) if key_first else (texts, keys)
+        parts = [None] * (3 * len(cells))
+        parts[0::3], parts[1::3], parts[2::3] = keys + [texts] if key_first else [texts] + keys
+        parts[0] = "[" + parts[0][1:]  # the first row follows the opening, not a comma
+        parts.append(nl + "]")
         put("".join(parts))
 
 
 def dumps(obj):
     """The canonical text of a record: its writer's document with its
-    "kind", as `text_of` writes it, each table by `_Rows.render`."""
-    for kind, (cls, write, _) in _KINDS.items():
-        if isinstance(obj, cls):
-            doc = write(obj)
-            doc["kind"] = kind
-            return text_of(doc)
-    raise ValidationError("cannot serialize %r" % (type(obj),))
+    "kind", the same `chunks` joined that `text_of` joins."""
+    if not isinstance(obj, _RECORDS):
+        raise ValidationError("cannot serialize %r" % (type(obj),))
+    return text_of(obj)
 
 
 def loads(text):

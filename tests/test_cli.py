@@ -467,6 +467,13 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     bad.write_text('{"kind": "graph", "nodes": [1, 2], "edges": [[1, 2]]}')
     code, out, err = run(capsys, "tech-game", str(bad), "--k", "2")
     assert (code, out) == (2, "") and err.count("\n") == 1 and "names must be strings" in err
+    # a self-loop is refused in the graph's terms, on which well-structured answers
+    bad.write_text('{"kind": "graph", "nodes": ["a", "b"], "edges": [["a", "a"], ["a", "b"]]}')
+    assert run(capsys, "tech-game", str(bad), "--k", "2") == (
+        2, "", "error: graph node a has an edge to itself, which a technology game "
+               "cannot have\n")
+    code, out, _ = run(capsys, "well-structured", str(bad))
+    assert code == 0 and json.loads(out)["well_structured"] is False
     # the payoff-game record refuses what the other records refuse
     for players, strategies, says in ((["p", "p"], ["a"], "duplicate names"),
                                       (["p"], [], "empty domain for p")):
@@ -554,6 +561,27 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     ):
         assert run(capsys, *argv) == (
             3, "", "bound exhausted: %s elements, exceeding the bound 2\n" % space)
+
+
+def test_a_failed_write_leaves_stdout_empty(capsys, tmp_path):
+    """A value that overflows only as it is written ends in exit 3 and one
+    line, with nothing on stdout: every chunk of a command's output is made
+    before the first is written.  The map-global payoff of x is 1/p + 1/q,
+    for coprime p and q of 400 digits that Python reads, and its
+    denominator p*q has more digits than Python then writes."""
+    p, q = 10 ** 399 + 1, 10 ** 399 + 2
+    doc = tmp_path / "sum.scsp.json"
+    doc.write_text(json.dumps({
+        "kind": "scsp", "semiring": "weighted", "variables": ["x"], "domains": {"x": ["a"]},
+        "constraints": [{"scope": ["x"], "table": [{"tuple": ["a"], "value": "1/%d" % d}]}
+                        for d in (p, q)]}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "map-global", str(doc))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (3, "") and err.count("\n") == 1 and "640" in err
 
 
 def test_bounds_are_checked_before_any_table_is_built(capsys, tmp_path, monkeypatch):

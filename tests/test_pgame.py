@@ -135,6 +135,9 @@ def test_tech_game_prefers_majority_then_index(cycle3):
     assert g.strategies[0] == ("t1", "t2", "t3")
     # single in-neighbour: copy it, remaining techs by index
     assert g.prefs[0][("t2",)] == ("t2", "t1", "t3")
+    # equal tables, as every node has one in-neighbour, but each its own dict
+    assert g.prefs[0] == g.prefs[1] == g.prefs[2]
+    assert len(set(map(id, g.prefs))) == 3
     assert pgame.nash_equilibria_pp(g) == [
         ("t1", "t1", "t1"), ("t2", "t2", "t2"), ("t3", "t3", "t3")
     ]

@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import itertools
 import json
 import pathlib
 import random
@@ -223,12 +224,47 @@ def generated_records(seed):
         yield from (pp, bridge.cpnet_of_game(pp))
 
 
+def rendered_records():
+    """Records whose every value is a string, so that `_Rows.render` writes
+    every table: soft constraints (the key field first) and payoffs over
+    scopes of 0 to 3 indices, preferences over 0 to 2 neighbours, and
+    CP-net rows with no parent (the wrapped empty key) and with 1 to 3.
+    The domains hold one, two and three values, so the runs of rows that
+    share all key values but the last are one to three rows long."""
+    names = ("w", "x", "y", "z")
+    doms = (("a", "b", "c"), ("u",), ("y", "x"), ("\u00e9", 'q"'))
+    scopes = ((), (2,), (0, 2), (0, 1, 3), (1, 2, 3))
+
+    def over(scope, cell):
+        return {t: cell(k) for k, t in enumerate(itertools.product(*(doms[j] for j in scope)))}
+
+    def orders(i):  # each row an order of the domain of i, rotated by the row
+        return lambda k: doms[i][k % len(doms[i]):] + doms[i][:k % len(doms[i])]
+
+    spec = semiring.WEIGHTED
+    weight = lambda k: semiring.value(spec, Fraction(k % 5, 3))
+    yield softcsp.SoftCSP(names, doms, tuple(softcsp.SoftConstraint(scope, over(scope, weight))
+                                             for scope in scopes), spec)
+    neigh = ((), (0,), (0, 3), (1, 2))
+    game = pgame.PayoffGame(names, doms, neigh, tuple(
+        over(tuple(sorted(ns + (i,))), lambda k: Fraction(-k, 7)) for i, ns in enumerate(neigh)))
+    assert [len(game.local_scope(i)) for i in range(4)] == [1, 2, 3, 3]
+    yield game
+    yield pgame.PPGame(names, doms, neigh, tuple(over(ns, orders(i))
+                                                 for i, ns in enumerate(neigh)))
+    parents = ((), (0,), (0, 3), (0, 1, 2))
+    yield cpnet.CPNet(names, doms, parents, tuple(over(ps, orders(i))
+                                                  for i, ps in enumerate(parents)))
+
+
 def test_dumps_matches_row_dicts_on_generated_records():
     kinds = set()
     for seed in range(150):
         for obj in generated_records(seed):
             kinds.add(assert_dumps_its_document(obj))
     assert kinds == set(serialize.KINDS)
+    for obj in rendered_records():
+        assert_dumps_its_document(obj)
 
 
 def edge_records():
