@@ -46,13 +46,8 @@ def local_map(problem):
     for i, (scope, keys) in enumerate(zip(scopes, tables)):
         incident = [c for c in problem.constraints if i in c.scope]
         pos = {j: k for k, j in enumerate(scope)}
-        table = {}
-        for s in keys:
-            vals = [
-                c.table[tuple(s[pos[j]] for j in c.scope)] for c in incident
-            ]
-            table[s] = semiring.combine_all(problem.semiring, vals)
-        payoffs.append(table)
+        payoffs.append({s: semiring.combine_all(problem.semiring, [
+            c.table[tuple(s[pos[j]] for j in c.scope)] for c in incident]) for s in keys})
     return pgame.PayoffGame(
         problem.variables, problem.domains, neigh, tuple(payoffs), problem.semiring
     )
@@ -64,47 +59,39 @@ def global_map(problem):
         raise ValidationError("global map needs a linearly ordered carrier")
     n = len(problem.variables)
     neigh = cpnet.full_parents(n)
-    shared = {
-        s: softcsp.solution_preference(problem, s)
-        for s in problem.assignments()
-    }
+    shared = {s: softcsp.solution_preference(problem, s) for s in problem.assignments()}
     return pgame.PayoffGame(
         problem.variables, problem.domains, neigh, (shared,) * n, problem.semiring
     )
 
 
 def _cost_carrier(game, offset):
-    """The offset m of the cost tuples (m - payoff per player), by default
-    the top payoff and never below it, and their carrier: one weighted
+    """The payoff codes (`pgame._payoff_codes`); the offset m of the cost
+    tuples (m - payoff per player), by default the top payoff, read at the
+    highest code, and never below it; and their carrier, one weighted
     factor per player."""
     if game.carrier is not None:
         raise ValidationError("this mapping needs plain rational payoffs")
     if not game.players:
         raise ValidationError("cost tuples need at least one player")
-    top = max(max(t.values()) for t in game.payoffs)
+    codes = pgame._payoff_codes(game)
+    t, c = max(zip(game.payoffs, codes), key=lambda tc: max(tc[1].values()))
+    top = t[max(c, key=c.get)]
     m = Fraction(offset) if offset is not None else Fraction(top)
     if m < top:
         raise ValidationError("offset %s is below the maximum payoff %s" % (m, top))
-    return m, semiring.product(*(semiring.WEIGHTED for _ in game.players))
+    return codes, m, semiring.product(*(semiring.WEIGHTED for _ in game.players))
 
 
 def scsp_of_game(game, offset=None):
     """One soft constraint per player over an n-fold weighted product;
     the player's coordinate carries the cost offset - payoff, the rest 0."""
-    m, spec = _cost_carrier(game, offset)
-    n = len(game.players)
-    constraints = []
-    for i in range(n):
-        scope = game.local_scope(i)
-        table = {}
-        for s, p in game.payoffs[i].items():
-            payload = [Fraction(0)] * n
-            payload[i] = m - p
-            table[s] = semiring.value(spec, tuple(payload))
-        constraints.append(softcsp.SoftConstraint(scope, table))
-    return softcsp.SoftCSP(
-        game.players, game.strategies, tuple(constraints), spec
-    )
+    _, m, spec = _cost_carrier(game, offset)
+    zeros = (Fraction(0),) * len(game.players)
+    return softcsp.SoftCSP(game.players, game.strategies, tuple(
+        softcsp.SoftConstraint(game.local_scope(i), {
+            s: semiring.value(spec, zeros[:i] + (m - p,) + zeros[i + 1:]) for s, p in t.items()})
+        for i, t in enumerate(game.payoffs)), spec)
 
 
 def regret_constraints(game):
@@ -129,10 +116,11 @@ def pareto_nash(game, offset=None):
     all-infinity bottom of the cost-tuple problem joined with the no-regret
     constraints: the lifted constraints give a non-equilibrium the bottom
     and an equilibrium the all-zero tuple, so an equilibrium's preference is
-    its cost tuple alone, boxed here straight from its payoffs."""
-    m, spec = _cost_carrier(game, offset)
+    its cost tuple alone, boxed here straight from its payoffs.  One compile
+    of the payoffs serves the top payoff, the search and the skyline."""
+    codes, m, spec = _cost_carrier(game, offset)
     players = range(len(game.players))
     return [
         (s, semiring.value(spec, tuple(m - game.payoff(i, s) for i in players)))
-        for s in pgame.pareto_maximal(game, pgame.nash_equilibria_payoff(game))
+        for s in pgame._pareto_maximal(game, pgame._nash(game, codes), codes)
     ]

@@ -15,7 +15,7 @@ from collections import deque
 from types import SimpleNamespace
 
 from . import semiring, softcsp
-from .errors import ValidationError, check_space
+from .errors import ValidationError
 from .record import Record, init_field
 
 #: Result of a dominance query whose step budget tripped.
@@ -49,15 +49,19 @@ def check_tables(names, domains, parents, rows, own_parent="%s is its own parent
         check_strict_orders(dict.fromkeys(r.values()), dom)
 
 
+def _row_tops(parents, rows):
+    """Per index i, the constraint that i's value tops the row its parents
+    select, as (scope, allowed): the scope is i's parents, then i, and the
+    allowed tuples are each parent assignment followed by its row's top."""
+    return [(ps + (i,), {pa + (order[0],) for pa, order in r.items()})
+            for i, (ps, r) in enumerate(zip(parents, rows))]
+
+
 def stable_outcomes(domains, parents, rows):
     """Outcomes, in enumeration order, in which every value tops the row its
-    parents select: the optimal outcomes of a CP-net, and the Nash equilibria
-    of a game with parametrized preferences.  Table i allows, over its
-    parents and i, each parent assignment followed by its row's top."""
-    return softcsp.solutions(domains, [
-        (ps + (i,), {pa + (order[0],) for pa, order in r.items()})
-        for i, (ps, r) in enumerate(zip(parents, rows))
-    ], "outcome space")
+    parents select (`_row_tops`): the optimal outcomes of a CP-net, and the
+    Nash equilibria of a game with parametrized preferences."""
+    return softcsp.solutions(domains, _row_tops(parents, rows), "outcome space")
 
 
 def never_best(domain, rows):
@@ -309,24 +313,18 @@ def optimal_outcomes(net):
 
 
 def optimality_constraints(net):
-    """The boolean problem whose solutions are exactly the optimal outcomes.
-
-    For each variable and each distinct order among its rows: the parent
-    assignments selecting that order imply the variable equals its top.
-    Each is one table over the parents and the variable, and the cells of
-    all of them are counted against the bound before any is built.
-    """
+    """The boolean problem whose solutions are exactly the optimal outcomes:
+    per variable, one table over its parents and itself that allows each
+    parent assignment followed by its row's top (Brafman and Dimopoulos
+    2004), the constraints `stable_outcomes` searches.  Every table's keys
+    are taken from `softcsp.space` before any table is built."""
     allowed, forbidden = semiring.one(semiring.BOOLEAN), semiring.zero(semiring.BOOLEAN)
-    orders = [sorted(set(r.values())) for r in net.rows]
-    check_space(sum(len(os) * len(r) * len(dom)
-                    for os, r, dom in zip(orders, net.rows, net.domains)), "optimality problem")
-    constraints = tuple(
-        softcsp.SoftConstraint(ps + (i,), {
-            pa + (v,): allowed if r[pa] != order or v == order[0] else forbidden
-            for pa in itertools.product(*map(net.domains.__getitem__, ps)) for v in dom})
-        for i, (ps, r, dom, os) in enumerate(zip(net.parents, net.rows, net.domains, orders))
-        for order in os)
-    return softcsp.SoftCSP(net.variables, net.domains, constraints, semiring.BOOLEAN)
+    tops = _row_tops(net.parents, net.rows)
+    tables = [softcsp.space([net.domains[j] for j in scope], "optimality table of %s" % name)
+              for name, (scope, _) in zip(net.variables, tops)]  # every table before any is built
+    return softcsp.SoftCSP(net.variables, net.domains, tuple(
+        softcsp.SoftConstraint(scope, {t: allowed if t in top else forbidden for t in keys})
+        for (scope, top), keys in zip(tops, tables)), semiring.BOOLEAN)
 
 
 def is_eligible(net):

@@ -121,48 +121,59 @@ def is_hierarchical(game):
 
 def _payoff_codes(game):
     """Each player's payoff table with every payoff replaced by its exact
-    code (`semiring._compile`), higher being better."""
-    return [semiring._compile(game.carrier, [t])[0][0] for t in game.payoffs]
+    code (`semiring._compile`), higher being better.  The distinct tables
+    are compiled once, together, so codes compare across tables."""
+    distinct = {id(t): t for t in game.payoffs}
+    coded = dict(zip(distinct, semiring._compile(game.carrier, list(distinct.values()))[0]))
+    return [coded[id(t)] for t in game.payoffs]
 
 
 def best_replies(game):
     """Per player, its local scope and the tuples over it in which its
     strategy has the best payoff of its neighbours' context, looked up by
     exact code."""
+    return _best_replies(game, _payoff_codes(game))
+
+
+def _best_replies(game, codes):
     out = []
-    for i, codes in enumerate(_payoff_codes(game)):
+    for i, coded in enumerate(codes):
         scope = game.local_scope(i)
         own = scope.index(i)
         top = {}
-        for t, c in codes.items():
+        for t, c in coded.items():
             context = t[:own] + t[own + 1:]
             top[context] = max(top.get(context, c), c)
-        out.append((scope, {t for t, c in codes.items() if c == top[t[:own] + t[own + 1:]]}))
+        out.append((scope, {t for t, c in coded.items() if c == top[t[:own] + t[own + 1:]]}))
     return out
 
 
 def nash_equilibria_payoff(game):
     """Weak-inequality Nash over unilateral deviations (canonical extension):
     the joint strategies whose every local tuple is a best reply."""
-    return list(softcsp.solutions(game.strategies, best_replies(game), "joint strategy space"))
+    return _nash(game, _payoff_codes(game))
 
 
-def pareto_maximal(game, joint):
-    """The members of `joint` whose payoff vector no other member
-    Pareto-dominates, in the order of `joint`: one skyline over vectors of
-    exact payoff codes."""
-    scopes = [game.local_scope(i) for i in range(len(game.players))]
-    codes = _payoff_codes(game)
-    return semiring.maximal(
-        (s, tuple(t[tuple(s[j] for j in scope)] for scope, t in zip(scopes, codes)))
-        for s in joint
-    )
+def _nash(game, codes):
+    return list(softcsp.solutions(game.strategies, _best_replies(game, codes),
+                                  "joint strategy space"))
 
 
 def pareto_efficient(game):
     """The joint strategies whose payoff vector no other one Pareto-dominates,
     in enumeration order."""
-    return pareto_maximal(game, game.joint_strategies())
+    return _pareto_maximal(game, game.joint_strategies(), _payoff_codes(game))
+
+
+def _pareto_maximal(game, joint, codes):
+    """The members of `joint` whose payoff vector no other member
+    Pareto-dominates, in the order of `joint`: one skyline over vectors of
+    the exact payoff codes `codes`."""
+    scopes = [game.local_scope(i) for i in range(len(game.players))]
+    return semiring.maximal(
+        (s, tuple(t[tuple(s[j] for j in scope)] for scope, t in zip(scopes, codes)))
+        for s in joint
+    )
 
 
 class DirectedGraph(Record):

@@ -23,7 +23,8 @@ from tests import referees
 from tests.conftest import FIXTURES
 
 #: The stdout, stderr and exit code of every case in `golden_cases`, as
-#: `record_golden` wrote them; rewrite it only for an intended output change.
+#: `record_golden` wrote them; rewrite it, with `scripts/record_goldens.py`,
+#: only for an intended output change.
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
 ROOT = GOLDEN.parent.parent
 
@@ -616,20 +617,20 @@ def test_bounds_are_checked_before_any_table_is_built(capsys, tmp_path, monkeypa
             {"scope": ["x"], "table": [{"tuple": [v], "value": "1"} for v in "ab"]},
             {"scope": ["y", "z"], "table": [{"tuple": [v, "c%d" % j], "value": "1"}
                                             for v in "ab" for j in range(10)]}]}))
-    # A's one constraint holds 2 cells, and B's two, one per order, 2 * 5 each
+    # the optimality table of A holds 2 cells, that of B 2 * 6
     net = tmp_path / "wide.cpnet.json"
     net.write_text(json.dumps({
-        "kind": "cpnet", "variables": ["A", "B"], "domains": {"A": ["a", "b"], "B": list("vwxyz")},
+        "kind": "cpnet", "variables": ["A", "B"], "domains": {"A": ["a", "b"], "B": list("uvwxyz")},
         "tables": {"A": {"parents": [], "rows": [{"when": [[]], "order": ["a", "b"]}]},
-                   "B": {"parents": ["A"], "rows": [{"when": [["a"]], "order": list("vwxyz")},
-                                                    {"when": [["b"]], "order": list("zyxwv")}]}}}))
+                   "B": {"parents": ["A"], "rows": [{"when": [["a"]], "order": list("uvwxyz")},
+                                                    {"when": [["b"]], "order": list("zyxwvu")}]}}}))
     monkeypatch.setenv("OPTIFORM_MAX_SPACE", "10")
     for argv, says in (
         (["tech-game", fx("diamond.graph.json"), "--k", "3"],
          "preference table of n3 has 27 elements"),
         (["to-cpnet", str(game)], "full table of b has 20 elements"),
         (["map-local", str(scsp)], "payoff table of y has 20 elements"),
-        (["cpnet-opt-constraints", str(net)], "optimality problem has 22 elements"),
+        (["cpnet-opt-constraints", str(net)], "optimality table of B has 12 elements"),
     ):
         with monkeypatch.context() as m:
             m.setattr(pgame, "itertools", counting)
@@ -1504,17 +1505,20 @@ def golden_cases(tmp_path):
     return cases
 
 
-def record_golden(capsys, tmp_path):
+def record_golden(tmp_path):
+    """The exit code, stdout and stderr of every case of `golden_cases`,
+    each captured by `main_output`, so no test fixture is needed:
+    `scripts/record_goldens.py` writes them to GOLDEN."""
     out = {}
     for key, argv in golden_cases(tmp_path):
-        code, stdout, stderr = run(capsys, *argv)
+        code, stdout, stderr = main_output(*argv)
         out[key] = {"exit": code, "stdout": stdout, "stderr": stderr}
     return out
 
 
-def test_golden_outputs(capsys, tmp_path):
+def test_golden_outputs(tmp_path):
     expected = json.loads(GOLDEN.read_text())
-    got = record_golden(capsys, tmp_path)
+    got = record_golden(tmp_path)
     assert sorted(got) == sorted(expected)
     for key in expected:
         assert got[key] == expected[key], key

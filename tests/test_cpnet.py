@@ -156,11 +156,18 @@ def test_validation():
 
 
 def test_eligibility_matches_consistency_of_optimality_constraints():
+    """The optimality problem holds one constraint per variable, over its
+    parents and then itself; its solutions are the optimal outcomes, so it
+    is consistent exactly when the net is eligible."""
     seen = set()
     for acyclic in (False, True):
         for seed in range(1, 1001):
             net = oracle.random_cpnet(GeneratorConfig(seed=seed, acyclic=acyclic))
+            problem = cpnet.optimality_constraints(net)
+            assert [c.scope for c in problem.constraints] == [
+                ps + (i,) for i, ps in enumerate(net.parents)]
+            assert referees.boolean_solutions(problem) == cpnet.optimal_outcomes(net)
             eligible = cpnet.is_eligible(net)
-            assert eligible == softcsp.is_consistent(cpnet.optimality_constraints(net))
+            assert eligible == softcsp.is_consistent(problem)
             seen.add(eligible)
     assert seen == {True, False}

@@ -178,10 +178,10 @@ def test_oracle_never_calls_the_solvers_it_referees():
 
 def test_the_enumeration_bound_is_checked_in_one_place():
     """Outside `errors`, `check_space` is named only by the bounded space
-    and search of `softcsp` and by the two builders whose size is not one
-    product of domain sizes: a CP-net's optimality problem and the
-    technology game.  Every other space is enumerated or searched through
-    `softcsp`, so the bound is decided there."""
+    and search of `softcsp` and by the one builder whose size is not one
+    product of domain sizes, the technology game.  Every other space is
+    enumerated or searched through `softcsp`, so the bound is decided
+    there."""
     named = set()
     for path in pathlib.Path(optiform.__file__).parent.glob("*.py"):
         if path.stem == "errors":
@@ -192,7 +192,6 @@ def test_the_enumeration_bound_is_checked_in_one_place():
                                      getattr(node, "name", None)):
                     named.add((path.stem, getattr(top, "name", None)))
     assert named == {("softcsp", None), ("softcsp", "space"), ("softcsp", "solutions"),
-                     ("cpnet", None), ("cpnet", "optimality_constraints"),
                      ("pgame", None), ("pgame", "tech_game")}
 
 
