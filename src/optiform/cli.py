@@ -94,7 +94,7 @@ def cmd_scsp_solve(args, kind, problem):
 
 
 def cmd_scsp_join(args, kind, problem):
-    return softcsp.join(problem, args.other)
+    return softcsp.join(problem, _load(args.other, ("scsp",))[1])
 
 
 def cmd_cpnet_optimal(args, kind, net):
@@ -301,8 +301,6 @@ def main(argv=None):
     gc.disable()
     try:
         kind, obj = _load(args.file, kinds) if kinds else (None, None)
-        if "other" in args:  # the second document of scsp-join
-            args.other = _load(args.other, kinds)[1]
         result = handler(args, kind, obj)
         result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
         if isinstance(result, dict):

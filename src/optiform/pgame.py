@@ -24,7 +24,7 @@ class PPGame(Record):
     def __init__(self, players, strategies, neigh, prefs):
         init_field(self, "players", players)
         init_field(self, "strategies", strategies)  # per-player tuples
-        init_field(self, "neigh", neigh)  # per-player tuples of indices, ascending, i excluded
+        init_field(self, "neigh", neigh)  # per-player tuples of indices, i excluded, in any order
         init_field(self, "prefs", prefs)  # per-player dict: neigh joint strategy -> order tuple
         self.__post_init__()
 

@@ -7,9 +7,11 @@ class, writer and reader), and every kind loads as its record, graphs
 included.  Serialization is canonical: keys sorted, fractions printed as
 "p/q", infinity as "inf"; parse(serialize(x)) == x.
 
-A writer takes only its record, and holds each of the record's tables as
-a `_Rows`, which writes the rows' text straight from the table.  `chunks`
-gives the complete chunk list of a text, which `text_of` and `dumps` join.
+Every table, of any kind and over any domains, takes one path each way:
+`_table` reads it by the two field names of its rows, and a `_Rows`
+writes its rows' text straight from the table, each key spelled as its
+domain header spells it.  `chunks` gives the complete chunk list of a
+text, which `dumps` joins.
 
 CP-net rows may carry disjunctive conditions ("when" holding several parent
 assignments with one shared order); they are expanded to one row per
@@ -24,7 +26,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import cpnet, pgame, semiring, softcsp
-from .errors import ValidationError
+from .errors import OptiformError, ValidationError
 
 # ------------------------------------------------------------- semiring specs
 
@@ -137,21 +139,39 @@ def _list(data, where):
     return tuple(data)
 
 
-def _table(cells, where, field, keys, read, bulk=None):
-    """The table a list of cells holds: `keys(cell)` lists the tuples a cell
-    sets, each a JSON list that `field` names, and `read(cell)` their shared
-    value.  A tuple given twice is refused; errors name `where`.  The tuples
-    are checked here, not by `_list`, so that no label is built per cell.
-    `bulk(cells)`, if given, builds the same table at C level, or gives
-    None when a check fails; then this loop names the first fault."""
-    if bulk is not None:
-        table = bulk(cells)
-        if table is not None:
-            return table
+def _table(cells, where, key_field, cell_field, read, wrapped=False):
+    """The table a list of cells holds: each cell's `key_field` is the tuple
+    it sets, a JSON list (when `wrapped`, a list of such lists, the parent
+    assignments of a CP-net row), and `read` maps a list of `cell_field`s
+    to their values.  The whole list is read at C level; where a check
+    fails, `_table_by_row` reads it again and names the first fault."""
+    try:
+        if type(cells) is list and set(map(type, cells)) <= {dict}:
+            keys = list(map(operator.itemgetter(key_field), cells))
+            if wrapped and set(map(type, keys)) <= {list} and set(map(len, keys)) <= {1}:
+                keys = list(map(operator.itemgetter(0), keys))
+            elif wrapped:  # a disjunctive or empty "when"
+                keys = None
+            if keys is not None and set(map(type, keys)) <= {list}:
+                values = read(list(map(operator.itemgetter(cell_field), cells)))
+                table = dict(zip(map(tuple, keys), values))
+                if len(table) == len(cells):
+                    return table
+    except (KeyError, TypeError, ValueError, OptiformError):
+        pass
+    return _table_by_row(cells, where, key_field, cell_field, read, wrapped)
+
+
+def _table_by_row(cells, where, key_field, cell_field, read, wrapped=False):
+    """`_table`, a row at a time: the same table, or the first fault.  A
+    tuple given twice is refused; errors name `where`.  The tuples are
+    checked here, not by `_list`, so that no label is built per row."""
+    field = ('each "%s" entry' if wrapped else '"%s"') % key_field
+    at_key = '%s: "%s"' % (where, key_field)
     table = {}
     for cell in cells:
-        value = read(cell)
-        for key in keys(cell):
+        value, = read([cell[cell_field]])
+        for key in _list(cell[key_field], at_key) if wrapped else (cell[key_field],):
             if not isinstance(key, list):
                 raise ValidationError("%s: %s must be a list, not %s"
                                       % (where, field, type(key).__name__))
@@ -162,29 +182,17 @@ def _table(cells, where, field, keys, read, bulk=None):
     return table
 
 
-_WHEN, _ORDER, _FIRST = map(operator.itemgetter, ("when", "order", 0))
+def _orders(where):
+    """`_table`'s reader of the orders of a table: each a JSON list, read
+    as a tuple."""
+    at = where + ': "order"'
 
-
-def _order_rows(cells, wrapped):
-    """`_table`'s bulk reader of {"when", "order"} rows: CP-net rows when
-    `wrapped`, whose "when" lists parent assignments, else preferences.  It
-    reads only rows whose every "when" is a list (a list of one list when
-    `wrapped`) and every "order" a list, with no key given twice."""
-    if type(cells) is not list or set(map(type, cells)) - {dict}:
-        return None
-    try:
-        keys = list(map(_WHEN, cells))
-        orders = list(map(_ORDER, cells))
-        if wrapped:
-            if set(map(type, keys)) - {list} or set(map(len, keys)) - {1}:
-                return None
-            keys = list(map(_FIRST, keys))
-        if set(map(type, keys)) - {list} or set(map(type, orders)) - {list}:
-            return None
-        table = dict(zip(map(tuple, keys), map(tuple, orders)))
-    except (KeyError, TypeError):  # a missing field, or an unhashable key
-        return None
-    return table if len(table) == len(cells) else None
+    def read(orders):
+        if not set(map(type, orders)) <= {list}:
+            for order in orders:  # names the first that is not a list
+                _list(order, at)
+        return map(tuple, orders)
+    return read
 
 
 def _header_to_json(names_key, names, domains_key, domains):
@@ -238,11 +246,7 @@ def _cpnet_from_json(data):
             raise ValidationError("missing table for variable %s" % v)
         where = "table of %s" % v
         parents.append(tuple(index[p] for p in _list(entry["parents"], where + ': "parents"')))
-        at_when, at_order = where + ': "when"', where + ': "order"'
-        table_rows.append(_table(entry["rows"], where, 'each "when" entry',
-                                 lambda row: _list(row["when"], at_when),
-                                 lambda row: _list(row["order"], at_order),
-                                 lambda rows: _order_rows(rows, True)))
+        table_rows.append(_table(entry["rows"], where, "when", "order", _orders(where), True))
     try:
         return cpnet.CPNet(variables, domains, tuple(parents), tuple(table_rows))
     except ValidationError as exc:
@@ -273,9 +277,9 @@ def _scsp_from_json(data):
         scope = tuple(index[v] for v in _list(entry["scope"], 'constraint %d: "scope"' % k))
         where = "constraint %d over %s" % (k, entry["scope"])
         constraints.append(softcsp.SoftConstraint(scope, _table(
-            entry["table"], where, '"tuple"', lambda cell: (cell["tuple"],),
-            lambda cell: semiring.SemiringValue(
-                spec, payload_from_json(spec, cell["value"], where)))))
+            entry["table"], where, "tuple", "value", lambda values: [
+                semiring.SemiringValue(spec, payload_from_json(spec, v, where))
+                for v in values])))
     return softcsp.SoftCSP(variables, domains, tuple(constraints), spec)
 
 
@@ -294,10 +298,7 @@ def _ppgame_from_json(data):
     prefs = []
     for p in players:
         where = "prefs of %s" % p
-        at_order = where + ': "order"'
-        prefs.append(_table(data["prefs"][p], where, '"when"', lambda row: (row["when"],),
-                            lambda row: _list(row["order"], at_order),
-                            lambda rows: _order_rows(rows, False)))
+        prefs.append(_table(data["prefs"][p], where, "when", "order", _orders(where)))
     return pgame.PPGame(players, strategies, neigh, tuple(prefs))
 
 
@@ -325,8 +326,8 @@ def _payoffgame_from_json(data):
     payoffs = []
     for p in players:
         where = "payoffs of %s" % p
-        payoffs.append(_table(data["payoffs"][p], where, '"when"', lambda cell: (cell["when"],),
-                              lambda cell: box(payload_from_json(carrier, cell["value"], where))))
+        payoffs.append(_table(data["payoffs"][p], where, "when", "value", lambda values: [
+            box(payload_from_json(carrier, v, where)) for v in values]))
     return pgame.PayoffGame(players, strategies, neigh, tuple(payoffs), carrier)
 
 
@@ -366,7 +367,6 @@ _KINDS = {
     "graph": (pgame.DirectedGraph, _graph_to_json, _graph_from_json),
 }
 KINDS = tuple(_KINDS)
-_RECORDS = tuple(cls for cls, _, _ in _KINDS.values())
 
 
 def parse_document(data):
@@ -402,11 +402,6 @@ def chunks(obj):
     _write(obj, "\n", out.append)
     out.append("\n")
     return out
-
-
-def text_of(obj):
-    """The text of a report, or of a record: its `chunks`, joined."""
-    return "".join(chunks(obj))
 
 
 def _write(o, nl, put):
@@ -463,26 +458,15 @@ def _same(x):
 
 def _scope_texts(domains):
     """A function of a scope: per scope index, its domain's values sorted
-    and their JSON texts.  It gives None unless every value is a string,
-    as equal numbers can differ in text (1, 1.0 and True)."""
-    if not all(isinstance(v, str) for dom in domains for v in dom):
-        return lambda scope: None
+    and their JSON texts."""
     values = [sorted(dom) for dom in domains]
-    texts = [list(map(_quote, vs)) for vs in values]
+    texts = [[_quote(v) if isinstance(v, str) else json.dumps(v) for v in vs] for vs in values]
     return lambda scope: [(values[j], texts[j]) for j in scope]
 
 
-def _row_dicts(rows, cell, key_field, cell_field, wrap):
-    """The row list of a table (key -> cell) as plain data: sorted by key,
-    row k is {key_field: k, cell_field: cell(rows[k])}, with k in a list
-    of its own when `wrap` (a CP-net row's "when")."""
-    return [{key_field: [k] if wrap else k, cell_field: cell(x)}
-            for k, x in sorted(rows.items())]
-
-
 class _Rows:
-    """A table where its document holds its row list; `_write` writes it
-    with `render`, as it writes the table's `_row_dicts`."""
+    """A table where its document holds its row list, sorted by key;
+    `_write` writes it with `render`."""
 
     __slots__ = ("rows", "scope_texts", "cell", "key_field", "cell_field", "wrap")
 
@@ -499,10 +483,6 @@ class _Rows:
         distinct cell's once, the cells read along the product by
         `softcsp.cells`.  So a row is three pieces, the first holding the
         separator before it, and the table's text is one join."""
-        if self.scope_texts is None:  # a value that is not a string
-            _write(_row_dicts(self.rows, self.cell, self.key_field, self.cell_field,
-                              self.wrap), nl, put)
-            return
         row_nl = nl + "  "
         field_nl = row_nl + "  "
         key_nl = field_nl + "  " if self.wrap else field_nl  # where the key's list opens
@@ -539,11 +519,8 @@ class _Rows:
 
 
 def dumps(obj):
-    """The canonical text of a record: its writer's document with its
-    "kind", the same `chunks` joined that `text_of` joins."""
-    if not isinstance(obj, _RECORDS):
-        raise ValidationError("cannot serialize %r" % (type(obj),))
-    return text_of(obj)
+    """The canonical text of a record or of a report: its `chunks`, joined."""
+    return "".join(chunks(obj))
 
 
 def loads(text):

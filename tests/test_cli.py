@@ -447,6 +447,11 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ("game-nash", '{"kind": "payoffgame", "carrier": "boolean", "players": ["p"], "strategies": '
          '{"p": ["a"]}, "neigh": {"p": []}, "payoffs": {"p": [{"when": ["a"], "value": true}]}}',
          "boolean value must be 0 or 1"),
+        # a product value of the wrong arity, and a variable with no table
+        ("scsp-solve", scsp.replace('"weighted"', '{"product": ["fuzzy", "weighted"]}') % '["1"]',
+         "error: constraint 0 over ['x']: product value needs a list of arity 2\n"),
+        ("cpnet-optimal", '{"kind": "cpnet", "variables": ["A"], "domains": {"A": ["a"]}, '
+         '"tables": {}}', "error: missing table for variable A\n"),
         # a string where the factor list belongs would split into its characters
         ("scsp-solve", scsp.replace('"weighted"', '{"product": "fuzzy"}') % '["1"]',
          '"product" must be a list, not str'),
@@ -926,14 +931,16 @@ def _scsp_documents(draw, header=None):
 @st.composite
 def _join_partners(draw, doc):
     """A second soft CSP to join with `doc`: over its header, in its
-    carrier or the boolean one, or drawn on its own, so mostly over
-    another header or carrier."""
-    how = draw(st.sampled_from(("same", "boolean", "own")))
+    carrier, the boolean one or another one, or drawn on its own, so
+    mostly over another header or carrier."""
+    how = draw(st.sampled_from(("same", "boolean", "other", "own")))
     if how == "own":
         return draw(_scsp_documents())
-    carrier = "product" if isinstance(doc["semiring"], dict) else doc["semiring"]
+    own = "product" if isinstance(doc["semiring"], dict) else doc["semiring"]
+    carrier = (draw(st.sampled_from(sorted(set(_CELLS) - {own, "boolean"})))
+               if how == "other" else "boolean" if how == "boolean" else own)
     return draw(_scsp_documents((doc["variables"], [doc["domains"][n] for n in doc["variables"]],
-                                 carrier if how == "same" else "boolean")))
+                                 carrier)))
 
 
 @st.composite
@@ -1053,8 +1060,9 @@ def test_drawn_documents_answer_as_the_referees(tmp_path_factory, doc, data):
     accepts; or, where loading, the referee or `translation_refuses`
     refuses the record too, exits 2 or 3 with one line on stderr and
     nothing on stdout.  scsp-join of a soft CSP with a drawn
-    `_join_partners` document writes the problem `joined` expects, or where
-    that is None, exits 2 with one line on stderr."""
+    `_join_partners` document, in either order, writes the problem
+    `joined` expects, or where that is None, exits 2 with one line on
+    stderr."""
     folder = tmp_path_factory.mktemp("drawn")
     path = folder / "doc.json"
     path.write_text(json.dumps(doc))
@@ -1080,16 +1088,17 @@ def test_drawn_documents_answer_as_the_referees(tmp_path_factory, doc, data):
     if doc["kind"] == "scsp":
         other = folder / "other.json"
         other.write_text(json.dumps(data.draw(_join_partners(doc))))
-        code, out, err = ran = main_output("scsp-join", str(path), str(other))
-        try:
-            expected = joined(*(serialize.load_path(str(p))[1] for p in (path, other)))
-        except OptiformError:
-            expected = None
-        if expected is None:
-            assert_refused("scsp-join", ran, (2,))
-        else:
-            assert code == 0, err
-            assert serialize.loads(out) == ("scsp", expected)
+        for pair in ((path, other), (other, path)):  # the partner drawn first, too
+            code, out, err = ran = main_output("scsp-join", *map(str, pair))
+            try:
+                expected = joined(*(serialize.load_path(str(p))[1] for p in pair))
+            except OptiformError:
+                expected = None
+            if expected is None:
+                assert_refused("scsp-join", ran, (2,))
+            else:
+                assert code == 0, err
+                assert serialize.loads(out) == ("scsp", expected)
 
 
 #: Domains of three values, for a drawn document to cut to a drawn size.

@@ -10,11 +10,17 @@ each other exactly, so no referee is needed.
 
 Answers are compared as sets, since enumeration order follows the indices
 and the declared orders.
+
+Three more relations hold on every generator's records, as drawn, renamed
+and reversed: a record's document reads back as the record and writes the
+same text again, and translating a net to a game and back, or reducing
+it, keeps its optimal outcomes.
 """
 
+import itertools
 import random
 
-from optiform import cpnet, oracle, pgame, softcsp
+from optiform import bridge, cpnet, oracle, pgame, serialize, softcsp
 from optiform.cpnet import CPNet
 from optiform.oracle import GeneratorConfig
 from optiform.pgame import PayoffGame, PPGame
@@ -56,6 +62,41 @@ def permutation(seed, n):
     return perm
 
 
+def renamed(seed, x):
+    """`x` with its indices renamed by `permutation(seed, n)`, and the
+    permutation."""
+    if isinstance(x, CPNet):
+        perm = permutation(seed, len(x.variables))
+        return perm, CPNet(place(perm, x.variables), place(perm, x.domains),
+                           *renamed_tables(perm, x.parents, x.rows))
+    if isinstance(x, PPGame):
+        perm = permutation(seed, len(x.players))
+        return perm, PPGame(place(perm, x.players), place(perm, x.strategies),
+                            *renamed_tables(perm, x.neigh, x.prefs))
+    if isinstance(x, SoftCSP):
+        perm = permutation(seed, len(x.variables))
+        return perm, SoftCSP(place(perm, x.variables), place(perm, x.domains), tuple(
+            SoftConstraint(*rename(perm, c.scope, c.table)) for c in x.constraints), x.semiring)
+    n = len(x.players)
+    perm = permutation(seed, n)
+    # a payoff table's scope is the player's local scope, itself included
+    scopes, payoffs = renamed_tables(perm, map(x.local_scope, range(n)), x.payoffs)
+    neigh = [tuple(j for j in scope if j != i) for i, scope in enumerate(scopes)]
+    return perm, PayoffGame(place(perm, x.players), place(perm, x.strategies),
+                            tuple(neigh), payoffs, x.carrier)
+
+
+def flipped(x):
+    """`x` with each domain's declared order reversed."""
+    if isinstance(x, CPNet):
+        return CPNet(x.variables, reversed_domains(x.domains), x.parents, x.rows)
+    if isinstance(x, PPGame):
+        return PPGame(x.players, reversed_domains(x.strategies), x.neigh, x.prefs)
+    if isinstance(x, SoftCSP):
+        return SoftCSP(x.variables, reversed_domains(x.domains), x.constraints, x.semiring)
+    return PayoffGame(x.players, reversed_domains(x.strategies), x.neigh, x.payoffs, x.carrier)
+
+
 def boolean_solutions(problem):
     """The assignments of preference 1 of a boolean problem, as a set."""
     return {s for s, p in softcsp.optimal_solutions(problem) if p.payload}
@@ -85,33 +126,31 @@ def payoff_answers(game):
     return set(pgame.nash_equilibria_payoff(game)), set(pgame.pareto_efficient(game))
 
 
-def nets():
+def nets(seeds=SEEDS):
     for acyclic in (False, True):
-        for seed in SEEDS:
+        for seed in seeds:
             yield seed, oracle.random_cpnet(GeneratorConfig(seed=seed, acyclic=acyclic))
 
 
-def ppgames():
-    for seed in SEEDS:
+def ppgames(seeds=SEEDS):
+    for seed in seeds:
         yield seed, oracle.random_ppgame(GeneratorConfig(seed=seed, graphical=seed % 2 == 0))
 
 
-def scsps():
+def scsps(seeds=SEEDS):
     for carrier in ("weighted", "fuzzy", "boolean"):
-        for seed in SEEDS:
+        for seed in seeds:
             yield seed, oracle.random_scsp(GeneratorConfig(seed=seed, carrier=carrier))
 
 
-def payoff_games():
-    for seed in SEEDS:
+def payoff_games(seeds=SEEDS):
+    for seed in seeds:
         yield seed, oracle.random_payoff_game(GeneratorConfig(seed=seed))
 
 
 def test_renaming_the_variables_of_a_net():
     for seed, net in nets():
-        perm = permutation(seed, len(net.variables))
-        moved = CPNet(place(perm, net.variables), place(perm, net.domains),
-                      *renamed_tables(perm, net.parents, net.rows))
+        perm, moved = renamed(seed, net)
         optimal, eligible, solutions, finals = net_answers(net)
         assert net_answers(moved) == (
             {place(perm, o) for o in optimal}, eligible,
@@ -121,17 +160,14 @@ def test_renaming_the_variables_of_a_net():
 
 def test_reversing_the_domains_of_a_net():
     for seed, net in nets():
-        flipped = CPNet(net.variables, reversed_domains(net.domains), net.parents, net.rows)
         optimal, eligible, solutions, finals = net_answers(net)
-        assert net_answers(flipped) == (optimal, eligible, solutions,
-                                        list(map(reversed_domains, finals))), seed
+        assert net_answers(flipped(net)) == (optimal, eligible, solutions,
+                                             list(map(reversed_domains, finals))), seed
 
 
 def test_renaming_the_players_of_a_ppgame():
     for seed, game in ppgames():
-        perm = permutation(seed, len(game.players))
-        moved = PPGame(place(perm, game.players), place(perm, game.strategies),
-                       *renamed_tables(perm, game.neigh, game.prefs))
+        perm, moved = renamed(seed, game)
         nash, finals = ppgame_answers(game)
         assert ppgame_answers(moved) == (
             {place(perm, s) for s in nash},
@@ -140,37 +176,25 @@ def test_renaming_the_players_of_a_ppgame():
 
 def test_reversing_the_strategies_of_a_ppgame():
     for seed, game in ppgames():
-        flipped = PPGame(game.players, reversed_domains(game.strategies), game.neigh, game.prefs)
         nash, finals = ppgame_answers(game)
-        assert ppgame_answers(flipped) == (nash, list(map(reversed_domains, finals))), seed
+        assert ppgame_answers(flipped(game)) == (nash, list(map(reversed_domains, finals))), seed
 
 
 def test_renaming_the_variables_of_a_soft_csp():
     for seed, problem in scsps():
-        perm = permutation(seed, len(problem.variables))
-        moved = SoftCSP(place(perm, problem.variables), place(perm, problem.domains), tuple(
-            SoftConstraint(*rename(perm, c.scope, c.table)) for c in problem.constraints),
-            problem.semiring)
+        perm, moved = renamed(seed, problem)
         assert scsp_answers(moved) == {
             place(perm, s): p for s, p in scsp_answers(problem).items()}, seed
 
 
 def test_reversing_the_domains_of_a_soft_csp():
     for seed, problem in scsps():
-        flipped = SoftCSP(problem.variables, reversed_domains(problem.domains),
-                          problem.constraints, problem.semiring)
-        assert scsp_answers(flipped) == scsp_answers(problem), seed
+        assert scsp_answers(flipped(problem)) == scsp_answers(problem), seed
 
 
 def test_renaming_the_players_of_a_payoff_game():
     for seed, game in payoff_games():
-        n = len(game.players)
-        perm = permutation(seed, n)
-        # a payoff table's scope is the player's local scope, itself included
-        scopes, payoffs = renamed_tables(perm, map(game.local_scope, range(n)), game.payoffs)
-        neigh = [tuple(j for j in scope if j != i) for i, scope in enumerate(scopes)]
-        moved = PayoffGame(place(perm, game.players), place(perm, game.strategies),
-                           tuple(neigh), payoffs, game.carrier)
+        perm, moved = renamed(seed, game)
         nash, pareto = payoff_answers(game)
         assert payoff_answers(moved) == ({place(perm, s) for s in nash},
                                          {place(perm, s) for s in pareto}), seed
@@ -178,6 +202,43 @@ def test_renaming_the_players_of_a_payoff_game():
 
 def test_reversing_the_strategies_of_a_payoff_game():
     for seed, game in payoff_games():
-        flipped = PayoffGame(game.players, reversed_domains(game.strategies), game.neigh,
-                             game.payoffs, game.carrier)
-        assert payoff_answers(flipped) == payoff_answers(game), seed
+        assert payoff_answers(flipped(game)) == payoff_answers(game), seed
+
+
+# ---------------------------------------------------------------- round trips
+
+ROUND_TRIP_SEEDS = SEEDS[:100]
+
+
+def variants(seed, x):
+    """`x`, renamed and reversed; reversal takes every table off the order
+    of its sorted product, in which its document lists its rows."""
+    return x, renamed(seed, x)[1], flipped(x)
+
+
+def every_record(seeds):
+    """(seed, record) of every generator, each as drawn, renamed and
+    reversed, and graphs."""
+    for seed in seeds:
+        yield seed, oracle.random_dag(GeneratorConfig(seed=seed))
+    for seed, x in itertools.chain(nets(seeds), ppgames(seeds), scsps(seeds),
+                                   payoff_games(seeds)):
+        for y in variants(seed, x):
+            yield seed, y
+
+
+def test_documents_read_back_and_write_again():
+    for seed, x in every_record(ROUND_TRIP_SEEDS):
+        text = serialize.dumps(x)
+        back = serialize.loads(text)[1]
+        assert back == x, seed
+        assert serialize.dumps(back) == text, seed
+
+
+def test_game_and_back_and_reduction_keep_the_optimal_outcomes():
+    for seed, x in nets(ROUND_TRIP_SEEDS):
+        for net in variants(seed, x):
+            optimal = set(cpnet.optimal_outcomes(net))
+            back = bridge.cpnet_of_game(bridge.game_of_cpnet(net))
+            assert set(cpnet.optimal_outcomes(back)) == optimal, seed
+            assert set(cpnet.optimal_outcomes(cpnet.reduce(net))) == optimal, seed

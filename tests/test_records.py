@@ -6,6 +6,7 @@ strings below were written by the dataclasses."""
 import copy
 import itertools
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,17 @@ def test_validation_runs_on_construction():
         SemiringSpec(kind="product")
     with pytest.raises(ValidationError):
         DirectedGraph(nodes=("a",), edges=(("a", "b"),))
+    for build, message in (
+        (lambda: SemiringSpec("product", (W, "fuzzy")), "product factor is not a SemiringSpec"),
+        (lambda: SemiringSpec("fuzzy", (W,)), "fuzzy semiring takes no factors"),
+        (lambda: CPNet(("A",), (("a",),), ((),), ()), "variable-indexed fields differ in length"),
+        (lambda: PPGame(("p",), (("a",),), (), ({(): ("a",)},)),
+         "player-indexed fields differ in length"),
+        (lambda: PayoffGame(("p",), (("a",),), ((),), ()), "player-indexed fields differ in length"),
+        (lambda: SoftCSP(("x", "y"), (("a",),), (), W), "variables and domains differ in length"),
+    ):
+        with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+            build()
 
 
 def test_records_copy_and_pickle():

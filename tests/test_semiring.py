@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,14 @@ def test_carrier_mismatch_rejected():
         combine(FUZZY, a, b)
     with pytest.raises(CarrierMismatchError):
         leq(WEIGHTED, a, b)
+    for spec, payload, message in (
+        (BOOLEAN, 2, "boolean carrier is {0,1}, got 2"),
+        (WEIGHTED, -1, "weighted carrier is non-negative, got -1"),
+        (product(FUZZY, WEIGHTED), (1,), "product payload must have arity 2, got (1,)"),
+        (product(FUZZY, WEIGHTED), 1, "product payload must have arity 2, got 1"),
+    ):
+        with pytest.raises(CarrierMismatchError, match="^%s$" % re.escape(message)):
+            value(spec, payload)
 
 
 def test_combine_all_identity():

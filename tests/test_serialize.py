@@ -140,15 +140,15 @@ def test_make_fixtures_reproduces_the_fixtures(tmp_path, monkeypatch):
 # ------------------------------------------------- the writer against json.dumps
 
 def assert_writes_as_stdlib(x):
-    """`text_of(x)` is `json.dumps(x, sort_keys=True, indent=2) + "\\n"`, and
+    """`dumps(x)` is `json.dumps(x, sort_keys=True, indent=2) + "\\n"`, and
     raises the same exception type where that raises."""
     try:
         expected = json.dumps(x, sort_keys=True, indent=2) + "\n"
     except (TypeError, ValueError) as exc:
         with pytest.raises(type(exc)):
-            serialize.text_of(x)
+            serialize.dumps(x)
         return
-    assert serialize.text_of(x) == expected
+    assert serialize.dumps(x) == expected
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -156,7 +156,7 @@ def test_writer_matches_stdlib_on_fixture_documents(name):
     text = (FIXTURES / name).read_text()
     doc = json.loads(text)
     assert_writes_as_stdlib(doc)
-    assert serialize.text_of(doc) == text
+    assert serialize.dumps(doc) == text
 
 
 def test_writer_matches_stdlib_on_golden_reports():
@@ -164,7 +164,7 @@ def test_writer_matches_stdlib_on_golden_reports():
         if run["stdout"]:
             report = json.loads(run["stdout"])
             assert_writes_as_stdlib(report)
-            assert serialize.text_of(report) == run["stdout"]
+            assert serialize.dumps(report) == run["stdout"]
 
 
 _keys = (st.text(), st.integers(), st.floats(), st.booleans(), st.none())
@@ -194,14 +194,59 @@ def test_writer_matches_stdlib_on_generated_values(x):
 
 # ------------------------------------------- the row renderer against the rows
 
+def row_dict_document(obj):
+    """The document of a record as plain data, each table its list of row
+    dicts, keyed by the product of its scope's sorted domains."""
+    def rows(table, domains, scope, key_field, cell_field, cell=lambda x: x, wrap=False):
+        return [{key_field: [list(t)] if wrap else list(t), cell_field: cell(table[t])}
+                for t in itertools.product(*(sorted(domains[j]) for j in scope))]
+
+    def header(names_key, names, domains_key, domains):
+        return {names_key: names, domains_key: dict(zip(names, domains))}
+
+    if isinstance(obj, pgame.DirectedGraph):
+        doc = {"kind": "graph", "nodes": obj.nodes, "edges": obj.edges}
+        if obj.levels is not None:
+            doc["levels"] = dict(zip(obj.nodes, obj.levels))
+        return doc
+    if isinstance(obj, cpnet.CPNet):
+        doc = header("variables", obj.variables, "domains", obj.domains)
+        doc["kind"], doc["tables"] = "cpnet", {
+            v: {"parents": [obj.variables[p] for p in ps],
+                "rows": rows(r, obj.domains, ps, "when", "order", wrap=True)}
+            for v, ps, r in zip(obj.variables, obj.parents, obj.rows)}
+        return doc
+    if isinstance(obj, softcsp.SoftCSP):
+        doc = header("variables", obj.variables, "domains", obj.domains)
+        spec = obj.semiring
+        doc["kind"], doc["semiring"] = "scsp", serialize.spec_to_json(spec)
+        doc["constraints"] = [
+            {"scope": [obj.variables[i] for i in c.scope],
+             "table": rows(c.table, obj.domains, c.scope, "tuple", "value",
+                           lambda v: serialize.payload_to_json(spec, v.payload))}
+            for c in obj.constraints]
+        return doc
+    doc = header("players", obj.players, "strategies", obj.strategies)
+    doc["neigh"] = {p: [obj.players[j] for j in ns] for p, ns in zip(obj.players, obj.neigh)}
+    if isinstance(obj, pgame.PPGame):
+        doc["kind"], doc["prefs"] = "ppgame", {
+            p: rows(t, obj.strategies, ns, "when", "order")
+            for p, ns, t in zip(obj.players, obj.neigh, obj.prefs)}
+        return doc
+    doc["kind"] = "payoffgame"
+    doc["carrier"] = None if obj.carrier is None else serialize.spec_to_json(obj.carrier)
+    doc["payoffs"] = {p: rows(t, obj.strategies, obj.local_scope(i), "when", "value",
+                              lambda v: serialize.payoff_to_json(obj, v))
+                      for i, (p, t) in enumerate(zip(obj.players, obj.payoffs))}
+    return doc
+
+
 def assert_dumps_its_document(obj):
-    """`dumps` writes the text it writes with every table given as its row
-    dicts (`_scope_texts` giving None for every scope), and reads back as
-    `obj`; returns the kind read."""
+    """`dumps` writes the text `json.dumps` gives the record's
+    `row_dict_document`, and it reads back as `obj`; returns the kind
+    read."""
     text = serialize.dumps(obj)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(serialize, "_scope_texts", lambda domains: lambda scope: None)
-        assert text == serialize.dumps(obj)
+    assert text == json.dumps(row_dict_document(obj), sort_keys=True, indent=2) + "\n"
     kind, back = serialize.loads(text)
     assert back == obj
     return kind
@@ -225,10 +270,11 @@ def generated_records(seed):
 
 
 def rendered_records():
-    """Records whose every value is a string, so that `_Rows.render` writes
-    every table: soft constraints (the key field first) and payoffs over
-    scopes of 0 to 3 indices, preferences over 0 to 2 neighbours, and
-    CP-net rows with no parent (the wrapped empty key) and with 1 to 3.
+    """Records whose every value is a string, in every shape of table
+    `_Rows.render` writes: soft constraints (the key field first) and
+    payoffs over scopes of 0 to 3 indices, preferences over 0 to 2
+    neighbours, and CP-net rows with no parent (the wrapped empty key) and
+    with 1 to 3.
     The domains hold one, two and three values, so the runs of rows that
     share all key values but the last are one to three rows long."""
     names = ("w", "x", "y", "z")
@@ -301,6 +347,16 @@ def test_dumps_matches_row_dicts_on_edge_records(obj):
     assert_dumps_its_document(obj)
 
 
+TABLES = {"cpnet": "rows", "ppgame": "prefs", "payoffgame": "payoffs"}
+
+
+def tables_of(kind, obj):
+    """The tables of a record of `kind`."""
+    if kind == "scsp":
+        return [c.table for c in obj.constraints]
+    return getattr(obj, TABLES[kind]) if kind in TABLES else ()
+
+
 def read(doc):
     """The record a document holds with its tables' key orders, or the
     message it is refused with."""
@@ -308,30 +364,43 @@ def read(doc):
         kind, obj = serialize.parse_document(doc)
     except ValidationError as exc:
         return "refused", str(exc)
-    tables = obj.rows if kind == "cpnet" else obj.prefs if kind == "ppgame" else ()
-    return obj, [list(t) for t in tables]
+    return obj, [list(t) for t in tables_of(kind, obj)]
 
 
-def read_cell_by_cell(doc):
-    """`read` with the bulk row reader off, so that `_table`'s loop reads
-    every table."""
+def read_row_by_row(doc):
+    """`read` with every table read a row at a time."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(serialize, "_order_rows", lambda cells, wrapped: None)
+        mp.setattr(serialize, "_table", serialize._table_by_row)
+        return read(doc)
+
+
+def read_in_bulk(doc):
+    """`read` where reading any table a row at a time fails the test."""
+    def by_row(cells, where, *args):
+        pytest.fail("%s is read a row at a time" % where)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_table_by_row", by_row)
         return read(doc)
 
 
 def row_lists(doc):
-    """Each list of {"when", "order"} rows in a CP-net or game document."""
+    """Each row list of a document, as (its holder, its key there, its key
+    field, its cell field)."""
     if doc["kind"] == "cpnet":
-        return [(doc["tables"][v], "rows") for v in doc["variables"]]
+        return [(doc["tables"][v], "rows", "when", "order") for v in doc["variables"]]
     if doc["kind"] == "ppgame":
-        return [(doc["prefs"], p) for p in doc["players"]]
+        return [(doc["prefs"], p, "when", "order") for p in doc["players"]]
+    if doc["kind"] == "payoffgame":
+        return [(doc["payoffs"], p, "when", "value") for p in doc["players"]]
+    if doc["kind"] == "scsp":
+        return [(c, "table", "tuple", "value") for c in doc["constraints"]]
     return []
 
 
-def row_mutations(cpnet_rows):
+def row_mutations(key_field, cell_field, wrapped):
     """Faults planted in rows a and b of a row list (the same row when the
-    list has one), named."""
+    list has one), named; `wrapped` for CP-net rows, whose "when" lists
+    parent assignments."""
     def merge(cells, a, b):  # one row holding the parent assignments of two
         cells[a]["when"] = cells[a]["when"] + cells[b]["when"]
         del cells[b]
@@ -346,52 +415,65 @@ def row_mutations(cpnet_rows):
         return lambda cells, a: cells[a].pop(field)
     def setting(field, value):
         return lambda cells, a: cells[a].__setitem__(field, value(cells[a][field]))
-    string_key = setting("when", (lambda w: ["x"]) if cpnet_rows else (lambda w: "x"))
-    yield "a list row", faults(nonobject(["when", "order"]))
+    def repeated(cells, a):  # row a given again, as the first row
+        cells.insert(0, copy.deepcopy(cells[a]))
+    string_key = setting(key_field, (lambda w: ["x"]) if wrapped else (lambda w: "x"))
+    yield "a list row", faults(nonobject([key_field, cell_field]))
     yield "a string row", faults(nonobject("xy"))
     yield "a number row", faults(nonobject(3))
-    yield "no when", faults(missing("when"))
-    yield "no order", faults(missing("order"))
+    yield "no key", faults(missing(key_field))
+    yield "no cell", faults(missing(cell_field))
     yield "a string key", faults(string_key)
-    yield "a string when", faults(setting("when", lambda w: "x"))
-    yield "an object order", faults(setting("order", lambda o: {"x": 1}))
-    yield "a nested order", faults(setting("order", lambda o: [o]))
-    yield "a nested key", faults(setting("when", lambda w: [[w]]))
-    yield "a duplicate when", lambda cells, a, b: cells.append(copy.deepcopy(cells[a]))
-    if cpnet_rows:
+    yield "a string key field", faults(setting(key_field, lambda w: "x"))
+    yield "an object cell", faults(setting(cell_field, lambda o: {"x": 1}))
+    yield "a nested cell", faults(setting(cell_field, lambda o: [o]))
+    yield "a nested key", faults(setting(key_field, lambda w: [[w]]))
+    yield "a duplicate key", lambda cells, a, b: cells.append(copy.deepcopy(cells[a]))
+    if wrapped:
         yield "a disjunctive when", merge
         yield "an empty when", faults(setting("when", lambda w: []))
-    yield "no order, then a string key", faults(missing("order"), string_key)
-    yield "a string key, then no order", faults(string_key, missing("order"))
-    yield "an object order, then no when", faults(setting("order", lambda o: {}),
-                                                  missing("when"))
+    yield "no cell, then a string key", faults(missing(cell_field), string_key)
+    yield "a string key, then no cell", faults(string_key, missing(cell_field))
+    yield "an object cell, then no key", faults(setting(cell_field, lambda o: {}),
+                                                missing(key_field))
+    yield "a repeated key, then an object cell", faults(
+        repeated, setting(cell_field, lambda o: {"x": 1}))
 
 
 def test_bulk_row_reader_matches_the_cell_loop():
-    """The bulk readers of CP-net rows and preferences give the table, with
-    its key order, that `_table`'s loop gives, or the loop's first fault:
-    on every fixture, on generated nets and games, and with faults planted
-    in one or two rows of each table."""
+    """`_table` reads every table of a valid document in bulk, and gives
+    the table, with its key order, that reading it a row at a time gives,
+    or that reading's first fault: on every fixture, on generated nets,
+    games and soft CSPs (product carriers among them), and with faults
+    planted in one or two rows of each CP-net, preference, payoff and
+    constraint table."""
     docs = [json.loads((FIXTURES / name).read_text()) for name in ALL_FIXTURES]
+    cfg = oracle.GeneratorConfig()
     for seed in range(1, 31):
+        game = oracle.random_payoff_game(replace(cfg, seed=seed))
         docs += [json.loads(serialize.dumps(x)) for x in (
-            oracle.random_cpnet(replace(oracle.GeneratorConfig(), seed=seed)),
-            oracle.random_ppgame(replace(oracle.GeneratorConfig(), seed=seed, graphical=True)))]
-    outcomes = set()
+            oracle.random_cpnet(replace(cfg, seed=seed)),
+            oracle.random_ppgame(replace(cfg, seed=seed, graphical=True)))]
+        if seed <= 6:
+            docs += [json.loads(serialize.dumps(x)) for x in (
+                game, bridge.scsp_of_game(game),
+                oracle.random_scsp(replace(cfg, seed=seed, carrier=(
+                    "weighted", "fuzzy", "boolean")[seed % 3])))]
+    outcomes = {kind: set() for kind in ("cpnet", "ppgame", "payoffgame", "scsp")}
     for seed, doc in enumerate(docs):
-        assert read(doc) == read_cell_by_cell(doc)
-        for k, (holder, key) in enumerate(row_lists(doc)):
+        assert read_in_bulk(doc) == read_row_by_row(doc)
+        for k, (holder, key, key_field, cell_field) in enumerate(row_lists(doc)):
             cells = holder[key]
-            assert serialize._order_rows(cells, doc["kind"] == "cpnet") is not None
             rng = random.Random(seed * 100 + k)
             a, b = sorted(rng.sample(range(len(cells)), 2) if len(cells) > 1 else [0, 0])
-            for name, plant in row_mutations(doc["kind"] == "cpnet"):
+            for name, plant in row_mutations(key_field, cell_field, doc["kind"] == "cpnet"):
                 for first, second in ((a, b), (b, a)):
                     mutated = copy.deepcopy(doc)
                     plant(row_lists(mutated)[k][0][key], first, second)
                     got = read(mutated)
-                    assert got == read_cell_by_cell(mutated), (seed, k, name)
-                    outcomes.add((name, got[0] == "refused"))
-    assert {name for name, refused in outcomes if not refused} >= {"a disjunctive when"}
-    assert {name for name, refused in outcomes if refused} >= {
-        name for name, _ in row_mutations(True)} - {"a disjunctive when"}
+                    assert got == read_row_by_row(mutated), (seed, k, name)
+                    outcomes[doc["kind"]].add((name, got[0] == "refused"))
+    for kind, seen in outcomes.items():
+        names = {name for name, _ in row_mutations("", "", kind == "cpnet")}
+        assert {name for name, refused in seen if refused} >= names - {"a disjunctive when"}, kind
+    assert ("a disjunctive when", False) in outcomes["cpnet"]

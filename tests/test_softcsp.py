@@ -110,6 +110,8 @@ def test_lift_boolean_into_weighted(classical_unsat):
     assert lifted.semiring == WEIGHTED
     vals = {v.payload for c in lifted.constraints for v in c.table.values()}
     assert vals == {Fraction(0), semiring.INF}
+    with pytest.raises(ValidationError, match="^only boolean problems can be lifted$"):
+        softcsp.lift_boolean(lifted, FUZZY)
 
 
 def test_join_concatenates_and_lifts(weighted_mixed, classical_unsat):

@@ -4,8 +4,8 @@ exit of drawn argument vectors: a result or a one-line error, never an
 escaping exception.
 
 `golden_usage.json` holds what `record_usage` wrote; rewrite it, with
-`PYTHONPATH=src python3 -m tests.test_usage`, only for an intended change
-of the command line.
+`PYTHONPATH=src python3 scripts/record_goldens.py`, only for an intended
+change of the command line.
 """
 
 import contextlib
@@ -13,7 +13,6 @@ import io
 import json
 import os
 import pathlib
-import sys
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -157,9 +156,3 @@ def test_drawn_argument_vectors_exit_cleanly(argv):
             assert exc.code in (0, 2), argv
         else:
             assert code in (0, 1, 2, 3), argv
-
-
-if __name__ == "__main__":
-    text = json.dumps(record_usage(), indent=1, sort_keys=True) + "\n"
-    GOLDEN.write_text(text)
-    sys.stdout.write("wrote %s\n" % GOLDEN)
