@@ -3,7 +3,9 @@
 CP-net <-> parametrized-preference game, SCSP -> payoff game (local and
 global forms), payoff game -> SCSP (per-player cost tuples and no-regret
 hard constraints), and the Pareto-efficient Nash equilibria with their
-cost tuples.
+cost tuples.  A game with parametrized preferences is the record of a
+CP-net under another kind, so `game_of_cpnet` re-labels a net and
+`cpnet_of_game` gives every variable all the others as parents.
 """
 
 from fractions import Fraction
@@ -13,16 +15,16 @@ from .errors import ValidationError
 
 
 def game_of_cpnet(net):
-    """Variables become players, CPT rows become parametrized preferences;
-    the neighbour function is the parent relation."""
+    """The net's fields re-labelled as a game: variables become players,
+    CPT rows parametrized preferences and parents neighbours."""
     return pgame.PPGame(net.variables, net.domains, net.parents, net.rows)
 
 
 def cpnet_of_game(game):
     """Players become variables with full parent sets; graphical preferences
     are expanded by ignoring the non-neighbour coordinates."""
-    parents, rows = cpnet.full_tables(game.players, game.strategies, game.neigh, game.prefs)
-    return cpnet.CPNet(game.players, game.strategies, parents, rows)
+    parents, rows = cpnet.widen(game.variables, game.domains, game.parents, game.rows)
+    return cpnet.CPNet(game.variables, game.domains, parents, rows)
 
 
 def _shared_constraint_neighbourhoods(problem):

@@ -65,17 +65,6 @@ def _payoffs(game, s):
     }
 
 
-def _elimination_report(mode, names, trace, domains_key, domains):
-    return {
-        "mode": mode,
-        "rounds": [
-            {names[i]: r for i, r in enumerate(round_) if r} for round_ in trace
-        ],
-        domains_key: {n: list(d) for n, d in zip(names, domains)},
-        "solved": all(len(d) == 1 for d in domains),
-    }
-
-
 def translation(module, name):
     """The handler of a subcommand that writes `module.name` of its document.
     The function is looked up at each call, like every library call here, so
@@ -110,11 +99,21 @@ def cmd_cpnet_eligible(args, kind, net):
     return {"eligible": cpnet.is_eligible(net)}
 
 
-def cmd_cpnet_eliminate(args, kind, net):
+def cmd_eliminate(args, kind, net):
+    """The elimination rounds of a CP-net or a game: its kept values as
+    "domains" with the "outcome" they leave, or as "strategies"."""
     trace = []
-    final = cpnet.reduce_to_fixpoint(net, args.mode, trace)
-    report = _elimination_report(args.mode, net.variables, trace, "domains", final.domains)
-    report["outcome"] = [d[0] for d in final.domains] if report["solved"] else None
+    domains = cpnet.reduce_to_fixpoint(net, args.mode, trace).domains
+    solved = all(len(d) == 1 for d in domains)
+    report = {
+        "mode": args.mode,
+        "rounds": [{net.variables[i]: r for i, r in enumerate(round_) if r} for round_ in trace],
+        "domains" if kind == "cpnet" else "strategies":
+            {n: list(d) for n, d in zip(net.variables, domains)},
+        "solved": solved,
+    }
+    if kind == "cpnet":
+        report["outcome"] = [d[0] for d in domains] if solved else None
     return report
 
 
@@ -141,8 +140,8 @@ def cmd_game_nash(args, kind, game):
     if kind == "ppgame":
         # at a parametrized Nash equilibrium every strategy tops the row it
         # selects, so each player's best response is its own strategy
-        report = [{"joint_strategy": list(s), "best_responses": dict(zip(game.players, s))}
-                  for s in pgame.nash_equilibria_pp(game)]
+        report = [{"joint_strategy": list(s), "best_responses": dict(zip(game.variables, s))}
+                  for s in cpnet.optimal_outcomes(game)]
     else:
         report = [{"joint_strategy": list(s), "payoffs": _payoffs(game, s)}
                   for s in pgame.nash_equilibria_payoff(game)]
@@ -158,16 +157,10 @@ def cmd_game_pareto(args, kind, game):
     }
 
 
-def cmd_game_eliminate(args, kind, game):
-    trace = []
-    final = pgame.reduce_pp_fixpoint(game, args.mode, trace)
-    return _elimination_report(args.mode, game.players, trace, "strategies", final.strategies)
-
-
 def cmd_game_hierarchical(args, kind, game):
-    flag, levels = pgame.is_hierarchical(game)
-    return {"hierarchical": flag,
-            "levels": None if levels is None else {game.players[i]: lv for i, lv in levels.items()}}
+    flag, levels = cpnet.essential_levels(game)
+    return {"hierarchical": flag, "levels": None if levels is None else {
+        game.variables[i]: lv for i, lv in levels.items()}}
 
 
 def _offset(args):
@@ -241,7 +234,7 @@ COMMANDS = {
     "cpnet-eligible": (("cpnet",), cmd_cpnet_eligible, ()),
     "cpnet-opt-constraints": (("cpnet",), translation(cpnet, "optimality_constraints"), ()),
     "cpnet-reduce": (("cpnet",), translation(cpnet, "reduce"), ()),
-    "cpnet-eliminate": (("cpnet",), cmd_cpnet_eliminate, (_MODE,)),
+    "cpnet-eliminate": (("cpnet",), cmd_eliminate, (_MODE,)),
     "cpnet-dominates": (("cpnet",), cmd_cpnet_dominates, (
         (("--budget",), {"type": int, "default": cpnet.DEFAULT_DOMINANCE_BUDGET}),
         (("--better",), {"required": True, "help": "comma-separated outcome, e.g. a,b,c,d"}),
@@ -249,7 +242,7 @@ COMMANDS = {
     )),
     "game-nash": (("ppgame", "payoffgame"), cmd_game_nash, ()),
     "game-pareto": (("payoffgame",), cmd_game_pareto, ()),
-    "game-eliminate": (("ppgame",), cmd_game_eliminate, (_MODE,)),
+    "game-eliminate": (("ppgame",), cmd_eliminate, (_MODE,)),
     "game-hierarchical": (("ppgame",), cmd_game_hierarchical, ()),
     "to-game": (("cpnet",), translation(bridge, "game_of_cpnet"), ()),
     "to-cpnet": (("ppgame",), translation(bridge, "cpnet_of_game"), ()),

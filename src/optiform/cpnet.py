@@ -3,9 +3,12 @@ redundancy reduction, elimination of never-best-response / dominated values,
 and dominance: the ordering query on acyclic nets, then bounded search.
 
 The preference-table core below works on raw per-index domains, parents and
-rows.  A CPNet holds (variables, domains, parents, rows) and a PPGame the
-same data in the same order as (players, strategies, neigh, prefs), so the
-game algorithms of `pgame` call the same core.
+rows.  A CPNet holds them as (variables, domains, parents, rows).  A game
+with parametrized preferences (`pgame.PPGame`) is the same record with its
+variables read as players, its domains as strategies and its parents as
+neighbours, so every function here serves it too: its Nash equilibria are
+the `optimal_outcomes`, its elimination is `reduce_to_fixpoint` and its
+hierarchy is `essential_levels`.
 """
 
 import itertools
@@ -34,19 +37,6 @@ def check_strict_orders(orders, domain):
             raise ValidationError(
                 "%r is not a strict total order of domain %r" % (order, domain)
             )
-
-
-def check_tables(names, domains, parents, rows, own_parent="%s is its own parent"):
-    """The names differ, each domain is nonempty, no index is its own
-    parent (refused with `own_parent` % its name), each table is total over
-    its parents (`softcsp.check_table`), and each of its rows is a strict
-    total order of its index's domain."""
-    softcsp.check_names(names, domains)
-    for i, (name, dom, ps, r) in enumerate(zip(names, domains, parents, rows)):
-        if i in ps:
-            raise ValidationError(own_parent % name)
-        softcsp.check_table(names, domains, ps, r.keys(), lambda: "table of %s" % name)
-        check_strict_orders(dict.fromkeys(r.values()), dom)
 
 
 def _row_tops(parents, rows):
@@ -222,7 +212,7 @@ def spread(cells, block, times):
         map(operator.mul, zip(*[iter(cells)] * block), itertools.repeat(times))))
 
 
-def full_tables(names, domains, parents, rows):
+def widen(names, domains, parents, rows):
     """The same tables with every other index made a parent; the added
     parents are ignored.  Returns the new parents and rows."""
     wide = full_parents(len(domains))
@@ -258,6 +248,10 @@ def full_tables(names, domains, parents, rows):
 class CPNet(Record):
     __slots__ = _fields = ("variables", "domains", "parents", "rows")
 
+    #: How validation words fields of unequal length and an index among its
+    #: own parents (the latter with the index's name).
+    _wording = ("variable-indexed fields differ in length", "%s is its own parent")
+
     def __init__(self, variables, domains, parents, rows):
         init_field(self, "variables", variables)
         init_field(self, "domains", domains)
@@ -266,9 +260,20 @@ class CPNet(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        if not (len(self.variables) == len(self.domains) == len(self.parents) == len(self.rows)):
-            raise ValidationError("variable-indexed fields differ in length")
-        check_tables(self.variables, self.domains, self.parents, self.rows)
+        """The fields have one entry per variable, the names differ, each
+        domain is nonempty, no variable is its own parent, each table is
+        total over its parents (`softcsp.check_table`), and each of its rows
+        is a strict total order of its variable's domain."""
+        unequal, own_parent = self._wording
+        names, domains = self.variables, self.domains
+        if not (len(names) == len(domains) == len(self.parents) == len(self.rows)):
+            raise ValidationError(unequal)
+        softcsp.check_names(names, domains)
+        for i, (name, dom, ps, r) in enumerate(zip(names, domains, self.parents, self.rows)):
+            if i in ps:
+                raise ValidationError(own_parent % name)
+            softcsp.check_table(names, domains, ps, r.keys(), lambda: "table of %s" % name)
+            check_strict_orders(dict.fromkeys(r.values()), dom)
 
     @property
     def tables(self):
@@ -330,6 +335,15 @@ def optimality_constraints(net):
 def is_eligible(net):
     """Whether the net has an optimal outcome."""
     return next(stable_outcomes(net.domains, net.parents, net.rows), None) is not None
+
+
+def essential_levels(net):
+    """`parent_levels` over each index's essential parents, its parents less
+    its `unused_parents`: whether the net's minimal dependency graph is
+    acyclic (of a game, whether it is hierarchical), with the levels.  An
+    index whose rows are all one order depends on nothing, at level 0."""
+    return parent_levels([set(ps) - unused_parents(net.domains, ps, r)
+                          for ps, r in zip(net.parents, net.rows)])
 
 
 def sweep_optimal(net):
@@ -425,13 +439,14 @@ def reduce(net):
         drop_parents(net.domains, ps, r, drop) if drop else (ps, r)
         for ps, r, drop in zip(net.parents, net.rows, unused)
     ))
-    return CPNet(net.variables, net.domains, parents, rows)
+    return type(net)(net.variables, net.domains, parents, rows)
 
 
 def reduce_to_fixpoint(net, mode, trace=None):
     """Iteratively remove all NBR (mode='nbr') or dominated (mode='s')
     elements each round until none remain.  `trace`, if a list, collects the
-    per-round removals."""
+    per-round removals.  Returns a record of the net's own class, the net
+    itself when nothing was removable."""
     domains, rows = eliminate_values(net.variables, net.domains, net.parents, net.rows,
                                      mode, trace)
-    return net if rows is net.rows else CPNet(net.variables, domains, net.parents, rows)
+    return net if rows is net.rows else type(net)(net.variables, domains, net.parents, rows)

@@ -10,7 +10,8 @@ when its rank is higher, and a rank vector dominates when it is different
 and no lower anywhere.  A stable outcome of raw tables holds the top of
 each row its parents select, and a boolean solution holds a true payload in
 each constraint.  Nothing here calls the exact codes of `semiring._compile`,
-the skyline `semiring.maximal` or the Nash and Pareto solvers of `pgame`.
+the skyline `semiring.maximal`, the Nash and Pareto solvers of `pgame` or
+the stable-outcome search of `cpnet`, which gives a PPGame's Nash set.
 Outcomes are projected onto each table's scope by one C-level getter per
 index.  The generators pick names, values, payoffs and carrier cells from
 tables built once per size or carrier, by the draws of a seeded
@@ -81,13 +82,6 @@ def _unflipped(outcomes, parents, rows):
     return list(outcomes)
 
 
-def _tables(x):
-    """The names, domains, parents and rows of a CP-net or a PPGame."""
-    if isinstance(x, pgame.PPGame):
-        return x.players, x.strategies, x.neigh, x.prefs
-    return x.variables, x.domains, x.parents, x.rows
-
-
 def brute_optimal_outcomes(net):
     """The optimal outcomes of a CP-net, from the definition."""
     return _unflipped(net.outcomes(), net.parents, net.rows)
@@ -151,7 +145,7 @@ def brute_nash(game, table=None):
     definition.  `table`, the payoff game's `_PayoffTable`, is built if not
     given."""
     if isinstance(game, pgame.PPGame):
-        return _unflipped(game.joint_strategies(), game.neigh, game.prefs)
+        return brute_optimal_outcomes(game)
     if table is None:
         table = _PayoffTable(game)
     rows = table.rows
@@ -204,7 +198,7 @@ def _domains(rng, cfg, n):
     return tuple(_labels("v", rng.randint(1, cfg.max_domain)) for _ in range(n))
 
 
-def _random_tables(rng, cfg, domains, graphical):
+def _random_cpts(rng, cfg, domains, graphical):
     """Parents and rows for each index of `domains`.  When `graphical`, the
     indices are shuffled and each draws its parents, each kept with
     probability `cfg.density`, from the indices before it (`cfg.acyclic`)
@@ -236,7 +230,7 @@ def random_cpnet(cfg):
     rng = random.Random(cfg.seed)
     n = rng.randint(1, cfg.max_vars)
     domains = _domains(rng, cfg, n)
-    return cpnet.CPNet(_labels("X", n), domains, *_random_tables(rng, cfg, domains, True))
+    return cpnet.CPNet(_labels("X", n), domains, *_random_cpts(rng, cfg, domains, True))
 
 
 def random_scsp(cfg):
@@ -280,7 +274,7 @@ def random_ppgame(cfg):
     n = rng.randint(1, cfg.max_vars)
     strategies = _domains(rng, cfg, n)
     return pgame.PPGame(_labels("p", n), strategies,
-                        *_random_tables(rng, cfg, strategies, cfg.graphical))
+                        *_random_cpts(rng, cfg, strategies, cfg.graphical))
 
 
 def random_dag(cfg):
@@ -336,7 +330,7 @@ def _stable(domains, parents, rows):
 def _check_elimination_round(x):
     """Each round of either elimination mode keeps the stable outcomes of a
     CP-net or a PPGame: its optimal outcomes or Nash equilibria."""
-    names, domains, parents, rows = _tables(x)
+    names, domains, parents, rows = x.variables, x.domains, x.parents, x.rows
     before = set(_stable(domains, parents, rows))
     for mode in ("nbr", "s"):
         d, r = domains, rows
@@ -353,7 +347,7 @@ def _check_elimination_round(x):
 def _check_elimination_fixpoint(x):
     """The nbr fixpoint keeps the stable outcomes, and when it leaves one
     value per index, their outcome is the only stable one."""
-    names, domains, parents, rows = _tables(x)
+    names, domains, parents, rows = x.variables, x.domains, x.parents, x.rows
     stable = _stable(domains, parents, rows)
     final, final_rows = cpnet.eliminate_values(names, domains, parents, rows, "nbr")
     if set(stable) != set(_stable(final, parents, final_rows)):
@@ -375,13 +369,13 @@ def _check_acyclic_sweep(net):
 
 
 def _check_hierarchical_unique(game):
-    flag, _ = pgame.is_hierarchical(game)
+    flag, _ = cpnet.essential_levels(game)
     if not flag:
         return Verdict(True, skipped=True, detail="instance not hierarchical")
-    final = pgame.reduce_pp_fixpoint(game, "nbr")
-    if not all(len(s) == 1 for s in final.strategies):
+    final = cpnet.reduce_to_fixpoint(game, "nbr")
+    if not all(len(s) == 1 for s in final.domains):
         return _verdict(False, "hierarchical game did not reduce to singletons")
-    only = tuple(s[0] for s in final.strategies)
+    only = tuple(s[0] for s in final.domains)
     return _verdict(brute_nash(game) == [only], "not the unique Nash equilibrium")
 
 
@@ -458,8 +452,8 @@ def _check_pareto_nash(game):
 
 def _check_tech_adoption(graph):
     game = pgame.tech_game(graph, 2)
-    final = pgame.reduce_pp_fixpoint(game, "nbr")
-    ok = all(s == ("t1",) for s in final.strategies)
+    final = cpnet.reduce_to_fixpoint(game, "nbr")
+    ok = all(s == ("t1",) for s in final.domains)
     return _verdict(ok, "technology game did not settle on t1 everywhere")
 
 

@@ -1,10 +1,10 @@
 """Games with parametrized preferences and graphical payoff games.
 
-A PPGame stores, per player, one strict order over the player's strategies
+A PPGame holds, per player, one strict order over the player's strategies
 for every joint strategy of the player's neighbours (a non-graphical game is
 the special case where every other player is a neighbour).  These are the
-tables of a CP-net under other names, so the PPGame algorithms call the
-table core of `cpnet` on (players, strategies, neigh, prefs).  A PayoffGame
+tables of a CP-net, so a PPGame is a `cpnet.CPNet` under its own document
+kind, and the functions of `cpnet` are its solvers.  A PayoffGame
 stores payoff tables over neigh(i) + {i}; payoffs are either plain rationals
 (carrier None) or elements of a linearly ordered semiring carrier, compared
 by the carrier's preference order.
@@ -18,28 +18,13 @@ from .errors import ValidationError, check_space
 from .record import Record, init_field
 
 
-class PPGame(Record):
-    __slots__ = _fields = ("players", "strategies", "neigh", "prefs")
-
-    def __init__(self, players, strategies, neigh, prefs):
-        init_field(self, "players", players)
-        init_field(self, "strategies", strategies)  # per-player tuples
-        init_field(self, "neigh", neigh)  # per-player tuples of indices, i excluded, in any order
-        init_field(self, "prefs", prefs)  # per-player dict: neigh joint strategy -> order tuple
-        self.__post_init__()
-
-    def __post_init__(self):
-        n = len(self.players)
-        if not (n == len(self.strategies) == len(self.neigh) == len(self.prefs)):
-            raise ValidationError("player-indexed fields differ in length")
-        cpnet.check_tables(self.players, self.strategies, self.neigh, self.prefs,
-                           "player %s is its own neighbour")
-
-    def space_size(self):
-        return math.prod(map(len, self.strategies))
-
-    def joint_strategies(self):
-        return softcsp.space(self.strategies, "joint strategy space")
+class PPGame(cpnet.CPNet):
+    """A game with parametrized preferences: a CP-net whose variables are
+    the players, whose domains are their strategies and whose parents are
+    their neighbours.  It differs only in its document kind and in how its
+    validation words a fault."""
+    __slots__ = ()
+    _wording = ("player-indexed fields differ in length", "player %s is its own neighbour")
 
 
 class PayoffGame(Record):
@@ -91,32 +76,6 @@ class PayoffGame(Record):
         if self.carrier is None:
             return a < b
         return semiring.strictly_less(self.carrier, a, b)
-
-
-def nash_equilibria_pp(game):
-    """Joint strategies where each player's strategy tops the selected order."""
-    return list(cpnet.stable_outcomes(game.strategies, game.neigh, game.prefs))
-
-
-def reduce_pp_fixpoint(game, mode, trace=None):
-    """`cpnet.eliminate_values` on the game's tables; the game itself when
-    no strategy was removable."""
-    strategies, prefs = cpnet.eliminate_values(game.players, game.strategies, game.neigh,
-                                               game.prefs, mode, trace)
-    return game if prefs is game.prefs else PPGame(game.players, strategies, game.neigh, prefs)
-
-
-def is_hierarchical(game):
-    """Whether the minimal dependency digraph is acyclic: each player depends
-    on the neighbours whose strategy changes some order of the player, the
-    game analogue of non-redundant CP-net parents.
-
-    Returns (flag, levels) where levels maps player index to its level
-    (dependencies only on strictly lower levels); levels is None when cyclic.
-    Players with constant preferences depend on nobody and sit at level 0.
-    """
-    return cpnet.parent_levels([set(ns) - cpnet.unused_parents(game.strategies, ns, rows)
-                                for ns, rows in zip(game.neigh, game.prefs)])
 
 
 def _payoff_codes(game):

@@ -207,11 +207,9 @@ def _header_from_json(data, names_key, domains_key):
     return names, {n: i for i, n in enumerate(names)}, domains
 
 
-def _game_to_json(game):
-    doc = _header_to_json("players", game.players, "strategies", game.strategies)
-    doc["neigh"] = {
-        p: [game.players[j] for j in ns] for p, ns in zip(game.players, game.neigh)
-    }
+def _game_to_json(players, strategies, neigh):
+    doc = _header_to_json("players", players, "strategies", strategies)
+    doc["neigh"] = {p: [players[j] for j in ns] for p, ns in zip(players, neigh)}
     return doc
 
 
@@ -286,10 +284,10 @@ def _scsp_from_json(data):
 # -------------------------------------------------------------------- ppgame
 
 def _ppgame_to_json(game):
-    doc = _game_to_json(game)
-    at = _scope_texts(game.strategies)
+    doc = _game_to_json(game.variables, game.domains, game.parents)
+    at = _scope_texts(game.domains)
     doc["prefs"] = {p: _Rows(rows, at(ns), _same, "when", "order")
-                    for p, ns, rows in zip(game.players, game.neigh, game.prefs)}
+                    for p, ns, rows in zip(game.variables, game.parents, game.rows)}
     return doc
 
 
@@ -310,7 +308,7 @@ def payoff_to_json(game, v):
 
 
 def _payoffgame_to_json(game):
-    doc = _game_to_json(game)
+    doc = _game_to_json(game.players, game.strategies, game.neigh)
     doc["carrier"] = None if game.carrier is None else spec_to_json(game.carrier)
     at = _scope_texts(game.strategies)
     cell = lambda v: payoff_to_json(game, v)
@@ -358,7 +356,7 @@ def _graph_from_json(data):
 # ------------------------------------------------------------------ envelope
 
 #: The document kinds: kind -> (its record class, writer, reader).  A writer
-#: returns the document without its "kind", which `dumps` adds.
+#: returns the document without its "kind", which `chunks` adds.
 _KINDS = {
     "cpnet": (cpnet.CPNet, _cpnet_to_json, _cpnet_from_json),
     "scsp": (softcsp.SoftCSP, _scsp_to_json, _scsp_from_json),
@@ -367,6 +365,10 @@ _KINDS = {
     "graph": (pgame.DirectedGraph, _graph_to_json, _graph_from_json),
 }
 KINDS = tuple(_KINDS)
+
+#: Each record class -> its kind.  A record's kind is that of its exact
+#: class: a PPGame is a CPNet, but is written as a ppgame document.
+_KIND_OF = {cls: kind for kind, (cls, _, _) in _KINDS.items()}
 
 
 def parse_document(data):
@@ -393,11 +395,10 @@ def chunks(obj):
     as the rows it holds.  A list of strings is one chunk, made by one join
     over the C string encoder; a number, a bool or None is left to
     `json.dumps`.  Every chunk exists before the list is returned."""
-    for kind, (cls, write, _) in _KINDS.items():
-        if isinstance(obj, cls):
-            obj = write(obj)
-            obj["kind"] = kind
-            break
+    kind = _KIND_OF.get(obj.__class__)
+    if kind is not None:
+        obj = _KINDS[kind][1](obj)
+        obj["kind"] = kind
     out = []
     _write(obj, "\n", out.append)
     out.append("\n")

@@ -59,10 +59,6 @@ def optimal_outcomes(net):
     return stable(net.outcomes(), net.domains, net.parents, net.rows)
 
 
-def nash_pp(game):
-    return stable(game.joint_strategies(), game.strategies, game.neigh, game.prefs)
-
-
 def nash(game):
     """The joint strategies of a payoff game from which no player gains by
     deviating alone."""

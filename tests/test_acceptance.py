@@ -179,8 +179,8 @@ def test_criterion_8_technology_diffusion():
         for seed in SEEDS:
             graph = oracle.random_dag(replace(cfg, seed=seed))
             k = 1 + seed % 3
-            final = pgame.reduce_pp_fixpoint(pgame.tech_game(graph, k), "nbr")
-            assert all(s == ("t1",) for s in final.strategies), seed
+            final = cpnet.reduce_to_fixpoint(pgame.tech_game(graph, k), "nbr")
+            assert all(s == ("t1",) for s in final.domains), seed
         ok, levels = pgame.is_well_structured(load("cycle3.graph.json"))
         assert not ok and levels is None
 

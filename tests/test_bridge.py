@@ -11,16 +11,16 @@ from tests.conftest import load
 def test_game_of_cpnet_shares_stable_points(acyclic4, cyclic4, cyclic2):
     for net in (acyclic4, cyclic4, cyclic2):
         game = bridge.game_of_cpnet(net)
-        assert game.players == net.variables
-        assert game.neigh == net.parents
-        assert pgame.nash_equilibria_pp(game) == cpnet.optimal_outcomes(net)
+        assert game.variables == net.variables
+        assert game.parents == net.parents
+        assert cpnet.optimal_outcomes(game) == cpnet.optimal_outcomes(net)
 
 
 def test_cpnet_of_game_shares_stable_points(pd_pp):
     net = bridge.cpnet_of_game(pd_pp)
     assert net.parents == ((1,), (0,))
-    assert net.rows == pd_pp.prefs
-    assert cpnet.optimal_outcomes(net) == pgame.nash_equilibria_pp(pd_pp)
+    assert net.rows == pd_pp.rows
+    assert cpnet.optimal_outcomes(net) == cpnet.optimal_outcomes(pd_pp)
 
 
 def test_round_trip_through_full_expansion(pd_pp):
@@ -137,7 +137,7 @@ def test_benchmark_counts_the_cells_of_every_translation():
     results = []
     for name in ("acyclic4", "cyclic4", "cyclic2", "redundant3"):
         game = bridge.game_of_cpnet(load(name + ".cpnet.json"))
-        results.append((game, sum(map(len, game.prefs))))
+        results.append((game, sum(map(len, game.rows))))
     net = bridge.cpnet_of_game(load("pd.ppgame.json"))
     results.append((net, sum(map(len, net.rows))))
     for name in ("fuzzy_chain", "weighted_mixed"):

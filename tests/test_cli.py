@@ -227,7 +227,7 @@ def test_map_and_equilibria(capsys):
 def test_tech_game_and_well_structured(capsys):
     code, out, _ = run(capsys, "tech-game", fx("cycle3.graph.json"), "--k", "2")
     kind, game = serialize.loads(out)
-    assert kind == "ppgame" and game.strategies[0] == ("t1", "t2")
+    assert kind == "ppgame" and game.domains[0] == ("t1", "t2")
 
     code, out, _ = run(capsys, "well-structured", fx("diamond.graph.json"))
     doc = json.loads(out)
@@ -1249,9 +1249,7 @@ def preference_referee_text(command, names, domains, parents, rows):
 
 def _tables_of(record):
     """The names, domains, parents and rows of a CP-net or PPGame."""
-    if isinstance(record, cpnet.CPNet):
-        return record.variables, record.domains, record.parents, record.rows
-    return record.players, record.strategies, record.neigh, record.prefs
+    return record.variables, record.domains, record.parents, record.rows
 
 
 def assert_keeps_the_stable_outcomes(command, text, names, domains, parents, rows):
@@ -1414,11 +1412,11 @@ def test_drawn_graphs_answer_as_the_referees(tmp_path_factory, doc):
             continue
         assert code == 0, (argv, err)
         game = serialize.loads(out)[1]
-        techs = game.strategies[0] if game.players else ()
-        assert game.players == graph.nodes and len(techs) == (k if game.players else 0)
-        assert set(game.strategies) <= {techs}
-        for node, ns, rows in zip(graph.nodes, game.neigh, game.prefs):
-            assert sorted(game.players[j] for j in ns) == sorted(graph.predecessors(node))
+        techs = game.domains[0] if game.variables else ()
+        assert game.variables == graph.nodes and len(techs) == (k if game.variables else 0)
+        assert set(game.domains) <= {techs}
+        for node, ns, rows in zip(graph.nodes, game.parents, game.rows):
+            assert sorted(game.variables[j] for j in ns) == sorted(graph.predecessors(node))
             for played, order in rows.items():
                 assert order == tuple(sorted(techs, key=lambda t: (-played.count(t),
                                                                    techs.index(t))))

@@ -23,7 +23,7 @@ import random
 from optiform import bridge, cpnet, oracle, pgame, serialize, softcsp
 from optiform.cpnet import CPNet
 from optiform.oracle import GeneratorConfig
-from optiform.pgame import PayoffGame, PPGame
+from optiform.pgame import PayoffGame
 from optiform.softcsp import SoftConstraint, SoftCSP
 
 SEEDS = range(1, 301)
@@ -65,14 +65,10 @@ def permutation(seed, n):
 def renamed(seed, x):
     """`x` with its indices renamed by `permutation(seed, n)`, and the
     permutation."""
-    if isinstance(x, CPNet):
+    if isinstance(x, CPNet):  # a PPGame too, kept of its class
         perm = permutation(seed, len(x.variables))
-        return perm, CPNet(place(perm, x.variables), place(perm, x.domains),
-                           *renamed_tables(perm, x.parents, x.rows))
-    if isinstance(x, PPGame):
-        perm = permutation(seed, len(x.players))
-        return perm, PPGame(place(perm, x.players), place(perm, x.strategies),
-                            *renamed_tables(perm, x.neigh, x.prefs))
+        return perm, type(x)(place(perm, x.variables), place(perm, x.domains),
+                             *renamed_tables(perm, x.parents, x.rows))
     if isinstance(x, SoftCSP):
         perm = permutation(seed, len(x.variables))
         return perm, SoftCSP(place(perm, x.variables), place(perm, x.domains), tuple(
@@ -89,9 +85,7 @@ def renamed(seed, x):
 def flipped(x):
     """`x` with each domain's declared order reversed."""
     if isinstance(x, CPNet):
-        return CPNet(x.variables, reversed_domains(x.domains), x.parents, x.rows)
-    if isinstance(x, PPGame):
-        return PPGame(x.players, reversed_domains(x.strategies), x.neigh, x.prefs)
+        return type(x)(x.variables, reversed_domains(x.domains), x.parents, x.rows)
     if isinstance(x, SoftCSP):
         return SoftCSP(x.variables, reversed_domains(x.domains), x.constraints, x.semiring)
     return PayoffGame(x.players, reversed_domains(x.strategies), x.neigh, x.payoffs, x.carrier)
@@ -112,8 +106,8 @@ def net_answers(net):
 
 def ppgame_answers(game):
     """Nash equilibria, and the final strategies of both elimination modes."""
-    return (set(pgame.nash_equilibria_pp(game)),
-            [pgame.reduce_pp_fixpoint(game, mode).strategies for mode in ("nbr", "s")])
+    return (set(cpnet.optimal_outcomes(game)),
+            [cpnet.reduce_to_fixpoint(game, mode).domains for mode in ("nbr", "s")])
 
 
 def scsp_answers(problem):

@@ -29,7 +29,7 @@ def test_brute_optimal_matches_flip_definition(acyclic4, cyclic4, cyclic2):
 
 
 def test_brute_nash_matches_pp(pd_pp):
-    assert oracle.brute_nash(pd_pp) == pgame.nash_equilibria_pp(pd_pp)
+    assert oracle.brute_nash(pd_pp) == cpnet.optimal_outcomes(pd_pp)
 
 
 def test_brute_nash_and_pareto_match_payoff(pd_payoff):
@@ -54,7 +54,7 @@ def test_generators_respect_flags():
     )
     assert softcsp.is_consistent(problem)
     game = oracle.random_ppgame(replace(CFG, seed=3, graphical=True, acyclic=True))
-    flag, _ = pgame.is_hierarchical(game)
+    flag, _ = cpnet.essential_levels(game)
     assert flag
     graph = oracle.random_dag(replace(CFG, seed=3))
     order = {n: i for i, n in enumerate(graph.nodes)}
@@ -92,7 +92,7 @@ def test_checker_detects_planted_defects():
     rows[("N",)] = ("C", "N")  # plant an inverted row
     bad_net = cpnet.CPNet(broken.variables, broken.domains, broken.parents,
                           (rows,) + broken.rows[1:])
-    assert cpnet.optimal_outcomes(bad_net) != pgame.nash_equilibria_pp(pd)
+    assert cpnet.optimal_outcomes(bad_net) != cpnet.optimal_outcomes(pd)
 
 
 def test_run_suite_smoke():
@@ -119,7 +119,7 @@ def test_referees_match_nested_loops():
         assert oracle.brute_pareto(game) == referees.pareto(game)
     for seed in range(1, 41):
         game = oracle.random_ppgame(replace(CFG, seed=seed, graphical=seed % 2 == 0))
-        assert oracle.brute_nash(game) == referees.nash_pp(game)
+        assert oracle.brute_nash(game) == referees.optimal_outcomes(game)
         net = oracle.random_cpnet(replace(CFG, seed=seed, acyclic=seed % 2 == 0))
         assert oracle.brute_optimal_outcomes(net) == referees.optimal_outcomes(net)
 
@@ -173,7 +173,7 @@ def test_oracle_never_calls_the_solvers_it_referees():
     assert not names & {"maximal", "_skyline", "_compile", "_payoff_codes",
                         "nash_equilibria_payoff", "best_replies", "pareto_efficient",
                         "pareto_maximal", "stable_outcomes", "optimal_outcomes",
-                        "nash_equilibria_pp", "improving_flips"}
+                        "improving_flips"}
 
 
 def test_the_enumeration_bound_is_checked_in_one_place():
@@ -221,6 +221,6 @@ def test_referees_stay_independent():
     forbidden = {"maximal", "_compile", "optimal_solutions", "optimal_outcomes", "solutions",
                  "stable_outcomes", "pareto_efficient", "pareto_maximal", "best_replies",
                  "_unbeaten", "_unflipped", "_PayoffTable", "unused_parents",
-                 "is_hierarchical", "dominates", "ordering_query"}
+                 "essential_levels", "dominates", "ordering_query"}
     assert not {name for name in names
                 if name in forbidden or name.startswith(("nash_equilibria_", "brute_"))}

@@ -24,56 +24,57 @@ def matching_pennies():
 
 
 def test_nash_pp_prisoners_dilemma(pd_pp):
-    assert pgame.nash_equilibria_pp(pd_pp) == [("N1", "N2")]
+    assert cpnet.optimal_outcomes(pd_pp) == [("N1", "N2")]
 
 
 def test_nash_pp_can_be_empty_or_multiple():
-    assert pgame.nash_equilibria_pp(matching_pennies()) == []
+    assert cpnet.optimal_outcomes(matching_pennies()) == []
     cyc = pgame.tech_game(
         DirectedGraph(("n0", "n1"), (("n0", "n1"), ("n1", "n0"))), 2
     )
-    assert pgame.nash_equilibria_pp(cyc) == [("t1", "t1"), ("t2", "t2")]
+    assert cpnet.optimal_outcomes(cyc) == [("t1", "t1"), ("t2", "t2")]
 
 
 def test_best_response_and_dominance(pd_pp):
-    assert pd_pp.prefs[0][("C2",)][0] == "N1"
-    assert cpnet.never_best(pd_pp.strategies[0], pd_pp.prefs[0]) == {"C1"}
-    assert cpnet.dominated(pd_pp.strategies[0], pd_pp.prefs[0]) == {"C1"}
+    assert pd_pp.rows[0][("C2",)][0] == "N1"
+    assert cpnet.never_best(pd_pp.domains[0], pd_pp.rows[0]) == {"C1"}
+    assert cpnet.dominated(pd_pp.domains[0], pd_pp.rows[0]) == {"C1"}
     mp = matching_pennies()
-    assert cpnet.never_best(mp.strategies[0], mp.prefs[0]) == set()
-    assert cpnet.dominated(mp.strategies[0], mp.prefs[0]) == set()
+    assert cpnet.never_best(mp.domains[0], mp.rows[0]) == set()
+    assert cpnet.dominated(mp.domains[0], mp.rows[0]) == set()
 
 
 def test_reduction_rounds(pd_pp):
     trace = []
-    fixed = pgame.reduce_pp_fixpoint(pd_pp, "s", trace)
+    fixed = cpnet.reduce_to_fixpoint(pd_pp, "s", trace)
     assert trace == [[["C1"], ["C2"]]]
-    assert fixed.strategies == (("N1",), ("N2",))
-    assert pgame.reduce_pp_fixpoint(fixed, "s") is fixed
-    assert pgame.reduce_pp_fixpoint(pd_pp, "nbr").strategies == fixed.strategies
+    assert fixed.domains == (("N1",), ("N2",))
+    assert type(fixed) is PPGame
+    assert cpnet.reduce_to_fixpoint(fixed, "s") is fixed
+    assert cpnet.reduce_to_fixpoint(pd_pp, "nbr").domains == fixed.domains
     with pytest.raises(ValidationError):
-        pgame.reduce_pp_fixpoint(pd_pp, "weak")
+        cpnet.reduce_to_fixpoint(pd_pp, "weak")
 
 
 def test_subgame_rejects_empty():
     game = matching_pennies()
     with pytest.raises(ValidationError, match="empties the domain of p1"):
-        cpnet.restrict(game.players, game.neigh, game.prefs, ((), ("h", "t")))
+        cpnet.restrict(game.variables, game.parents, game.rows, ((), ("h", "t")))
 
 
 def test_expand_full_round_trips(pd_pp):
     # the full expansion of a game is the game of its full CP-net
     full = bridge.game_of_cpnet(bridge.cpnet_of_game(pd_pp))
-    assert full.neigh == ((1,), (0,))
-    assert full.prefs == pd_pp.prefs
-    assert pgame.nash_equilibria_pp(full) == pgame.nash_equilibria_pp(pd_pp)
+    assert full.parents == ((1,), (0,))
+    assert full.rows == pd_pp.rows
+    assert cpnet.optimal_outcomes(full) == cpnet.optimal_outcomes(pd_pp)
 
 
 def test_hierarchical(pd_pp):
     # constant preferences make both players level 0
-    flag, levels = pgame.is_hierarchical(pd_pp)
+    flag, levels = cpnet.essential_levels(pd_pp)
     assert flag and levels == {0: 0, 1: 0}
-    flag, levels = pgame.is_hierarchical(matching_pennies())
+    flag, levels = cpnet.essential_levels(matching_pennies())
     assert not flag and levels is None
 
 
@@ -132,13 +133,13 @@ def test_payoffs_must_belong_to_the_carrier():
 
 def test_tech_game_prefers_majority_then_index(cycle3):
     g = pgame.tech_game(cycle3, 3)
-    assert g.strategies[0] == ("t1", "t2", "t3")
+    assert g.domains[0] == ("t1", "t2", "t3")
     # single in-neighbour: copy it, remaining techs by index
-    assert g.prefs[0][("t2",)] == ("t2", "t1", "t3")
+    assert g.rows[0][("t2",)] == ("t2", "t1", "t3")
     # equal tables, as every node has one in-neighbour, but each its own dict
-    assert g.prefs[0] == g.prefs[1] == g.prefs[2]
-    assert len(set(map(id, g.prefs))) == 3
-    assert pgame.nash_equilibria_pp(g) == [
+    assert g.rows[0] == g.rows[1] == g.rows[2]
+    assert len(set(map(id, g.rows))) == 3
+    assert cpnet.optimal_outcomes(g) == [
         ("t1", "t1", "t1"), ("t2", "t2", "t2"), ("t3", "t3", "t3")
     ]
     with pytest.raises(ValidationError):
@@ -148,9 +149,9 @@ def test_tech_game_prefers_majority_then_index(cycle3):
 def test_tech_game_tie_break(diamond):
     g = pgame.tech_game(diamond, 2)
     i = list(diamond.nodes).index("n3")
-    assert g.neigh[i] == (1, 2)
-    assert g.prefs[i][("t1", "t2")] == ("t1", "t2")
-    assert g.prefs[i][("t2", "t2")] == ("t2", "t1")
+    assert g.parents[i] == (1, 2)
+    assert g.rows[i][("t1", "t2")] == ("t1", "t2")
+    assert g.rows[i][("t2", "t2")] == ("t2", "t1")
 
 
 def with_levels(graph, levels):

@@ -47,8 +47,8 @@ def examples():
          "CPNet(variables=('A', 'B'), domains=(('a', 'b'), ('c', 'd')), parents=((), (0,)), "
          "rows=({(): ('a', 'b')}, {('a',): ('c', 'd'), ('b',): ('d', 'c')}))"),
         (PPGame(("p", "q"), (("x", "y"), ("u",)), ((1,), ()), ({("u",): ("y", "x")}, {(): ("u",)})),
-         "PPGame(players=('p', 'q'), strategies=(('x', 'y'), ('u',)), neigh=((1,), ()), "
-         "prefs=({('u',): ('y', 'x')}, {(): ('u',)}))"),
+         "PPGame(variables=('p', 'q'), domains=(('x', 'y'), ('u',)), parents=((1,), ()), "
+         "rows=({('u',): ('y', 'x')}, {(): ('u',)}))"),
         (PayoffGame(("p",), (("x", "y"),), ((),), ({("x",): 1, ("y",): Fraction(-2, 3)},)),
          "PayoffGame(players=('p',), strategies=(('x', 'y'),), neigh=((),), "
          "payoffs=({('x',): 1, ('y',): Fraction(-2, 3)},), carrier=None)"),
@@ -79,7 +79,7 @@ FIELDS = {
     SoftConstraint: ("scope", "table"),
     SoftCSP: ("variables", "domains", "constraints", "semiring"),
     CPNet: ("variables", "domains", "parents", "rows"),
-    PPGame: ("players", "strategies", "neigh", "prefs"),
+    PPGame: ("variables", "domains", "parents", "rows"),
     PayoffGame: ("players", "strategies", "neigh", "payoffs", "carrier"),
     DirectedGraph: ("nodes", "edges", "levels"),
     GeneratorConfig: ("seed", "max_vars", "max_domain", "density", "carrier", "acyclic",
@@ -123,6 +123,7 @@ def test_records_of_different_classes_with_equal_fields_differ():
     for same_fields in (
         [SemiringSpec("weighted"), SemiringValue("weighted", ()), SoftConstraint("weighted", ())],
         [SemiringValue(("a",), ()), SoftConstraint(("a",), ()), DirectedGraph(("a",), ())],
+        [CPNet((), (), (), ()), PPGame((), (), (), ())],
     ):
         for a in same_fields:
             for b in same_fields:

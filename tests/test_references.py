@@ -7,7 +7,7 @@
 - the oracle's twin elimination checks: verdict parity with the one
   check, also under a `restrict` that breaks the theorems;
 - the per-row technology game, the deviation-scan `regret_constraints`,
-  the drop-parent `reduce`, the gap-insert `full_tables` and the
+  the drop-parent `reduce`, the gap-insert `widen` and the
   lookup-per-row `drop_parents`: key order;
 - the two layering loops and Kahn's order with its sweep: level maps,
   outcomes and the sweep's refusal of cycles;
@@ -106,21 +106,15 @@ def reference_tech_game(graph, k):
     return pgame.PPGame(graph.nodes, tuple(techs for _ in graph.nodes), neigh, tuple(prefs))
 
 
+def net_fields(x):
+    """The names, domains, parents and rows of a CP-net or a PPGame."""
+    return x.variables, x.domains, x.parents, x.rows
+
+
 def reference_eliminate(net, removals):
     domains, rows = cpnet.restrict(net.variables, net.parents, net.rows,
                                    cpnet.without(net.domains, removals))
     return cpnet.CPNet(net.variables, domains, net.parents, rows)
-
-
-def reference_subgame(game, keep):
-    strategies, prefs = cpnet.restrict(game.players, game.neigh, game.prefs, keep)
-    return pgame.PPGame(game.players, strategies, game.neigh, prefs)
-
-
-def reference_reduce_pp(game, mode):
-    removals = cpnet.removable_values(game.strategies, game.prefs, mode)
-    return (reference_subgame(game, cpnet.without(game.strategies, removals))
-            if any(removals) else game)
 
 
 def unused_parents(parents, rows):
@@ -138,21 +132,7 @@ def reference_drop_parents(domains, parents, rows, drop):
     return kept, out
 
 
-def reference_check_elimination_round_game(game):
-    for mode in ("nbr", "s"):
-        g, before = game, set(referees.nash_pp(game))
-        while True:
-            nxt = reference_reduce_pp(g, mode)
-            if nxt == g:
-                break
-            after = set(referees.nash_pp(nxt))
-            if before != after:
-                return oracle._verdict(False, "mode %s round changed the Nash set" % mode)
-            g = nxt
-    return oracle._verdict(True)
-
-
-def reference_check_elimination_round_net(net):
+def reference_check_elimination_round(net):
     for mode in ("nbr", "s"):
         n, before = net, set(referees.optimal_outcomes(net))
         while True:
@@ -167,18 +147,7 @@ def reference_check_elimination_round_net(net):
     return oracle._verdict(True)
 
 
-def reference_check_elimination_fixpoint_game(game):
-    final = pgame.reduce_pp_fixpoint(game, "nbr")
-    if set(referees.nash_pp(game)) != set(referees.nash_pp(final)):
-        return oracle._verdict(False, "fixpoint changed the Nash set")
-    if all(len(s) == 1 for s in final.strategies):
-        only = tuple(s[0] for s in final.strategies)
-        return oracle._verdict(referees.nash_pp(game) == [only],
-                               "singleton joint strategy is not the unique Nash")
-    return oracle._verdict(True)
-
-
-def reference_check_elimination_fixpoint_net(net):
+def reference_check_elimination_fixpoint(net):
     final = cpnet.reduce_to_fixpoint(net, "nbr")
     if set(referees.optimal_outcomes(net)) != set(referees.optimal_outcomes(final)):
         return oracle._verdict(False, "fixpoint changed the optimal set")
@@ -191,11 +160,13 @@ def reference_check_elimination_fixpoint_net(net):
     return oracle._verdict(True)
 
 
+#: Per elimination suite, its twin check from before the one check: a net's
+#: and a game's are one, as a game is a net.
 REFERENCE_ELIMINATION_CHECKS = {
-    "elimination_round_net": reference_check_elimination_round_net,
-    "elimination_round_game": reference_check_elimination_round_game,
-    "elimination_fixpoint_net": reference_check_elimination_fixpoint_net,
-    "elimination_fixpoint_game": reference_check_elimination_fixpoint_game,
+    "elimination_round_net": reference_check_elimination_round,
+    "elimination_round_game": reference_check_elimination_round,
+    "elimination_fixpoint_net": reference_check_elimination_fixpoint,
+    "elimination_fixpoint_game": reference_check_elimination_fixpoint,
 }
 
 
@@ -218,8 +189,8 @@ def reference_regret_constraints(game):
 
 
 def reference_is_hierarchical(game):
-    n = len(game.players)
-    deps = list(map(referees.essential_parents, game.neigh, game.prefs))
+    n = len(game.variables)
+    deps = list(map(referees.essential_parents, game.parents, game.rows))
     levels = {}
     remaining = set(range(n))
     level = 0
@@ -540,7 +511,7 @@ def test_net_fixpoint_matches_callback_fixpoint():
             for mode in MODES:
                 got, want = [], []
                 final = cpnet.reduce_to_fixpoint(net, mode, got)
-                domains, rows = reference_eliminate_values(*oracle._tables(net), mode, want)
+                domains, rows = reference_eliminate_values(*net_fields(net), mode, want)
                 expected = cpnet.CPNet(net.variables, domains, net.parents, rows)
                 assert (final, got) == (expected, want), (seed, acyclic, mode)
                 assert (final is net) == (not want)
@@ -552,13 +523,13 @@ def test_game_rounds_match_callback_round_and_fixpoint():
             game = oracle.random_ppgame(replace(CFG, seed=seed, graphical=graphical))
             for mode in MODES:
                 got, want = [], []
-                final = pgame.reduce_pp_fixpoint(game, mode, got)
-                strategies, prefs = reference_eliminate_values(*oracle._tables(game), mode, want)
-                expected = pgame.PPGame(game.players, strategies, game.neigh, prefs)
+                final = cpnet.reduce_to_fixpoint(game, mode, got)
+                strategies, prefs = reference_eliminate_values(*net_fields(game), mode, want)
+                expected = pgame.PPGame(game.variables, strategies, game.parents, prefs)
                 assert (final, got) == (expected, want), (seed, graphical, mode)
                 assert (final is game) == (not want)
                 # the first round removes what the elimination checks take
-                removals = cpnet.removable_values(game.strategies, game.prefs, mode)
+                removals = cpnet.removable_values(game.domains, game.rows, mode)
                 assert want[:1] == ([[sorted(r) for r in removals]] if any(removals) else [])
 
 
@@ -581,7 +552,7 @@ def test_worklist_elimination_matches_full_rounds():
     themselves when nothing was removable."""
     rounds = untouched = 0
     for x in elimination_instances():
-        names, domains, parents, rows = oracle._tables(x)
+        names, domains, parents, rows = net_fields(x)
         for mode in MODES:
             got, want = [], []
             final = cpnet.eliminate_values(names, domains, parents, rows, mode, got)
@@ -609,7 +580,7 @@ def test_tech_game_matches_per_row_sort():
             for k in range(1, 5):
                 got, want = pgame.tech_game(graph, k), reference_tech_game(graph, k)
                 assert got == want, (seed, k)
-                assert [list(t) for t in got.prefs] == [list(t) for t in want.prefs]
+                assert [list(t) for t in got.rows] == [list(t) for t in want.rows]
 
 
 def test_restrict_rebuilds_only_changed_tables():
@@ -619,7 +590,7 @@ def test_restrict_rebuilds_only_changed_tables():
     for seed in range(1, 201):
         for x in (oracle.random_cpnet(replace(CFG, seed=seed)),
                   oracle.random_ppgame(replace(CFG, seed=seed, graphical=True))):
-            names, domains, parents, rows = oracle._tables(x)
+            names, domains, parents, rows = net_fields(x)
             rng = random.Random(seed)
             changed = {i for i, d in enumerate(domains) if len(d) > 1 and rng.random() < 0.5}
             keep = [d[1:] if i in changed else d for i, d in enumerate(domains)]
@@ -647,7 +618,7 @@ def test_layers_match_both_loops():
         for graphical, acyclic in ((False, False), (True, False), (True, True)):
             game = oracle.random_ppgame(
                 replace(CFG, seed=seed, graphical=graphical, acyclic=acyclic))
-            assert pgame.is_hierarchical(game) == reference_is_hierarchical(game), seed
+            assert cpnet.essential_levels(game) == reference_is_hierarchical(game), seed
         dag = oracle.random_dag(replace(CFG, seed=seed))
         # some edges reversed as well, so that cycles leave nodes unplaced
         rng = random.Random(seed)
@@ -773,14 +744,14 @@ def test_referee_matches_both_brute_branches():
             for graphical in (False, True):
                 game = oracle.random_ppgame(
                     replace(CFG, seed=seed, graphical=graphical, acyclic=acyclic))
-                assert oracle.brute_nash(game) == referees.nash_pp(game), seed
+                assert oracle.brute_nash(game) == referees.optimal_outcomes(game), seed
 
 
 def elimination_verdicts(seeds):
     """Per elimination suite and seed, whether the instance passed the one
     check now and the twin check before.  Only pass or fail is compared:
-    the twins' failure details name the optimal set or the Nash set, the
-    one check's the stable outcomes."""
+    the twins' failure details name the optimal set, the one check's the
+    stable outcomes."""
     out = {}
     for theorem, reference in REFERENCE_ELIMINATION_CHECKS.items():
         for seed in seeds:
@@ -835,9 +806,7 @@ def test_full_tables_match_insert_loop():
         for x in (oracle.random_cpnet(replace(CFG, seed=seed, max_vars=5)),
                   oracle.random_ppgame(replace(CFG, seed=seed, max_vars=5, graphical=True)),
                   oracle.random_ppgame(replace(CFG, seed=seed, max_vars=4))):
-            names, domains, parents, rows = (
-                (x.variables, x.domains, x.parents, x.rows) if isinstance(x, cpnet.CPNet)
-                else (x.players, x.strategies, x.neigh, x.prefs))
+            names, domains, parents, rows = net_fields(x)
             arities.update(map(len, parents))
             for domains, parents, rows in ((domains, parents, rows),
                                            scrambled(domains, parents, rows, rng)):
@@ -846,7 +815,7 @@ def test_full_tables_match_insert_loop():
                 unordered_rows += sum(
                     list(r) != list(itertools.product(*map(domains.__getitem__, ps)))
                     for ps, r in zip(parents, rows))
-                got = cpnet.full_tables(names, domains, parents, rows)
+                got = cpnet.widen(names, domains, parents, rows)
                 want = reference_full_tables(names, domains, parents, rows)
                 assert got == want
                 assert [list(t) for t in got[1]] == [list(t) for t in want[1]]
@@ -863,7 +832,7 @@ def drawn_tables(record):
     if isinstance(record, softcsp.SoftCSP):
         return [[(k, v, type(v.payload)) for k, v in c.table.items()]
                 for c in record.constraints]
-    tables = record.payoffs if isinstance(record, pgame.PayoffGame) else oracle._tables(record)[3]
+    tables = record.payoffs if isinstance(record, pgame.PayoffGame) else record.rows
     return [[(k, v, type(v)) for k, v in t.items()] for t in tables]
 
 
@@ -872,7 +841,7 @@ def drawn_tables(record):
 #: order.  A change of the draws that is meant is a new digest here.
 DRAW_DIGESTS = {
     "random_cpnet": "74e5f486eb8d8ba0fc43849a0d2f94c57ea3dce9df9b98ebd43537a2cab9f916",
-    "random_ppgame": "f43baa5c7bf033c5cf37643a8872b4b6a19b043e255a5181dd88d9f219893d80",
+    "random_ppgame": "49a92b4da4bf6235d34eb3d380be55211e4605510a547c716b99e4fe37d56ad4",
     "random_payoff_game": "2f5b4308282e5afc4ff7243070efa0ab2d7c96cb45bb003f5a942c2e403cce29",
     "random_scsp": "b4c09c23898f1e594eca9fbe0cdbbf1d61577255e1a2c7570bf351731d8eda2e",
     "random_dag": "c590d11a7c72d043e9b5274a7c81aaf18e47b9c1e661b3343f2e1df49eaed3c1",
@@ -966,10 +935,8 @@ def table_instances():
 def table_fields(kind, record):
     """Names, domains, and each table's scope and tuples: a table's scope is
     its owner's parents or neighbours, or a constraint's scope."""
-    if kind == "cpnet":
-        return record.variables, record.domains, record.parents, record.rows
-    if kind == "ppgame":
-        return record.players, record.strategies, record.neigh, record.prefs
+    if kind in ("cpnet", "ppgame"):
+        return net_fields(record)
     if kind == "payoffgame":
         return record.players, record.strategies, record.neigh, record.payoffs
     return (record.variables, record.domains, tuple(c.scope for c in record.constraints),

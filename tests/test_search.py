@@ -80,7 +80,7 @@ def test_equilibria_match_the_oracle():
         for graphical in (True, False):
             game = oracle.random_ppgame(replace(CFG, seed=seed, graphical=graphical))
             brute = oracle.brute_nash(game)
-            assert pgame.nash_equilibria_pp(game) == brute
+            assert cpnet.optimal_outcomes(game) == brute
             found.add(len(brute))
         plain = oracle.random_payoff_game(replace(CFG, seed=seed))
         for game in (plain, weighted_payoffs(plain)):

@@ -209,6 +209,14 @@ def row_dict_document(obj):
         if obj.levels is not None:
             doc["levels"] = dict(zip(obj.nodes, obj.levels))
         return doc
+    if isinstance(obj, pgame.PPGame):
+        doc = header("players", obj.variables, "strategies", obj.domains)
+        doc["neigh"] = {p: [obj.variables[j] for j in ns]
+                        for p, ns in zip(obj.variables, obj.parents)}
+        doc["kind"], doc["prefs"] = "ppgame", {
+            p: rows(t, obj.domains, ns, "when", "order")
+            for p, ns, t in zip(obj.variables, obj.parents, obj.rows)}
+        return doc
     if isinstance(obj, cpnet.CPNet):
         doc = header("variables", obj.variables, "domains", obj.domains)
         doc["kind"], doc["tables"] = "cpnet", {
@@ -228,11 +236,6 @@ def row_dict_document(obj):
         return doc
     doc = header("players", obj.players, "strategies", obj.strategies)
     doc["neigh"] = {p: [obj.players[j] for j in ns] for p, ns in zip(obj.players, obj.neigh)}
-    if isinstance(obj, pgame.PPGame):
-        doc["kind"], doc["prefs"] = "ppgame", {
-            p: rows(t, obj.strategies, ns, "when", "order")
-            for p, ns, t in zip(obj.players, obj.neigh, obj.prefs)}
-        return doc
     doc["kind"] = "payoffgame"
     doc["carrier"] = None if obj.carrier is None else serialize.spec_to_json(obj.carrier)
     doc["payoffs"] = {p: rows(t, obj.strategies, obj.local_scope(i), "when", "value",
@@ -311,6 +314,11 @@ def test_dumps_matches_row_dicts_on_generated_records():
     assert kinds == set(serialize.KINDS)
     for obj in rendered_records():
         assert_dumps_its_document(obj)
+    # a game of a net's very fields is written as a game all the same
+    net = obj  # the last rendered record, a CP-net
+    game = pgame.PPGame(net.variables, net.domains, net.parents, net.rows)
+    assert assert_dumps_its_document(net) == "cpnet"
+    assert assert_dumps_its_document(game) == "ppgame"
 
 
 def edge_records():
@@ -347,7 +355,7 @@ def test_dumps_matches_row_dicts_on_edge_records(obj):
     assert_dumps_its_document(obj)
 
 
-TABLES = {"cpnet": "rows", "ppgame": "prefs", "payoffgame": "payoffs"}
+TABLES = {"cpnet": "rows", "ppgame": "rows", "payoffgame": "payoffs"}
 
 
 def tables_of(kind, obj):
