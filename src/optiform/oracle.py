@@ -83,7 +83,8 @@ def _unflipped(outcomes, parents, rows):
 
 
 def brute_optimal_outcomes(net):
-    """The optimal outcomes of a CP-net, from the definition."""
+    """The optimal outcomes of a CP-net, the Nash equilibria of a PPGame,
+    from the definition."""
     return _unflipped(net.outcomes(), net.parents, net.rows)
 
 
@@ -141,11 +142,8 @@ class _PayoffTable:
 
 
 def brute_nash(game, table=None):
-    """The pure Nash equilibria of a PPGame or a PayoffGame, from the
-    definition.  `table`, the payoff game's `_PayoffTable`, is built if not
-    given."""
-    if isinstance(game, pgame.PPGame):
-        return brute_optimal_outcomes(game)
+    """The pure Nash equilibria of a PayoffGame, from the definition.
+    `table`, the game's `_PayoffTable`, is built if not given."""
     if table is None:
         table = _PayoffTable(game)
     rows = table.rows
@@ -297,13 +295,13 @@ def _verdict(ok, detail=""):
 
 def _check_net_game_equivalence(net):
     left = set(brute_optimal_outcomes(net))
-    right = set(brute_nash(bridge.game_of_cpnet(net)))
+    right = set(brute_optimal_outcomes(bridge.game_of_cpnet(net)))
     return _verdict(left == right, "optimal %r vs nash %r" % (sorted(left), sorted(right)))
 
 
 def _check_game_net_equivalence(game):
     net = bridge.cpnet_of_game(game)
-    left = set(brute_nash(game))
+    left = set(brute_optimal_outcomes(game))
     right = set(brute_optimal_outcomes(net))
     if left != right:
         return _verdict(False, "nash %r vs optimal %r" % (sorted(left), sorted(right)))
@@ -376,7 +374,7 @@ def _check_hierarchical_unique(game):
     if not all(len(s) == 1 for s in final.domains):
         return _verdict(False, "hierarchical game did not reduce to singletons")
     only = tuple(s[0] for s in final.domains)
-    return _verdict(brute_nash(game) == [only], "not the unique Nash equilibrium")
+    return _verdict(brute_optimal_outcomes(game) == [only], "not the unique Nash equilibrium")
 
 
 def _check_strict_monotone(problem):

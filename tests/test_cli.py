@@ -1247,11 +1247,6 @@ def preference_referee_text(command, names, domains, parents, rows):
     return _net_document("cpnet", names, domains, essential, reduced)
 
 
-def _tables_of(record):
-    """The names, domains, parents and rows of a CP-net or PPGame."""
-    return record.variables, record.domains, record.parents, record.rows
-
-
 def assert_keeps_the_stable_outcomes(command, text, names, domains, parents, rows):
     """An elimination report on a CP-net or PPGame keeps each value of every
     stable outcome (`referees.stable`) in its final domains and, when it
@@ -1315,7 +1310,8 @@ def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc, data
     path = tmp_path_factory.mktemp("drawn") / "doc.json"
     path.write_text(json.dumps(doc))
     try:
-        fields = _tables_of(serialize.load_path(str(path))[1])
+        record = serialize.load_path(str(path))[1]
+        fields = record.variables, record.domains, record.parents, record.rows
     except OptiformError:
         fields = None
     eliminate = "cpnet-eliminate" if doc["kind"] == "cpnet" else "game-eliminate"
@@ -1337,9 +1333,10 @@ def test_drawn_nets_and_games_answer_as_the_referees(tmp_path_factory, doc, data
         assert code == 0, (command, err)
         assert out == expected, command
         if command in ("cpnet-reduce", "to-game", "to-cpnet"):
-            result = _tables_of(serialize.loads(out)[1])
+            result = serialize.loads(out)[1]
             outcomes = list(itertools.product(*fields[1]))
-            assert referees.stable(outcomes, *fields[1:]) == referees.stable(outcomes, *result[1:])
+            assert referees.stable(outcomes, *fields[1:]) == referees.stable(
+                outcomes, result.domains, result.parents, result.rows)
     if doc["kind"] != "cpnet":
         return
     domains = [doc["domains"][n] for n in doc["variables"]]

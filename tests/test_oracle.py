@@ -29,7 +29,8 @@ def test_brute_optimal_matches_flip_definition(acyclic4, cyclic4, cyclic2):
 
 
 def test_brute_nash_matches_pp(pd_pp):
-    assert oracle.brute_nash(pd_pp) == cpnet.optimal_outcomes(pd_pp)
+    """A PPGame's brute Nash equilibria are its brute optimal outcomes."""
+    assert oracle.brute_optimal_outcomes(pd_pp) == cpnet.optimal_outcomes(pd_pp)
 
 
 def test_brute_nash_and_pareto_match_payoff(pd_payoff):
@@ -119,7 +120,7 @@ def test_referees_match_nested_loops():
         assert oracle.brute_pareto(game) == referees.pareto(game)
     for seed in range(1, 41):
         game = oracle.random_ppgame(replace(CFG, seed=seed, graphical=seed % 2 == 0))
-        assert oracle.brute_nash(game) == referees.optimal_outcomes(game)
+        assert oracle.brute_optimal_outcomes(game) == referees.optimal_outcomes(game)
         net = oracle.random_cpnet(replace(CFG, seed=seed, acyclic=seed % 2 == 0))
         assert oracle.brute_optimal_outcomes(net) == referees.optimal_outcomes(net)
 

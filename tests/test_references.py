@@ -106,11 +106,6 @@ def reference_tech_game(graph, k):
     return pgame.PPGame(graph.nodes, tuple(techs for _ in graph.nodes), neigh, tuple(prefs))
 
 
-def net_fields(x):
-    """The names, domains, parents and rows of a CP-net or a PPGame."""
-    return x.variables, x.domains, x.parents, x.rows
-
-
 def reference_eliminate(net, removals):
     domains, rows = cpnet.restrict(net.variables, net.parents, net.rows,
                                    cpnet.without(net.domains, removals))
@@ -511,7 +506,8 @@ def test_net_fixpoint_matches_callback_fixpoint():
             for mode in MODES:
                 got, want = [], []
                 final = cpnet.reduce_to_fixpoint(net, mode, got)
-                domains, rows = reference_eliminate_values(*net_fields(net), mode, want)
+                domains, rows = reference_eliminate_values(
+                    net.variables, net.domains, net.parents, net.rows, mode, want)
                 expected = cpnet.CPNet(net.variables, domains, net.parents, rows)
                 assert (final, got) == (expected, want), (seed, acyclic, mode)
                 assert (final is net) == (not want)
@@ -524,7 +520,8 @@ def test_game_rounds_match_callback_round_and_fixpoint():
             for mode in MODES:
                 got, want = [], []
                 final = cpnet.reduce_to_fixpoint(game, mode, got)
-                strategies, prefs = reference_eliminate_values(*net_fields(game), mode, want)
+                strategies, prefs = reference_eliminate_values(
+                    game.variables, game.domains, game.parents, game.rows, mode, want)
                 expected = pgame.PPGame(game.variables, strategies, game.parents, prefs)
                 assert (final, got) == (expected, want), (seed, graphical, mode)
                 assert (final is game) == (not want)
@@ -552,7 +549,7 @@ def test_worklist_elimination_matches_full_rounds():
     themselves when nothing was removable."""
     rounds = untouched = 0
     for x in elimination_instances():
-        names, domains, parents, rows = net_fields(x)
+        names, domains, parents, rows = x.variables, x.domains, x.parents, x.rows
         for mode in MODES:
             got, want = [], []
             final = cpnet.eliminate_values(names, domains, parents, rows, mode, got)
@@ -590,7 +587,7 @@ def test_restrict_rebuilds_only_changed_tables():
     for seed in range(1, 201):
         for x in (oracle.random_cpnet(replace(CFG, seed=seed)),
                   oracle.random_ppgame(replace(CFG, seed=seed, graphical=True))):
-            names, domains, parents, rows = net_fields(x)
+            names, domains, parents, rows = x.variables, x.domains, x.parents, x.rows
             rng = random.Random(seed)
             changed = {i for i, d in enumerate(domains) if len(d) > 1 and rng.random() < 0.5}
             keep = [d[1:] if i in changed else d for i, d in enumerate(domains)]
@@ -744,7 +741,7 @@ def test_referee_matches_both_brute_branches():
             for graphical in (False, True):
                 game = oracle.random_ppgame(
                     replace(CFG, seed=seed, graphical=graphical, acyclic=acyclic))
-                assert oracle.brute_nash(game) == referees.optimal_outcomes(game), seed
+                assert oracle.brute_optimal_outcomes(game) == referees.optimal_outcomes(game), seed
 
 
 def elimination_verdicts(seeds):
@@ -806,7 +803,7 @@ def test_full_tables_match_insert_loop():
         for x in (oracle.random_cpnet(replace(CFG, seed=seed, max_vars=5)),
                   oracle.random_ppgame(replace(CFG, seed=seed, max_vars=5, graphical=True)),
                   oracle.random_ppgame(replace(CFG, seed=seed, max_vars=4))):
-            names, domains, parents, rows = net_fields(x)
+            names, domains, parents, rows = x.variables, x.domains, x.parents, x.rows
             arities.update(map(len, parents))
             for domains, parents, rows in ((domains, parents, rows),
                                            scrambled(domains, parents, rows, rng)):
@@ -936,7 +933,7 @@ def table_fields(kind, record):
     """Names, domains, and each table's scope and tuples: a table's scope is
     its owner's parents or neighbours, or a constraint's scope."""
     if kind in ("cpnet", "ppgame"):
-        return net_fields(record)
+        return record.variables, record.domains, record.parents, record.rows
     if kind == "payoffgame":
         return record.players, record.strategies, record.neigh, record.payoffs
     return (record.variables, record.domains, tuple(c.scope for c in record.constraints),
@@ -1165,7 +1162,7 @@ def table_read_instances():
             replace(CFG, seed=seed, graphical=True, acyclic=seed % 2 == 0))))
         records.append(pgame.tech_game(oracle.random_dag(replace(CFG, seed=seed)), seed % 3 + 1))
         for record in records:
-            kind = "cpnet" if isinstance(record, cpnet.CPNet) else "ppgame"
+            kind = "ppgame" if isinstance(record, pgame.PPGame) else "cpnet"
             names, *fields = table_fields(kind, record)
             yield (kind, names, *fields)
             yield (kind, names, *scrambled(*fields, rng))

@@ -79,7 +79,7 @@ def test_equilibria_match_the_oracle():
     for seed in SEEDS:
         for graphical in (True, False):
             game = oracle.random_ppgame(replace(CFG, seed=seed, graphical=graphical))
-            brute = oracle.brute_nash(game)
+            brute = oracle.brute_optimal_outcomes(game)
             assert cpnet.optimal_outcomes(game) == brute
             found.add(len(brute))
         plain = oracle.random_payoff_game(replace(CFG, seed=seed))
